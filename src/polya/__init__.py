@@ -15,7 +15,7 @@ from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
                      PolyaReport, RamificationProfile, biquadratic_field,
                      h1_order, h_generators, leriche_classify, polya_report,
                      ramification, subfields)
-from .quadratic import (NOT_POLYA, POLYA, UNDECIDED, ContinuedFraction,
+from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         DirichletReport, FundamentalUnit, NormEquationSolution,
                         QuadraticField, UndecidedError, UnitSplit, ZantemaVerdict,
                         a_value, cf_expand, dirichlet_norm_criterion,
@@ -24,9 +24,8 @@ from .quadratic import (NOT_POLYA, POLYA, UNDECIDED, ContinuedFraction,
 from .sqclass import (IDENTITY, SquareClass, SquareClassSubgroup, class_of, span,
                       subgroup_order)
 from .verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport,
-                     EpsilonWitness, HypothesisReport, TheoremReport,
-                     WitnessInapplicableError, admissible_triples, check_hypotheses,
-                     contrast_rajaei, epsilon_witness, hypotheses_t1, hypotheses_t2,
+                     HypothesisReport, TheoremReport, admissible_triples,
+                     check_hypotheses, contrast_rajaei, hypotheses_t1, hypotheses_t2,
                      hypotheses_t3, pollack_search, scan, smallest_admissible,
                      verify_table, verify_theorem)
 
@@ -36,7 +35,7 @@ __all__ = [
     "OUTSIDE_PROPOSITION", "BiquadraticField", "LericheVerdict", "PolyaReport",
     "RamificationProfile", "biquadratic_field", "h1_order", "h_generators",
     "leriche_classify", "polya_report", "ramification", "subfields",
-    "NOT_POLYA", "POLYA", "UNDECIDED", "ContinuedFraction", "DirichletReport",
+    "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
     "FundamentalUnit", "NormEquationSolution", "QuadraticField", "UndecidedError",
     "UnitSplit", "ZantemaVerdict", "a_value", "cf_expand",
     "dirichlet_norm_criterion", "epsilon_decomposition", "fundamental_unit",
@@ -44,9 +43,8 @@ __all__ = [
     "zantema_classify",
     "IDENTITY", "SquareClass", "SquareClassSubgroup", "class_of", "span",
     "subgroup_order",
-    "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport", "EpsilonWitness",
-    "HypothesisReport", "TheoremReport", "WitnessInapplicableError",
-    "admissible_triples", "check_hypotheses", "contrast_rajaei", "epsilon_witness",
-    "hypotheses_t1", "hypotheses_t2", "hypotheses_t3", "pollack_search", "scan",
-    "smallest_admissible", "verify_table", "verify_theorem",
+    "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport",
+    "HypothesisReport", "TheoremReport", "admissible_triples", "check_hypotheses",
+    "contrast_rajaei", "hypotheses_t1", "hypotheses_t2", "hypotheses_t3",
+    "pollack_search", "scan", "smallest_admissible", "verify_table", "verify_theorem",
 ]

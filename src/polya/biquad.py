@@ -117,23 +117,26 @@ def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     return tuple([class_of(d) for d in deltas] + [a_value(d) for d in deltas])
 
 
-def _has_norm_pm2(d: int, budget: int | None) -> bool:
-    return any(norm_equation(d, c, budget=budget) is not None for c in (2, -2))
+def _has_norm_pm2(d: int) -> bool:
+    return any(norm_equation(d, c) is not None for c in (2, -2))
 
 
-def h1_order(field: BiquadraticField, *, normeq_budget: int | None = None
-             ) -> tuple[int, int, int]:
+def _h1(field: BiquadraticField, profile: RamificationProfile,
+        gens: tuple[SquareClass, ...]) -> tuple[int, int, int]:
+    h, _ = subgroup_order(gens)
+    index = 1
+    if profile.e2 == 4 and all(_has_norm_pm2(d) for d in field.deltas):
+        index = 2
+    return h, index, h * index
+
+
+def h1_order(field: BiquadraticField) -> tuple[int, int, int]:
     """(|H|, index factor, |H^1|) for a totally real bi-quadratic field.
 
     The index factor is 2 exactly when 2 is totally ramified and each of the
     three subfields contains an element of norm 2 or -2.
     """
-    h, _ = subgroup_order(h_generators(field))
-    index = 1
-    if ramification(field).e2 == 4:
-        if all(_has_norm_pm2(d, normeq_budget) for d in field.deltas):
-            index = 2
-    return h, index, h * index
+    return _h1(field, ramification(field), h_generators(field))
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,7 @@ class PolyaReport:
         return self.po_order == 1
 
 
-def polya_report(field: BiquadraticField, *, normeq_budget: int | None = None
-                 ) -> PolyaReport:
+def polya_report(field: BiquadraticField) -> PolyaReport:
     """Full Polya computation for a totally real bi-quadratic field.
 
     The quotient of sum Z/e_l by H^1 has exponent 2 whenever e_2 <= 2, so the
@@ -174,7 +176,7 @@ def polya_report(field: BiquadraticField, *, normeq_budget: int | None = None
         raise ValueError("Polya reports cover totally real fields only")
     profile = ramification(field)
     gens = h_generators(field)
-    h, index, h1 = h1_order(field, normeq_budget=normeq_budget)
+    h, index, h1 = _h1(field, profile, gens)
     po = profile.product // h1
     if profile.e2 <= 2:
         rank = po.bit_length() - 1
@@ -256,7 +258,7 @@ def leriche_classify(m: int, n: int) -> LericheVerdict:
                 return LericheVerdict(m, n, NOT_POLYA,
                                       f"necessary congruences fail for p={p}, q={q}")
         for d in deltas:
-            if not _has_norm_pm2(d, None):
+            if not _has_norm_pm2(d):
                 return LericheVerdict(m, n, NOT_POLYA,
                                       f"no element of norm +-2 in Q(sqrt({d}))")
         return LericheVerdict(m, n, POLYA, "composite rule: ramified 2 stays principal")

@@ -4,8 +4,8 @@ Subcommands: classify-quadratic, analyze, verify {t1|t2|t3}, scan, table,
 pollack, contrast.  Output formats: text (default), json (one compact object
 per line), csv (one flat row per report, nested values JSON-encoded).  Unit
 coefficients are serialized as decimal strings since they routinely exceed 64
-bits.  Identical inputs and budgets produce byte-identical output regardless
-of --jobs.
+bits.  Identical inputs and budgets produce byte-identical output.  Batch
+commands run serially; --jobs is still accepted and has no effect.
 
 Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, table
 row or strict-mode claim failing), 4 undecided under the configured budgets.
@@ -16,25 +16,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import click
 
-from . import arith, quadratic
+from . import arith
 from .arith import FactorBudgetError, squarefree_part
 from .biquad import PolyaReport, biquadratic_field, polya_report
-from .quadratic import (UNDECIDED, UndecidedError, fundamental_unit,
+from .quadratic import (UndecidedError, UnitSplit, fundamental_unit,
                         quadratic_polya_oracle, zantema_classify)
-from .verify import (THEOREMS, EpsilonWitness, TheoremReport, contrast_rajaei,
-                     pollack_search, verify_theorem)
+from .verify import (THEOREMS, TheoremReport, admissible_triples, contrast_rajaei,
+                     pollack_search, verify_table, verify_theorem)
 
 
 def _common_options(fn: Callable) -> Callable:
-    fn = click.option("--budget-normeq", type=int, default=None,
-                      envvar="POLYA_NORMEQ_BUDGET",
-                      help="Norm-equation scan budget (default from env or built-in).")(fn)
     fn = click.option("--budget-factor", type=int, default=None,
                       envvar="POLYA_FACTOR_BUDGET",
                       help="Factoring budget (default from env or built-in).")(fn)
@@ -47,8 +43,9 @@ def _common_options(fn: Callable) -> Callable:
 
 
 def _batch_options(fn: Callable) -> Callable:
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      help="Worker threads; output order is unaffected.")(fn)
+    # Accepted so that existing invocations keep parsing; it selects nothing.
+    fn = click.option("--jobs", type=int, default=1, hidden=True,
+                      expose_value=False)(fn)
     fn = click.option("--strict", is_flag=True,
                       help="Exit 3 when any computed claim does not match.")(fn)
     return fn
@@ -64,15 +61,11 @@ def _budget_guard(ctx: click.Context) -> Iterator[None]:
         ctx.exit(4)
 
 
-def _apply_budgets(budget_factor: int | None, budget_normeq: int | None) -> None:
+def _apply_budgets(budget_factor: int | None) -> None:
     if budget_factor is not None:
         if budget_factor <= 0:
             raise click.UsageError("--budget-factor must be positive")
         arith.DEFAULT_FACTOR_BUDGET = budget_factor
-    if budget_normeq is not None:
-        if budget_normeq <= 0:
-            raise click.UsageError("--budget-normeq must be positive")
-        quadratic.DEFAULT_NORMEQ_BUDGET = budget_normeq
 
 
 def _unit_payload(d: int) -> dict[str, Any] | None:
@@ -90,11 +83,11 @@ def _unit_text(d: int) -> str:
     return f"{body}, norm {u.norm}"
 
 
-def _witness_payload(w: EpsilonWitness | None) -> dict[str, Any] | None:
+def _witness_payload(w: UnitSplit | None) -> dict[str, Any] | None:
     if w is None:
         return None
-    return {"d": w.d, "delta": w.delta, "g": w.g, "m": str(w.m), "n": str(w.n),
-            "epsilon": w.epsilon, "eta": w.eta, "case_label": w.case_label}
+    return {"d": w.d, "delta": w.unit.denom, "g": w.g, "m": str(w.m), "n": str(w.n),
+            "epsilon": w.epsilon, "eta": w.eta, "case_label": f"gcd = {w.g}"}
 
 
 def _field_payload(report: PolyaReport) -> dict[str, Any]:
@@ -186,7 +179,7 @@ def _theorem_text(report: TheoremReport) -> list[str]:
     if w is not None:
         member = "in" if report.epsilon_in_allowed_set else "NOT in"
         lines.append(f"  epsilon witness for kernel {w.d}: epsilon {w.epsilon} "
-                     f"({w.case_label}), {member} the allowed set")
+                     f"(gcd = {w.g}), {member} the allowed set")
     for note in report.anomalies:
         lines.append(f"  anomaly: {note}")
     return lines
@@ -222,14 +215,6 @@ def _emit(fmt: str, output: str | None, payloads: list[dict[str, Any]],
             fh.write(body)
 
 
-def _parallel_map(jobs: int, fn: Callable, items: Iterable) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 @click.group()
 def main() -> None:
     """Polya groups of real quadratic and totally real bi-quadratic fields."""
@@ -241,10 +226,9 @@ def main() -> None:
 @_common_options
 @click.pass_context
 def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | None,
-                           budget_factor: int | None, budget_normeq: int | None
-                           ) -> None:
+                           budget_factor: int | None) -> None:
     """Classify Q(sqrt(D)) by the unit criterion and by the ideal oracle."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     with _budget_guard(ctx):
         if d in (0, 1) or squarefree_part(d) != d:
             raise click.UsageError(f"d must be a squarefree integer other than 0 and 1, got {d}")
@@ -264,8 +248,6 @@ def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | N
         lines.append(f"unit: {_unit_text(d)}")
     columns = ("d", "zantema", "case", "oracle", "agreement", "unit")
     _emit(fmt, output, [payload], columns, lines)
-    if oracle == UNDECIDED:
-        ctx.exit(4)
     if verdict.verdict != oracle:
         ctx.exit(3)
 
@@ -276,9 +258,9 @@ def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | N
 @_common_options
 @click.pass_context
 def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None,
-                budget_factor: int | None, budget_normeq: int | None) -> None:
+                budget_factor: int | None) -> None:
     """Full Polya report for the bi-quadratic field Q(sqrt(M), sqrt(N))."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     with _budget_guard(ctx):
         try:
             field = biquadratic_field(m, n)
@@ -322,10 +304,9 @@ def _theorem_id(value: str) -> str:
 @_common_options
 @click.pass_context
 def cmd_verify(ctx: click.Context, theorem: str, primes: tuple[int, ...], fmt: str,
-               output: str | None, budget_factor: int | None,
-               budget_normeq: int | None, strict: bool, jobs: int) -> None:
+               output: str | None, budget_factor: int | None, strict: bool) -> None:
     """Verify one theorem instance, e.g. `verify t1 3 17 41` or `verify t3 5 17`."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     theorem = _theorem_id(theorem)
     expected = 2 if theorem == "T3" else 3
     if len(primes) != expected:
@@ -343,18 +324,16 @@ def cmd_verify(ctx: click.Context, theorem: str, primes: tuple[int, ...], fmt: s
 @_common_options
 @click.pass_context
 def cmd_scan(ctx: click.Context, theorem: str, bound: int, fmt: str,
-             output: str | None, budget_factor: int | None,
-             budget_normeq: int | None, strict: bool, jobs: int) -> None:
+             output: str | None, budget_factor: int | None, strict: bool) -> None:
     """Verify every admissible triple with max prime <= BOUND."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     theorem = _theorem_id(theorem)
-    from .verify import admissible_triples
     try:
         triples = admissible_triples(theorem, bound)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     with _budget_guard(ctx):
-        reports = _parallel_map(jobs, lambda t: verify_theorem(theorem, t), triples)
+        reports = [verify_theorem(theorem, t) for t in triples]
     _finish_reports(ctx, fmt, output, reports, strict)
 
 
@@ -363,13 +342,11 @@ def cmd_scan(ctx: click.Context, theorem: str, bound: int, fmt: str,
 @_common_options
 @click.pass_context
 def cmd_table(ctx: click.Context, fmt: str, output: str | None,
-              budget_factor: int | None, budget_normeq: int | None,
-              strict: bool, jobs: int) -> None:
+              budget_factor: int | None, strict: bool) -> None:
     """Reproduce the published 20-row table; exit 0 iff every row has po order 2."""
-    _apply_budgets(budget_factor, budget_normeq)
-    from .verify import TABLE_ROWS, T3
+    _apply_budgets(budget_factor)
     with _budget_guard(ctx):
-        reports = _parallel_map(jobs, lambda row: verify_theorem(T3, row[1:]), TABLE_ROWS)
+        reports = list(verify_table())
     _finish_reports(ctx, fmt, output, reports, strict, require_all_claims=True)
 
 
@@ -378,10 +355,10 @@ def cmd_table(ctx: click.Context, fmt: str, output: str | None,
 @_common_options
 @click.pass_context
 def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None,
-                budget_factor: int | None, budget_normeq: int | None) -> None:
+                budget_factor: int | None) -> None:
     """Smallest primes p = 3 mod 4 and q = 1 mod 4 below R that are both
     non-residues mod R."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     try:
         p, q = pollack_search(r)
     except ValueError as exc:
@@ -401,11 +378,10 @@ def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None,
 @_common_options
 @click.pass_context
 def cmd_contrast(ctx: click.Context, p: int, q: int, r: int, fmt: str,
-                 output: str | None, budget_factor: int | None,
-                 budget_normeq: int | None, strict: bool, jobs: int) -> None:
+                 output: str | None, budget_factor: int | None, strict: bool) -> None:
     """Check the contrasting family Q(sqrt(P), sqrt(Q*R)) with P = Q = 3 mod 4,
     R = 5 mod 8: expected Polya."""
-    _apply_budgets(budget_factor, budget_normeq)
+    _apply_budgets(budget_factor)
     with _budget_guard(ctx):
         try:
             report = contrast_rajaei(p, q, r)

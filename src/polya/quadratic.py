@@ -28,10 +28,10 @@ DEFAULT_NORMEQ_BUDGET = 2_000_000
 class UndecidedError(RuntimeError):
     """A norm equation whose search space exceeds the allotted budget."""
 
-    def __init__(self, d: int, c: int, required: float, budget: int) -> None:
+    def __init__(self, d: int, c: int, required: int, budget: int) -> None:
         super().__init__(
             f"norm equation x^2 - {d}*y^2 = {c} needs a scan of about "
-            f"exp({required:.1f}) candidates, over the budget of {budget}"
+            f"2^{required.bit_length()} candidates, over the budget of {budget}"
         )
         self.d = d
         self.c = c
@@ -129,11 +129,6 @@ class FundamentalUnit:
             raise ValueError("unit fails its norm equation")
         if self.denom == 2 and (self.d % 4 != 1 or self.z % 2 != self.t % 2):
             raise ValueError("half-integral unit outside the ring of integers")
-
-    @property
-    def log_upper(self) -> float:
-        """An upper bound on log(unit), tight to within about 1/z."""
-        return math.log(2 * self.z + 2) - math.log(self.denom)
 
 
 def _pell_min(d: int) -> tuple[int, int, int]:
@@ -352,12 +347,14 @@ def _scan_real(d: int, c: int, budget: int) -> NormEquationSolution | None:
     """
     u = fundamental_unit(d)
     half = d % 4 == 1
-    log_ymax = 0.5 * (math.log(abs(c)) + u.log_upper - math.log(d))
-    if half:
-        log_ymax += math.log(2)  # numerator coordinate of half-integral elements
-    if log_ymax > math.log(budget):
-        raise UndecidedError(d, c, log_ymax, budget)
-    y_max = math.ceil(math.exp(log_ymax)) + 1
+    # The window is sqrt(num / den): (2z + 2)/denom bounds U, and the factor 4
+    # is for the numerator coordinate of half-integral elements.
+    num = abs(c) * (2 * u.z + 2) * (4 if half else 1)
+    den = u.denom * d
+    if num > budget * budget * den:
+        raise UndecidedError(d, c, math.isqrt(num // den), budget)
+    # isqrt(floor) + 1 is at least the ceiling of the real root; + 1 more slack.
+    y_max = math.isqrt(num // den) + 2
     target_c = 4 * c if half else c
     flip = u.norm == -1
     squares = [_square_table(mod) for mod in _SIEVE_MODULI]
@@ -420,7 +417,6 @@ def norm_equation(d: int, c: int, *, budget: int | None = None) -> NormEquationS
 
 POLYA = "Polya"
 NOT_POLYA = "NotPolya"
-UNDECIDED = "Undecided"
 
 
 @dataclass(frozen=True)
@@ -468,33 +464,19 @@ def zantema_classify(d: int) -> ZantemaVerdict:
     return ZantemaVerdict(d, False, None)
 
 
-def quadratic_polya_oracle(d: int, *, budget: int | None = None) -> str:
+def quadratic_polya_oracle(d: int) -> str:
     """Polya test via principality of every ramified prime of Q(sqrt(d)).
 
     A quadratic field is Polya iff each ramified prime ideal is principal,
     i.e. norm_equation(d, l) or norm_equation(d, -l) has a solution for every
-    ramified l.  Independent of zantema_classify; Undecided only when a probe
-    exhausts its budget without a definitive miss elsewhere.
+    ramified l.  Independent of zantema_classify.  Ramified targets go to
+    complete deciders, so the verdict is always definitive.
     """
     _require_radicand(d)
-    undecided = False
     for ell in ramified_primes(d):
-        found = False
-        probe_undecided = False
-        for c in (ell, -ell):
-            try:
-                if norm_equation(d, c, budget=budget) is not None:
-                    found = True
-                    break
-            except UndecidedError:
-                probe_undecided = True
-        if found:
-            continue
-        if probe_undecided:
-            undecided = True
-            continue
-        return NOT_POLYA
-    return UNDECIDED if undecided else POLYA
+        if norm_equation(d, ell) is None and norm_equation(d, -ell) is None:
+            return NOT_POLYA
+    return POLYA
 
 
 @dataclass(frozen=True)

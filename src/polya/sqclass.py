@@ -50,11 +50,11 @@ class SquareClass:
 IDENTITY = SquareClass(1, 1)
 
 
-def class_of(n: int, *, budget: int | None = None) -> SquareClass:
+def class_of(n: int) -> SquareClass:
     """The square class of a nonzero integer."""
     if n == 0:
         raise ValueError("0 has no square class")
-    s = squarefree_part(n, budget=budget)
+    s = squarefree_part(n)
     return SquareClass(1 if s > 0 else -1, abs(s))
 
 
@@ -100,11 +100,10 @@ def _reduce(mask: int, echelon: tuple[int, ...]) -> int:
     return mask
 
 
-def span(generators: list[SquareClass] | tuple[SquareClass, ...],
-         *, budget: int | None = None) -> SquareClassSubgroup:
+def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClassSubgroup:
     """The subgroup generated by the given classes, with an echelon basis."""
     gens = tuple(generators)
-    primes = tuple(sorted({p for g in gens for p in factor(g.kernel, budget=budget).primes()}))
+    primes = tuple(sorted({p for g in gens for p in factor(g.kernel).primes()}))
     echelon: list[int] = []
     basis: list[SquareClass] = []
     for g in gens:
@@ -124,8 +123,8 @@ def span(generators: list[SquareClass] | tuple[SquareClass, ...],
     )
 
 
-def subgroup_order(generators: list[SquareClass] | tuple[SquareClass, ...],
-                   *, budget: int | None = None) -> tuple[int, tuple[SquareClass, ...]]:
+def subgroup_order(generators: list[SquareClass] | tuple[SquareClass, ...]
+                   ) -> tuple[int, tuple[SquareClass, ...]]:
     """Order of the generated subgroup together with an independent basis."""
-    sub = span(generators, budget=budget)
+    sub = span(generators)
     return sub.order, sub.basis

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
-from .quadratic import epsilon_decomposition, fundamental_unit
+from .quadratic import UnitSplit, epsilon_decomposition, fundamental_unit
 
 T1 = "T1"
 T2 = "T2"
@@ -117,61 +117,6 @@ def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
 
 
 @dataclass(frozen=True)
-class EpsilonWitness:
-    """Decomposition of a norm +1 fundamental unit u = (z + t*sqrt(d))/delta:
-
-        z + delta = g * m^2 * epsilon,   z - delta = g * n^2 * eta,
-
-    with g = gcd(z - delta, z + delta), epsilon * eta = d, and the relation
-    m^2*epsilon - n^2*eta = 2*delta/g.  The witness carries enough data to
-    reconstruct the unit: z = g*m^2*epsilon - delta and t = g*m*n.
-    """
-
-    d: int
-    delta: int
-    g: int
-    m: int
-    n: int
-    epsilon: int
-    eta: int
-    case_label: str
-
-    def __post_init__(self) -> None:
-        if self.delta not in (1, 2) or min(self.g, self.m, self.n) < 1:
-            raise ValueError("malformed witness")
-        if self.epsilon < 1 or self.epsilon * self.eta != self.d:
-            raise ValueError("epsilon * eta must equal d")
-        if self.g * self.m * self.m * self.epsilon - self.delta \
-                != self.g * self.n * self.n * self.eta + self.delta:
-            raise ValueError("witness fails its reconstruction identity")
-
-    @property
-    def z(self) -> int:
-        return self.g * self.m * self.m * self.epsilon - self.delta
-
-    @property
-    def t(self) -> int:
-        return self.g * self.m * self.n
-
-
-class WitnessInapplicableError(ValueError):
-    """The fundamental unit has norm -1, so no epsilon decomposition exists."""
-
-
-def epsilon_witness(d: int) -> EpsilonWitness:
-    """Epsilon decomposition of the norm +1 fundamental unit of Q(sqrt(d)).
-
-    Raises WitnessInapplicableError when the unit has norm -1.
-    """
-    if fundamental_unit(d).norm == -1:
-        raise WitnessInapplicableError(
-            f"fundamental unit of Q(sqrt({d})) has norm -1; witness inapplicable")
-    s = epsilon_decomposition(d)
-    return EpsilonWitness(d, s.unit.denom, s.g, s.m, s.n, s.epsilon, s.eta,
-                          f"gcd = {s.g}")
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     """Verification record for one theorem instance.
 
@@ -185,7 +130,7 @@ class TheoremReport:
     triple: tuple[int, ...]
     hypotheses: HypothesisReport
     field_report: PolyaReport | None
-    epsilon_witness: EpsilonWitness | None
+    epsilon_witness: UnitSplit | None
     epsilon_in_allowed_set: bool | None
     claim_matches: bool | None
     anomalies: tuple[str, ...]
@@ -231,8 +176,8 @@ def _asserted_unit_norms(theorem: str, triple: tuple[int, ...]
     )
 
 
-def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False,
-                   normeq_budget: int | None = None) -> TheoremReport:
+def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
+                   ) -> TheoremReport:
     """Full verification of one theorem instance.
 
     When the hypotheses fail the report stops there unless `force` is set, in
@@ -245,7 +190,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     if not hyp.ok and not force:
         return TheoremReport(theorem, triple, hyp, None, None, None, None, ())
     field = _theorem_field(theorem, triple)
-    report = polya_report(field, normeq_budget=normeq_budget)
+    report = polya_report(field)
     anomalies: list[str] = []
     for label, asserted, kernel in _asserted_unit_norms(theorem, triple):
         computed = fundamental_unit(kernel).norm
@@ -256,7 +201,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     kernels = (field.delta3, field.delta2) if theorem == T3 else (field.delta3,)
     for kernel in kernels:
         if fundamental_unit(kernel).norm == 1:
-            witness = epsilon_witness(kernel)
+            witness = epsilon_decomposition(kernel)
             allowed = _allowed_epsilons(theorem, triple)
             in_set = witness.epsilon in allowed
             if not in_set:
@@ -292,10 +237,9 @@ def admissible_triples(theorem: str, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def scan(theorem: str, bound: int, *, normeq_budget: int | None = None
-         ) -> tuple[TheoremReport, ...]:
+def scan(theorem: str, bound: int) -> tuple[TheoremReport, ...]:
     """Verify every admissible triple with max prime <= bound, in order."""
-    return tuple(verify_theorem(theorem, triple, normeq_budget=normeq_budget)
+    return tuple(verify_theorem(theorem, triple)
                  for triple in admissible_triples(theorem, bound))
 
 
@@ -313,10 +257,9 @@ def smallest_admissible(theorem: str, count: int) -> tuple[tuple[int, ...], ...]
         bound *= 2
 
 
-def verify_table(*, normeq_budget: int | None = None) -> tuple[TheoremReport, ...]:
+def verify_table() -> tuple[TheoremReport, ...]:
     """Reproduce the published 20-row table of T3 fields Q(sqrt(2), sqrt(pq))."""
-    return tuple(verify_theorem(T3, (p, q), normeq_budget=normeq_budget)
-                 for _, p, q in TABLE_ROWS)
+    return tuple(verify_theorem(T3, (p, q)) for _, p, q in TABLE_ROWS)
 
 
 @dataclass(frozen=True)
@@ -330,8 +273,7 @@ class ContrastReport:
     anomalies: tuple[str, ...]
 
 
-def contrast_rajaei(p: int, q: int, r: int, *, normeq_budget: int | None = None
-                    ) -> ContrastReport:
+def contrast_rajaei(p: int, q: int, r: int) -> ContrastReport:
     """Check the contrasting claim: Q(sqrt(p), sqrt(qr)) is Polya when
     p = q = 3 mod 4 and r = 5 mod 8 are distinct primes.
 
@@ -342,7 +284,7 @@ def contrast_rajaei(p: int, q: int, r: int, *, normeq_budget: int | None = None
         raise ValueError("p, q, r must be distinct primes")
     if p % 4 != 3 or q % 4 != 3 or r % 8 != 5:
         raise ValueError("requires p = q = 3 mod 4 and r = 5 mod 8")
-    report = polya_report(biquadratic_field(p, q * r), normeq_budget=normeq_budget)
+    report = polya_report(biquadratic_field(p, q * r))
     matches = report.po_order == 1
     anomalies = () if matches else (
         f"expected Polya order 1, computed {report.po_order}",)

@@ -10,7 +10,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from polya import arith, quadratic
+from polya import arith
 from polya.cli import main
 
 
@@ -21,10 +21,9 @@ def runner():
 
 @pytest.fixture(autouse=True)
 def _restore_budgets():
-    factor, normeq = arith.DEFAULT_FACTOR_BUDGET, quadratic.DEFAULT_NORMEQ_BUDGET
+    factor = arith.DEFAULT_FACTOR_BUDGET
     yield
     arith.DEFAULT_FACTOR_BUDGET = factor
-    quadratic.DEFAULT_NORMEQ_BUDGET = normeq
 
 
 def test_classify_quadratic_text(runner):
@@ -83,6 +82,18 @@ def test_verify_t3_text_and_exit(runner):
     result = runner.invoke(main, ["verify", "t3", "5", "17"])
     assert result.exit_code == 0
     assert "claim" in result.output.lower()
+
+
+def test_verify_t1_epsilon_witness_json_and_text(runner):
+    result = runner.invoke(main, ["verify", "t1", "3", "17", "41", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["epsilon_witness"] == {
+        "d": 2091, "delta": 1, "g": 1, "m": "11", "n": "503",
+        "epsilon": 2091, "eta": 1, "case_label": "gcd = 1"}
+    result = runner.invoke(main, ["verify", "t1", "3", "17", "41"])
+    assert result.exit_code == 0
+    assert ("  epsilon witness for kernel 2091: epsilon 2091 (gcd = 1), "
+            "in the allowed set\n") in result.output
 
 
 def test_verify_wrong_arity_is_usage_error(runner):
@@ -166,15 +177,6 @@ def test_contrast_examples(runner):
     assert runner.invoke(main, ["contrast", "3", "7", "17"]).exit_code == 2
 
 
-def test_budget_flag_trips_undecided_exit(runner):
-    # a kernel needing a deep norm-equation search under a starved budget
-    result = runner.invoke(main, ["classify-quadratic", "1021",
-                                  "--budget-normeq", "1"])
-    assert result.exit_code in (0, 4)
-    if result.exit_code == 4:
-        assert "ndecided" in result.output
-
-
 def test_factor_budget_exhaustion_exits_undecided(runner):
     # semiprime with two large factors: validation itself needs factoring
     d = (2 ** 31 - 1) * (2 ** 61 - 1)
@@ -186,8 +188,8 @@ def test_factor_budget_exhaustion_exits_undecided(runner):
 
 def test_budget_env_variable_is_read(runner):
     result = runner.invoke(main, ["analyze", "2", "85"],
-                           env={"POLYA_NORMEQ_BUDGET": "100000"})
+                           env={"POLYA_FACTOR_BUDGET": "100000"})
     assert result.exit_code == 0
     result = runner.invoke(main, ["analyze", "2", "85"],
-                           env={"POLYA_NORMEQ_BUDGET": "-5"})
+                           env={"POLYA_FACTOR_BUDGET": "-5"})
     assert result.exit_code == 2

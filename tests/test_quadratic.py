@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polya.arith import squarefree_part
-from polya.quadratic import (NOT_POLYA, POLYA, UNDECIDED, UndecidedError, a_value,
+from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
                              quadratic_polya_oracle, ramified_primes,
@@ -249,9 +249,7 @@ def test_oracle_examples():
 def test_zantema_agrees_with_oracle(d):
     if d in (0, 1) or squarefree_part(d) != d:
         return
-    oracle = quadratic_polya_oracle(d)
-    if oracle != UNDECIDED:
-        assert zantema_classify(d).verdict == oracle, d
+    assert zantema_classify(d).verdict == quadratic_polya_oracle(d), d
 
 
 def test_dirichlet_examples():

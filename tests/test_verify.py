@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from polya.arith import jacobi, sieve_primes, squarefree_part
 from polya.biquad import biquadratic_field, polya_report
-from polya.quadratic import fundamental_unit
-from polya.verify import (TABLE_ROWS, THEOREMS, ContrastReport, EpsilonWitness,
-                          TheoremReport, WitnessInapplicableError,
+from polya.cli import _witness_payload
+from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
+                             fundamental_unit)
+from polya.verify import (TABLE_ROWS, THEOREMS, ContrastReport, TheoremReport,
                           admissible_triples, check_hypotheses,
-                          contrast_rajaei, epsilon_witness, hypotheses_t1,
+                          contrast_rajaei, hypotheses_t1,
                           hypotheses_t2, hypotheses_t3, pollack_search, scan,
                           smallest_admissible, verify_table, verify_theorem)
 
@@ -56,38 +57,38 @@ def test_hypotheses_t1_oracle_against_direct_congruences():
 
 
 def test_epsilon_witness_examples():
-    w = epsilon_witness(105)
-    assert (w.delta, w.g, w.epsilon, w.eta) == (1, 2, 21, 5)
+    w = epsilon_decomposition(105)
+    assert (w.unit.denom, w.g, w.epsilon, w.eta) == (1, 2, 21, 5)
     assert (w.m, w.n) == (1, 2)
-    assert w.case_label == "gcd = 2"
-    w = epsilon_witness(15)
-    assert (w.delta, w.g, w.epsilon, w.eta) == (1, 1, 5, 3)
-    assert w.case_label == "gcd = 1"
-    with pytest.raises(WitnessInapplicableError):
-        epsilon_witness(85)   # norm -1, no positive-unit decomposition
+    assert _witness_payload(w)["case_label"] == "gcd = 2"
+    w = epsilon_decomposition(15)
+    assert (w.unit.denom, w.g, w.epsilon, w.eta) == (1, 1, 5, 3)
+    assert _witness_payload(w)["case_label"] == "gcd = 1"
+    with pytest.raises(ValueError, match="norm -1"):
+        epsilon_decomposition(85)   # norm -1, no positive-unit decomposition
 
 
 def test_epsilon_witness_identities_and_unit_reconstruction():
     for d in (15, 21, 33, 34, 35, 51, 105, 161, 210, 221):
-        try:
-            w = epsilon_witness(d)
-        except WitnessInapplicableError:
+        if fundamental_unit(d).norm == -1:
+            with pytest.raises(ValueError):
+                epsilon_decomposition(d)
             continue
+        w = epsilon_decomposition(d)
         u = fundamental_unit(d)
         assert w.epsilon * w.eta == d
-        assert w.g * w.m**2 * w.epsilon - w.delta == u.z
-        assert w.g * w.n**2 * w.eta + w.delta == u.z
+        assert w.g * w.m**2 * w.epsilon - w.unit.denom == u.z
+        assert w.g * w.n**2 * w.eta + w.unit.denom == u.z
         assert w.g * w.m * w.n == u.t
-        assert w.z == u.z and w.t == u.t
+        assert w.unit == u
 
 
 def test_epsilon_witness_frozen_validation():
+    with pytest.raises(ValueError):   # a unit denominator is 1 or 2
+        UnitSplit(d=15, unit=FundamentalUnit(15, 4, 1, 3, 1), g=1, m=1, n=1,
+                  epsilon=5, eta=3)
     with pytest.raises(ValueError):
-        EpsilonWitness(d=15, delta=3, g=1, m=1, n=1, epsilon=5, eta=3,
-                       case_label="gcd = 1")
-    with pytest.raises(ValueError):
-        EpsilonWitness(d=15, delta=1, g=1, m=2, n=1, epsilon=5, eta=3,
-                       case_label="gcd = 1")
+        UnitSplit(d=15, unit=fundamental_unit(15), g=1, m=2, n=1, epsilon=5, eta=3)
 
 
 def test_verify_theorem_t3_worked_example():
@@ -106,6 +107,7 @@ def test_verify_theorem_t1_example_with_witness():
     assert rep.claim_matches is True
     w = rep.epsilon_witness
     assert w is not None and w.epsilon == 2091
+    assert w == epsilon_decomposition(2091)
     assert rep.epsilon_in_allowed_set is True
 
 
