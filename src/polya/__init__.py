@@ -3,8 +3,9 @@
 The pipeline: classify a real quadratic field by its fundamental unit
 (`zantema_classify`, cross-checked by the ideal-based
 `quadratic_polya_oracle`), then assemble a bi-quadratic field's first unit
-cohomology from square classes of subfield data (`polya_report`) and read the
-Polya group's order off the ramification exact sequence.  `verify` adds
+cohomology from square classes of subfield data read off continued-fraction
+periods (`period_invariants`, `polya_report`) and read the Polya group's
+order off the ramification exact sequence.  `verify` adds
 theorem-level harnesses for three families claiming Polya order 2, and `cli`
 exposes everything as a command-line tool.
 """
@@ -17,10 +18,11 @@ from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
                      ramification, subfields)
 from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         DirichletReport, FundamentalUnit, NormEquationSolution,
-                        QuadraticField, UndecidedError, UnitSplit, ZantemaVerdict,
-                        a_value, cf_expand, dirichlet_norm_criterion,
+                        PeriodInvariants, QuadraticField, UndecidedError, UnitSplit,
+                        ZantemaVerdict, a_value, cf_expand, dirichlet_norm_criterion,
                         epsilon_decomposition, fundamental_unit, norm_equation,
-                        quadratic_polya_oracle, ramified_primes, zantema_classify)
+                        period_invariants, quadratic_polya_oracle, ramified_primes,
+                        zantema_classify)
 from .sqclass import (IDENTITY, SquareClass, SquareClassSubgroup, class_of, span,
                       subgroup_order)
 from .verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport,
@@ -36,10 +38,10 @@ __all__ = [
     "RamificationProfile", "biquadratic_field", "h1_order", "h_generators",
     "leriche_classify", "polya_report", "ramification", "subfields",
     "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
-    "FundamentalUnit", "NormEquationSolution", "QuadraticField", "UndecidedError",
-    "UnitSplit", "ZantemaVerdict", "a_value", "cf_expand",
+    "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "QuadraticField",
+    "UndecidedError", "UnitSplit", "ZantemaVerdict", "a_value", "cf_expand",
     "dirichlet_norm_criterion", "epsilon_decomposition", "fundamental_unit",
-    "norm_equation", "quadratic_polya_oracle", "ramified_primes",
+    "norm_equation", "period_invariants", "quadratic_polya_oracle", "ramified_primes",
     "zantema_classify",
     "IDENTITY", "SquareClass", "SquareClassSubgroup", "class_of", "span",
     "subgroup_order",

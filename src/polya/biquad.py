@@ -2,14 +2,17 @@
 and the Polya group.
 
 For a totally real field the order of H^1(G, O*) is computed from six square
-classes: the three subfield kernels and the three a-values of their
-fundamental units.  H^1 equals that span H unless 2 is totally ramified and
+classes: the three subfield kernels and the three a-values [N(u + 1)] of their
+fundamental units u.  H^1 equals that span H unless 2 is totally ramified and
 every subfield contains an element of norm 2 or -2, in which case the index
 doubles.  The Polya group order is then prod(e_l) / |H^1| by the exact
-sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.
+sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
++-2 norm, unit norm) comes from `period_invariants`, one continued-fraction
+period of sqrt(delta) on small integers; no fundamental unit is built.
 
 leriche_classify is the independent route: it never touches H^1 and decides
-composita of two quadratic Polya fields by the classical composite rules.
+composita of two quadratic Polya fields by the classical composite rules,
+settling norms +-2 with norm_equation and the fundamental unit.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .quadratic import (
     NOT_POLYA,
     POLYA,
     a_value,
-    fundamental_unit,
     norm_equation,
+    period_invariants,
     zantema_classify,
 )
 from .sqclass import SquareClass, class_of, subgroup_order
@@ -125,7 +128,7 @@ def _h1(field: BiquadraticField, profile: RamificationProfile,
         gens: tuple[SquareClass, ...]) -> tuple[int, int, int]:
     h, _ = subgroup_order(gens)
     index = 1
-    if profile.e2 == 4 and all(_has_norm_pm2(d) for d in field.deltas):
+    if profile.e2 == 4 and all(period_invariants(d).two_is_norm for d in field.deltas):
         index = 2
     return h, index, h * index
 
@@ -183,7 +186,7 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
         structure = "trivial" if po == 1 else ("Z/2" if po == 2 else f"(Z/2)^{rank}")
     else:
         structure = "order-only"
-    norms = tuple(fundamental_unit(d).norm for d in field.deltas)
+    norms = tuple(period_invariants(d).norm for d in field.deltas)
     return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
 
 

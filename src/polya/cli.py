@@ -62,9 +62,18 @@ def _budget_guard(ctx: click.Context) -> Iterator[None]:
 
 
 def _apply_budgets(budget_factor: int | None) -> None:
+    """Set the factoring budget for the running command only.
+
+    The budget is a module global of arith; it is restored when the command's
+    context closes, so one command's --budget-factor never reaches the next
+    command run in the same process.
+    """
     if budget_factor is not None:
         if budget_factor <= 0:
             raise click.UsageError("--budget-factor must be positive")
+        saved = arith.DEFAULT_FACTOR_BUDGET
+        click.get_current_context().call_on_close(
+            lambda: setattr(arith, "DEFAULT_FACTOR_BUDGET", saved))
         arith.DEFAULT_FACTOR_BUDGET = budget_factor
 
 

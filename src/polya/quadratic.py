@@ -6,8 +6,15 @@ integers is Z[(1+sqrt(d))/2] when d = 1 mod 4 and Z[sqrt(d)] otherwise, so
 elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
 x = y (mod 2) and d = 1 (mod 4).
 
-The central computational trick: for a fundamental unit u = (z + t*sqrt(d))/denom
-of norm +1, the integers z - denom and z + denom split, up to their gcd, as
+The bi-quadratic pipeline needs three facts per kernel, and
+`period_invariants` reads all three off one period of the continued fraction
+of sqrt(d), which works on integers below 2*sqrt(d): the unit norm, the square
+class [N(u + 1)] (`a_value`) and whether 2 or -2 is a norm.  No unit is built.
+
+The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
+the period) serves classify-quadratic, the theorem witnesses and the norm
+equation deciders.  For a fundamental unit u = (z + t*sqrt(d))/denom of norm
++1, the integers z - denom and z + denom split, up to their gcd, as
 eta * square and epsilon * square with epsilon * eta = d.  That factorization
 decides every norm equation N(alpha) = +-l at ramified primes l without ever
 factoring a large integer.
@@ -23,6 +30,9 @@ from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
 from .sqclass import IDENTITY, SquareClass, class_of
 
 DEFAULT_NORMEQ_BUDGET = 2_000_000
+# Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
+# T3 and the table) asks for 5248 distinct kernels.
+_KERNEL_CACHE_SIZE = 8192
 
 
 class UndecidedError(RuntimeError):
@@ -94,22 +104,36 @@ class ContinuedFraction:
 
 
 def cf_expand(d: int) -> ContinuedFraction:
-    """Continued fraction expansion of sqrt(d) for any nonsquare d > 1."""
+    """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
+
+    Walks half the period only.  With complete quotients (m_k + sqrt(d))/q_k,
+    the period l is symmetric: a_k = a_{l-k}, q_k = q_{l-k} and
+    m_k = m_{l+1-k}.  Within a period q_k = q_{k+1} happens only at
+    k = (l - 1)/2 for odd l, and m_k = m_{k+1} only at k = l/2 for even l;
+    the second half is the mirror of the first, closed by a_l = 2*a0, q_l = 1.
+    """
     if d < 2 or is_square(d):
         raise ValueError("cf_expand needs a nonsquare integer d > 1")
     a0 = math.isqrt(d)
     m, q, a = 0, 1, a0
-    period: list[int] = []
-    q_values: list[int] = []
+    head: list[int] = []
+    q_head: list[int] = []
     while True:
-        m = q * a - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period.append(a)
-        q_values.append(q)
-        if q == 1:
+        m_next = q * a - m
+        q_next = (d - m_next * m_next) // q
+        if q_next == q:
+            period = head + head[::-1]
+            q_values = q_head + q_head[::-1]
             break
-    return ContinuedFraction(d, (a0,), tuple(period), tuple(q_values))
+        if m_next == m:
+            period = head + head[-2::-1]
+            q_values = q_head + q_head[-2::-1]
+            break
+        m, q = m_next, q_next
+        a = (a0 + m) // q
+        head.append(a)
+        q_head.append(q)
+    return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]), tuple(q_values + [1]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +168,7 @@ def _pell_min(d: int) -> tuple[int, int, int]:
     return p, q, nu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def fundamental_unit(d: int) -> FundamentalUnit:
     """Fundamental unit of Q(sqrt(d)), d squarefree > 1.
 
@@ -223,21 +247,71 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     return split
 
 
+@dataclass(frozen=True)
+class PeriodInvariants:
+    """The facts H^1 needs of Q(sqrt(d)), read off the continued fraction of sqrt(d).
+
+    norm is N(u) for the fundamental unit u, a_class is [N(u + 1)], and
+    two_is_norm says whether 2 or -2 is the norm of an element of Z[sqrt(d)];
+    it is exact only when d != 1 (mod 4), where 2 ramifies.
+    """
+
+    d: int
+    norm: int
+    a_class: SquareClass
+    two_is_norm: bool
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def period_invariants(d: int) -> PeriodInvariants:
+    """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
+
+    With period length l, convergents p_k/q_k and complete-quotient
+    denominators Q_k (q_values[k - 1]), p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.
+
+    norm: N(u) = (-1)^l.
+
+    a_class: [1] when N(u) = -1.  For l = 2h, alpha = p_{h-1} + q_{h-1}*sqrt(d)
+    has N(alpha) = (-1)^h Q_h, and the least solution of x^2 - d*y^2 = 1 is
+    u = alpha^2/|N(alpha)|.  So u + 1 = alpha*(alpha +- alpha')/|N(alpha)|,
+    and N(u + 1) is Tr(alpha)^2/N(alpha) when N(alpha) > 0 and
+    -4*d*q_{h-1}^2/N(alpha) when N(alpha) < 0: [N(u + 1)] = [N(alpha)] =
+    [Q_h] for h even and [-d*N(alpha)] = [d*Q_h] for h odd.  When d = 5
+    (mod 8) the fundamental unit e may be half-integral with u = e^3; then
+    e^3 + 1 = (e + 1)*e*(Tr(e) - 1) and N(e^3 + 1) = N(e + 1)*(Tr(e) - 1)^2,
+    so the class is the same.  Q_h divides 2d; that is checked here, in
+    place of the norm check FundamentalUnit makes.
+
+    two_is_norm: for |c| < sqrt(d), c = x^2 - d*y^2 with gcd(x, y) = 1 iff
+    c = (-1)^k Q_k for some k.  When 2 ramifies every solution of norm +-2 is
+    primitive (gcd(x, y)^2 divides 2), so +-2 is a norm iff 2 is a Q_k when
+    d > 4; d = 3 has Q_1 = 2, and sqrt(2) itself has norm -2.
+    """
+    _require_radicand(d)
+    if d < 2:
+        raise ValueError("period invariants require a real field, d > 1")
+    cf = cf_expand(d)
+    two_is_norm = d == 2 or 2 in cf.q_values
+    if cf.period_length % 2:
+        return PeriodInvariants(d, -1, IDENTITY, two_is_norm)
+    h = cf.period_length // 2
+    q_h = cf.q_values[h - 1]
+    if (2 * d) % q_h:
+        raise ArithmeticError(
+            f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")
+    a_class = class_of(q_h if h % 2 == 0 else d * q_h)
+    return PeriodInvariants(d, 1, a_class, two_is_norm)
+
+
 def a_value(d: int) -> SquareClass:
     """Square class of N(u + 1) for the fundamental unit u of Q(sqrt(d)).
 
-    [1] when N(u) = -1.  Otherwise N(u + 1) = 2(z + denom)/denom, which the
-    epsilon split reduces to [2 * g * epsilon] (denom 1) or [g * epsilon]
-    (denom 2) without factoring z + denom.
+    [1] when N(u) = -1.  Otherwise [Q_h] for h = l/2 even and [d*Q_h] for h
+    odd, with Q_h the complete-quotient denominator at half the period l of
+    sqrt(d): u = alpha^2/|N(alpha)| for the half-period convergent alpha, so
+    [N(u + 1)] = [N(alpha)] or [-d*N(alpha)] (see period_invariants).
     """
-    u = fundamental_unit(d)
-    if u.norm == -1:
-        return IDENTITY
-    s = epsilon_decomposition(d)
-    base = s.g * s.epsilon
-    if u.denom == 1:
-        base *= 2
-    return class_of(base)
+    return period_invariants(d).a_class
 
 
 @dataclass(frozen=True)

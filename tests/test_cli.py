@@ -10,20 +10,14 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from polya import arith
+from polya import quadratic
+from polya.biquad import biquadratic_field, polya_report
 from polya.cli import main
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
-
-
-@pytest.fixture(autouse=True)
-def _restore_budgets():
-    factor = arith.DEFAULT_FACTOR_BUDGET
-    yield
-    arith.DEFAULT_FACTOR_BUDGET = factor
 
 
 def test_classify_quadratic_text(runner):
@@ -71,6 +65,32 @@ def test_analyze_polya_field(runner):
     result = runner.invoke(main, ["analyze", "2", "5"])
     assert result.exit_code == 0
     assert "po_order" in result.output or "1" in result.output
+
+
+def test_analyze_large_kernels_json(runner):
+    result = runner.invoke(main, ["analyze", "1000000007", "998244353", "--format", "json"])
+    assert result.exit_code == 0
+    assert result.output == (
+        '{"m": 1000000007, "n": 998244353, "deltas": [998244353, 1000000007, '
+        '998244359987710471], "ramification": [[2, 2], [998244353, 2], [1000000007, 2]], '
+        '"product_e": 8, "h_generators": ["[998244353]", "[1000000007]", '
+        '"[998244359987710471]", "[1]", "[2]", "[2]"], "h_order": 8, "index_factor": 1, '
+        '"h1_order": 8, "po_order": 1, "po_structure": "trivial", '
+        '"unit_norms": [-1, 1, 1], "polya": true}\n')
+
+
+def test_analyze_builds_no_fundamental_unit(runner, monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
+
+    quadratic.fundamental_unit.cache_clear()
+    quadratic.period_invariants.cache_clear()
+    monkeypatch.setattr(quadratic, "_pell_min", refuse)
+    report = polya_report(biquadratic_field(2, 85))
+    assert (report.po_order, report.unit_norms) == (2, (-1, -1, -1))
+    result = runner.invoke(main, ["analyze", "2", "85", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["po_order"] == 2
 
 
 def test_analyze_rejects_equal_kernels(runner):
@@ -184,6 +204,13 @@ def test_factor_budget_exhaustion_exits_undecided(runner):
                                   "--budget-factor", "5"])
     assert result.exit_code == 4
     assert "undecided" in result.output
+
+
+def test_budget_factor_is_scoped_to_one_command(runner):
+    args = ["analyze", "10007", "10009"]
+    assert runner.invoke(main, args).exit_code == 0
+    assert runner.invoke(main, args + ["--budget-factor", "1"]).exit_code == 4
+    assert runner.invoke(main, args).exit_code == 0
 
 
 def test_budget_env_variable_is_read(runner):

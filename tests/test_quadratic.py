@@ -6,16 +6,17 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polya.arith import squarefree_part
+from polya.biquad import _has_norm_pm2
 from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
-                             quadratic_polya_oracle, ramified_primes,
-                             zantema_classify)
-from polya.sqclass import IDENTITY, class_of
+                             period_invariants, quadratic_polya_oracle,
+                             ramified_primes, zantema_classify)
+from polya.sqclass import IDENTITY, SquareClass, class_of
 
 squarefree_real = st.integers(min_value=2, max_value=3000).map(squarefree_part)
 
@@ -151,6 +152,53 @@ def test_a_value_examples():
     assert a_value(85) == IDENTITY
     assert a_value(3) == class_of(6)
     assert a_value(7) == class_of(2)
+    assert a_value(6) == class_of(3)      # u = 5 + 2*sqrt(6), N(u + 1) = 12
+    assert a_value(21) == class_of(7)     # half-integral u = (5 + sqrt(21))/2
+    # (d, norm, a_class, two_is_norm); sqrt(2) has norm -2 but Q_k is never 2
+    for d, norm, a, two in ((2, -1, IDENTITY, True), (3, 1, class_of(6), True),
+                            (6, 1, class_of(3), True), (7, 1, class_of(2), True),
+                            (10, -1, IDENTITY, False), (15, 1, class_of(10), False)):
+        inv = period_invariants(d)
+        assert (inv.norm, inv.a_class, inv.two_is_norm) == (norm, a, two), d
+    assert cf_expand(2).q_values == (1,)
+    for d in (-5, 0, 1, 12):
+        with pytest.raises(ValueError):
+            period_invariants(d)
+
+
+def unit_route(d: int) -> tuple[int, SquareClass]:
+    """(N(u), [N(u + 1)]) from the fundamental unit and its epsilon split."""
+    u = fundamental_unit(d)
+    if u.norm == -1:
+        return -1, IDENTITY
+    s = epsilon_decomposition(d)
+    return 1, class_of(s.g * s.epsilon * (2 if u.denom == 1 else 1))
+
+
+def check_period_invariants(d: int) -> None:
+    inv = period_invariants(d)
+    assert (inv.norm, inv.a_class) == unit_route(d), d
+    assert a_value(d) == inv.a_class, d
+    if d % 4 != 1:
+        assert inv.two_is_norm == _has_norm_pm2(d), d
+
+
+def test_period_invariants_match_unit_route():
+    for d in range(2, 20000):
+        if squarefree_part(d) == d:
+            check_period_invariants(d)
+
+
+@given(st.integers(min_value=10 ** 5, max_value=10 ** 9))
+@settings(max_examples=60, deadline=None)
+def test_period_invariants_match_unit_route_large(d):
+    assume(squarefree_part(d) == d)
+    check_period_invariants(d)
+
+
+def test_kernel_caches_are_bounded():
+    for cached in (fundamental_unit, period_invariants):
+        assert cached.cache_parameters()["maxsize"] is not None
 
 
 def test_a_value_matches_direct_factoring():
