@@ -285,15 +285,13 @@ def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None
 def _finish_reports(ctx: click.Context, fmt: str, output: str | None,
                     reports: list[TheoremReport], strict: bool,
                     require_all_claims: bool = False) -> None:
-    payloads = [_theorem_payload(r) for r in reports]
-    rows = [_theorem_row(r) for r in reports]
-    lines: list[str] = []
-    for r in reports:
-        lines.extend(_theorem_text(r))
-    if fmt == "csv":
-        _emit(fmt, output, rows, _THEOREM_COLUMNS, lines)
+    if fmt == "json":
+        payloads, lines = [_theorem_payload(r) for r in reports], []
+    elif fmt == "csv":
+        payloads, lines = [_theorem_row(r) for r in reports], []
     else:
-        _emit(fmt, output, payloads, _THEOREM_COLUMNS, lines)
+        payloads, lines = [], [line for r in reports for line in _theorem_text(r)]
+    _emit(fmt, output, payloads, _THEOREM_COLUMNS, lines)
     mismatched = [r for r in reports if r.claim_matches is False]
     if mismatched and (strict or require_all_claims):
         ctx.exit(3)

@@ -11,7 +11,9 @@ A report recomputes everything the corresponding proof asserts along the way
 (unit norms behind the a-class steps, the epsilon decomposition of a norm +1
 unit, membership of epsilon in the allowed set) and records divergences as
 anomalies instead of failing, so a wrong intermediate step is visible even
-when the headline Polya order still comes out as claimed.
+when the headline Polya order still comes out as claimed.  Unit norms come
+from the continued-fraction period parity (`period_invariants`), so only an
+epsilon witness builds a fundamental unit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
-from .quadratic import UnitSplit, epsilon_decomposition, fundamental_unit
+from .quadratic import UnitSplit, epsilon_decomposition, period_invariants
 
 T1 = "T1"
 T2 = "T2"
@@ -193,14 +195,14 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     report = polya_report(field)
     anomalies: list[str] = []
     for label, asserted, kernel in _asserted_unit_norms(theorem, triple):
-        computed = fundamental_unit(kernel).norm
+        computed = period_invariants(kernel).norm
         if computed != asserted:
             anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
     witness = None
     in_set = None
     kernels = (field.delta3, field.delta2) if theorem == T3 else (field.delta3,)
     for kernel in kernels:
-        if fundamental_unit(kernel).norm == 1:
+        if period_invariants(kernel).norm == 1:
             witness = epsilon_decomposition(kernel)
             allowed = _allowed_epsilons(theorem, triple)
             in_set = witness.epsilon in allowed
@@ -215,26 +217,26 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
 
 def admissible_triples(theorem: str, bound: int) -> tuple[tuple[int, ...], ...]:
     """All triples satisfying the theorem's hypotheses with max prime <= bound,
-    in lexicographic order."""
+    in lexicographic order.  Only primes of the residue classes in the module
+    docstring are combined, each class sorted, and the Jacobi conditions
+    decide the rest; they force distinct primes, as (a/a) = 0 and T2's
+    (p/r) != (q/r).
+    """
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    primes = sieve_primes(bound)
-    out: list[tuple[int, ...]] = []
-    if theorem == T3:
-        for p in primes:
-            for q in primes:
-                if p != q and hypotheses_t3(p, q).ok:
-                    out.append((p, q))
-        return tuple(out)
-    if theorem not in (T1, T2):
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    check = hypotheses_t1 if theorem == T1 else hypotheses_t2
-    for p in primes:
-        for q in primes:
-            for r in primes:
-                if len({p, q, r}) == 3 and check(p, q, r).ok:
-                    out.append((p, q, r))
-    return tuple(out)
+    primes = sieve_primes(bound)
+    if theorem == T3:
+        one_mod_4 = [p for p in primes if p % 4 == 1]
+        return tuple((p, q) for p in one_mod_4 for q in one_mod_4 if jacobi(p, q) == -1)
+    three_mod_4 = [p for p in primes if p % 4 == 3]
+    one_mod_8 = [r for r in primes if r % 8 == 1]
+    if theorem == T1:
+        return tuple((p, q, r) for p in three_mod_4 for q in one_mod_8 for r in one_mod_8
+                     if jacobi(q, r) == -1)
+    return tuple((p, q, r) for p in three_mod_4 for q in three_mod_4 for r in one_mod_8
+                 if jacobi(p, r) == 1 and jacobi(q, r) == -1)
 
 
 def scan(theorem: str, bound: int) -> tuple[TheoremReport, ...]:

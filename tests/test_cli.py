@@ -4,6 +4,7 @@ and byte-for-byte determinism."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -64,7 +65,14 @@ def test_analyze_json_worked_example(runner):
 def test_analyze_polya_field(runner):
     result = runner.invoke(main, ["analyze", "2", "5"])
     assert result.exit_code == 0
-    assert "po_order" in result.output or "1" in result.output
+    assert result.output == (
+        "field: Q(sqrt(2), sqrt(5)) with kernels (2, 5, 10)\n"
+        "ramification: e_2 = 2, e_5 = 2; product 4\n"
+        "h generators: [2], [5], [10], [1], [1], [1]\n"
+        "h order: 4, index factor: 1, h1 order: 4\n"
+        "po order: 1, structure: trivial\n"
+        "unit norms: -1, -1, -1\n"
+        "polya: yes\n")
 
 
 def test_analyze_large_kernels_json(runner):
@@ -172,6 +180,36 @@ def test_scan_deterministic_repeat_runs(runner):
     b = runner.invoke(main, ["scan", "T1", "60", "--format", "csv", "--jobs", "3"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
+
+
+# sha256 of `scan THEOREM 60` stdout in each format; every scan exits 0.
+SCAN_60_DIGESTS = {
+    ("T1", "json"): "a6597bb4952e9f3f61a3bb4f7e70c4562f16b2909749adbb48731edf0d875460",
+    ("T1", "csv"): "42cde5233a9fed19b71c3028aa31355a1b4c65b5b1c6455cb25236ef09007bb0",
+    ("T1", "text"): "5e71dbc0971ae2545ccddf668583b17220068c29ef0b84f7bb6717917473dc36",
+    ("T2", "json"): "5071f1db9a697a975321dadfc7c66e022ab0a7718c7f20dfcb035999e5f43926",
+    ("T2", "csv"): "871204ec4c65deaf71bc65a97ae3b8a5ce357ee6a39bd54bbd9b88d7aaff7fe6",
+    ("T2", "text"): "67d710da9d9042822e4e8c5cdf6a8d635cc0b5416439b840065ca5099a4cf2b0",
+    ("T3", "json"): "6099bb096ad9e03b40fcadf47336f0e31ca61c1ca01e2c3bba62396df0f3e0be",
+    ("T3", "csv"): "bc201af1bdb33e1abcddac877774e353f3bb7514e0b87537946fef45ae60584d",
+    ("T3", "text"): "aee33e679964d1fb7e57eda1475ec70c59d8aef8edbf2b68e1f1894d9029d697",
+}
+
+
+@pytest.mark.parametrize(("theorem", "fmt"), list(SCAN_60_DIGESTS))
+def test_scan_output_is_pinned_per_format(runner, theorem, fmt):
+    result = runner.invoke(main, ["scan", theorem, "60", "--format", fmt])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == SCAN_60_DIGESTS[theorem, fmt]
+
+
+def test_scan_output_flag_writes_the_stdout_bytes(runner, tmp_path):
+    target = tmp_path / "scan.csv"
+    result = runner.invoke(main, ["scan", "T2", "60", "--format", "csv",
+                                  "--output", str(target)])
+    assert result.exit_code == 0 and result.stdout_bytes == b""
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == SCAN_60_DIGESTS["T2", "csv"]
 
 
 def test_output_flag_writes_file(runner, tmp_path):

@@ -3,10 +3,13 @@ the reported orders, scans, the published table, and the contrast families."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polya import quadratic
 from polya.arith import jacobi, sieve_primes, squarefree_part
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import _witness_payload
@@ -111,6 +114,38 @@ def test_verify_theorem_t1_example_with_witness():
     assert rep.epsilon_in_allowed_set is True
 
 
+@pytest.fixture()
+def empty_kernel_caches():
+    quadratic.fundamental_unit.cache_clear()
+    quadratic.period_invariants.cache_clear()
+
+
+def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches,
+                                                          monkeypatch):
+    def refuse(d):
+        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
+
+    monkeypatch.setattr(quadratic, "_pell_min", refuse)
+    rep = verify_theorem("T3", (5, 17))   # kernels 2, 85 and 170 all have norm -1
+    assert rep.claim_matches is True and rep.anomalies == ()
+    assert rep.epsilon_witness is None
+
+
+def test_verify_theorem_builds_only_the_witness_unit(empty_kernel_caches, monkeypatch):
+    built = []
+    pell_min = quadratic._pell_min
+
+    def record(d):
+        built.append(d)
+        return pell_min(d)
+
+    monkeypatch.setattr(quadratic, "_pell_min", record)
+    misses = quadratic.fundamental_unit.cache_info().misses
+    verify_theorem("T1", (3, 17, 41))
+    assert quadratic.fundamental_unit.cache_info().misses - misses == 1
+    assert built == [2091]
+
+
 def test_verify_theorem_t2_proof_step_anomaly():
     rep = verify_theorem("T2", (19, 3, 17))
     assert rep.claim_matches is True
@@ -153,6 +188,27 @@ def test_admissible_triples_respects_bound_and_hypotheses():
         for t in triples:
             assert max(t) <= 60
             assert check_hypotheses(theorem, t).ok
+
+
+def _brute_force_admissible(theorem, bound):
+    # every prime triple up to the bound, kept when its full hypothesis report holds
+    arity = 2 if theorem == "T3" else 3
+    return tuple(t for t in itertools.product(sieve_primes(bound), repeat=arity)
+                 if check_hypotheses(theorem, t).ok)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_admissible_triples_are_complete(theorem):
+    oracle = _brute_force_admissible(theorem, 150)
+    for bound in range(3, 151):
+        expected = tuple(t for t in oracle if max(t) <= bound)
+        assert admissible_triples(theorem, bound) == expected, bound
+
+
+def test_admissible_triple_counts_at_scan_bounds():
+    assert len(admissible_triples("T1", 300)) == 2432
+    assert len(admissible_triples("T2", 300)) == 2981
+    assert len(admissible_triples("T3", 400)) == 694
 
 
 def test_scan_reports_each_admissible_triple():
