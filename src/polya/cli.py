@@ -243,20 +243,24 @@ def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | N
             raise click.UsageError(f"d must be a squarefree integer other than 0 and 1, got {d}")
         verdict = zantema_classify(d)
         oracle = quadratic_polya_oracle(d)
-    payload = {
-        "d": d,
-        "zantema": verdict.verdict,
-        "case": verdict.case,
-        "oracle": oracle,
-        "agreement": verdict.verdict == oracle,
-        "unit": _unit_payload(d),
-    }
-    case = f" ({verdict.case})" if verdict.case is not None else ""
-    lines = [f"zantema: {verdict.verdict}{case}", f"oracle: {oracle}"]
-    if d > 1:
-        lines.append(f"unit: {_unit_text(d)}")
+    if fmt == "text":
+        case = f" ({verdict.case})" if verdict.case is not None else ""
+        lines = [f"zantema: {verdict.verdict}{case}", f"oracle: {oracle}"]
+        if d > 1:
+            lines.append(f"unit: {_unit_text(d)}")
+        payloads = []
+    else:
+        payloads = [{
+            "d": d,
+            "zantema": verdict.verdict,
+            "case": verdict.case,
+            "oracle": oracle,
+            "agreement": verdict.verdict == oracle,
+            "unit": _unit_payload(d),
+        }]
+        lines = []
     columns = ("d", "zantema", "case", "oracle", "agreement", "unit")
-    _emit(fmt, output, [payload], columns, lines)
+    _emit(fmt, output, payloads, columns, lines)
     if verdict.verdict != oracle:
         ctx.exit(3)
 
@@ -279,7 +283,11 @@ def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None
     columns = ("m", "n", "deltas", "ramification", "product_e", "h_generators",
                "h_order", "index_factor", "h1_order", "po_order", "po_structure",
                "unit_norms", "polya")
-    _emit(fmt, output, [_field_payload(report)], columns, _field_text(report))
+    if fmt == "text":
+        payloads, lines = [], _field_text(report)
+    else:
+        payloads, lines = [_field_payload(report)], []
+    _emit(fmt, output, payloads, columns, lines)
 
 
 def _finish_reports(ctx: click.Context, fmt: str, output: str | None,

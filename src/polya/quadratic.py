@@ -7,9 +7,12 @@ elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
 x = y (mod 2) and d = 1 (mod 4).
 
 The bi-quadratic pipeline needs three facts per kernel, and
-`period_invariants` reads all three off one period of the continued fraction
-of sqrt(d), which works on integers below 2*sqrt(d): the unit norm, the square
-class [N(u + 1)] (`a_value`) and whether 2 or -2 is a norm.  No unit is built.
+`period_invariants` reads all three off the first half of the period of the
+continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
+(`a_value`) and whether 2 or -2 is a norm.  No unit is built.  That half
+period is the only continued-fraction walk (`_half_period`, which `cf_expand`
+mirrors into the full period); past its first step it works on integers below
+2*sqrt(d), each a one-digit Python int (below 2^30) for every d below 2^58.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
 the period) serves classify-quadratic, the theorem witnesses and the norm
@@ -103,36 +106,52 @@ class ContinuedFraction:
         return len(self.period)
 
 
-def cf_expand(d: int) -> ContinuedFraction:
-    """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
+def _half_period(d: int) -> tuple[list[int], list[int], bool]:
+    """First half of the period of sqrt(d), nonsquare d > 1: (head, q_head, odd).
 
-    Walks half the period only.  With complete quotients (m_k + sqrt(d))/q_k,
-    the period l is symmetric: a_k = a_{l-k}, q_k = q_{l-k} and
-    m_k = m_{l+1-k}.  Within a period q_k = q_{k+1} happens only at
-    k = (l - 1)/2 for odd l, and m_k = m_{k+1} only at k = l/2 for even l;
-    the second half is the mirror of the first, closed by a_l = 2*a0, q_l = 1.
+    With complete quotients (m_k + sqrt(d))/Q_k and partial quotients a_k, the
+    period l is symmetric: a_k = a_{l-k}, Q_k = Q_{l-k} and m_k = m_{l+1-k}.
+    Within a period Q_k = Q_{k+1} happens only at k = (l - 1)/2 for odd l, and
+    m_k = m_{k+1} only at k = l/2 for even l, so the walk stops there.  head
+    is a_1..a_k and q_head is Q_1..Q_k at that k; odd says which case ended it.
+
+    m_{k+1} = a_k*Q_k - m_k, and Q_{k+1} = (d - m_{k+1}^2)/Q_k is stepped as
+    Q_{k+1} = Q_{k-1} + a_k*(m_k - m_{k+1}) from Q_{-1} = d.  Past the first
+    step every operand is below 2*sqrt(d): nothing squares or divides d.
     """
-    if d < 2 or is_square(d):
-        raise ValueError("cf_expand needs a nonsquare integer d > 1")
     a0 = math.isqrt(d)
-    m, q, a = 0, 1, a0
+    m, q_prev, q, a = 0, d, 1, a0
     head: list[int] = []
     q_head: list[int] = []
     while True:
-        m_next = q * a - m
-        q_next = (d - m_next * m_next) // q
+        m_next = a * q - m
+        q_next = q_prev + a * (m - m_next)
         if q_next == q:
-            period = head + head[::-1]
-            q_values = q_head + q_head[::-1]
-            break
+            return head, q_head, True
         if m_next == m:
-            period = head + head[-2::-1]
-            q_values = q_head + q_head[-2::-1]
-            break
-        m, q = m_next, q_next
+            return head, q_head, False
+        m, q_prev, q = m_next, q, q_next
         a = (a0 + m) // q
         head.append(a)
         q_head.append(q)
+
+
+def cf_expand(d: int) -> ContinuedFraction:
+    """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
+
+    The period is the half walked by `_half_period` and its mirror, closed by
+    a_l = 2*a0 and Q_l = 1.
+    """
+    if d < 2 or is_square(d):
+        raise ValueError("cf_expand needs a nonsquare integer d > 1")
+    head, q_head, odd = _half_period(d)
+    if odd:
+        period = head + head[::-1]
+        q_values = q_head + q_head[::-1]
+    else:
+        period = head + head[-2::-1]
+        q_values = q_head + q_head[-2::-1]
+    a0 = math.isqrt(d)
     return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]), tuple(q_values + [1]))
 
 
@@ -267,7 +286,8 @@ def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
 
     With period length l, convergents p_k/q_k and complete-quotient
-    denominators Q_k (q_values[k - 1]), p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.
+    denominators Q_k (q_head[k - 1] up to the middle of the period),
+    p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.
 
     norm: N(u) = (-1)^l.
 
@@ -290,12 +310,12 @@ def period_invariants(d: int) -> PeriodInvariants:
     _require_radicand(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
-    cf = cf_expand(d)
-    two_is_norm = d == 2 or 2 in cf.q_values
-    if cf.period_length % 2:
+    _, q_head, odd = _half_period(d)
+    two_is_norm = d == 2 or 2 in q_head
+    if odd:
         return PeriodInvariants(d, -1, IDENTITY, two_is_norm)
-    h = cf.period_length // 2
-    q_h = cf.q_values[h - 1]
+    h = len(q_head)
+    q_h = q_head[-1]
     if (2 * d) % q_h:
         raise ArithmeticError(
             f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")

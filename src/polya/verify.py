@@ -298,13 +298,16 @@ def pollack_search(r: int) -> tuple[int, int]:
     (p/r) = (q/r) = -1.
 
     Such a pair exists for every prime r >= 13; absence would contradict the
-    guarantee and raises RuntimeError for investigation.
+    guarantee and raises RuntimeError for investigation.  Odd candidates are
+    tested in increasing order until both classes are found, so the work
+    follows the answer, not r.
     """
     if not is_prime(r) or r < 13:
         raise ValueError("requires a prime r >= 13")
-    primes = sieve_primes(r)
-    p = next((v for v in primes if v % 4 == 3 and jacobi(v, r) == -1), None)
-    q = next((v for v in primes if v % 4 == 1 and jacobi(v, r) == -1), None)
-    if p is None or q is None:
-        raise RuntimeError(f"no qualifying pair below r={r}; requires investigation")
-    return p, q
+    found: dict[int, int] = {}
+    for v in range(3, r, 2):
+        if v % 4 not in found and jacobi(v, r) == -1 and is_prime(v):
+            found[v % 4] = v
+            if len(found) == 2:
+                return found[3], found[1]
+    raise RuntimeError(f"no qualifying pair below r={r}; requires investigation")

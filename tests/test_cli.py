@@ -7,9 +7,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polya import quadratic
 from polya.biquad import biquadratic_field, polya_report
@@ -212,6 +215,45 @@ def test_scan_output_flag_writes_the_stdout_bytes(runner, tmp_path):
     assert digest == SCAN_60_DIGESTS["T2", "csv"]
 
 
+# sha256 of each command's stdout in each format; every command exits 0.
+COMMAND_DIGESTS = {
+    ("classify-quadratic", "10"): {
+        "json": "2dace6c79c7f497ea17b28b5ddb9a74fd0773ddb6dc245a8e374ca12de8ee866",
+        "csv": "4077c5caf13bd9b0f6aa1bfa0e51d6884c291b2dd51af35f3d3cb0e6c8605ef1",
+        "text": "ad436d39e7f63c7f2fa1a7d5c2ac980c3fea33f8fdca1e627824787fca84519f"},
+    ("classify-quadratic", "1021"): {
+        "json": "82a3ce0eabfacd8cc902a8dabac00f132cd7d504fbef463a6bb30c5739da08e6",
+        "csv": "76a040a30771b15593cd3478f74e12f685b7ec4842ddc25f518877406477ee43",
+        "text": "4e431e405d0aa7e26a03cb50ef00da9ba5bf646d77b5d313f99ea0bab3b61ea7"},
+    ("classify-quadratic", "123456791"): {
+        "json": "9dce4cac23ae2ae89a5e732e60be46b31962ebfc1c1663f61cb95917bd8be44b",
+        "csv": "c6760b0eb8db948fa1ce0c14f608aba37c6455c3301b0198e2c7be55b1751c1f",
+        "text": "61f4e4a3c44171b6487c173feda5ec7371944ccbbbb848f21374cb9e66cb4e76"},
+    ("classify-quadratic", "-1"): {
+        "json": "7b7d3b436bc1ef6377eadcb4a7c44ef70c6ccb6f262938f19eb3dbfc8a78b80a",
+        "csv": "f55adee306a6ae03209a3085089969cd3a19a7d5fc8cac5e781110c70eb9c876",
+        "text": "717909e721b2eaa2cea35b46825f7c5067666fce8c78f9b5ad254b0a6a181a1a"},
+    ("analyze", "2", "85"): {
+        "json": "d2fe5b7929d7b728a3c41705e58383c9ae7ddc58b109501b55bf5359624e2ca1",
+        "csv": "7ccb6f0930c50079a81f31135607b10df02b89378bdff873faf6b7d6171abde5",
+        "text": "5d300ec381bfad5b0073c165cbe8dad54187d380b2bc439dedc0f55f2c1bb98e"},
+    ("analyze", "1000000007", "998244353"): {
+        "json": "80ba2c3fb537f5a904079e8eb52811944e61af32138e40ea9dc43d5875a71e75",
+        "csv": "a40b365407f0138ed311f0ac389878f93f5019be480eb6f8a6780b580de7a285",
+        "text": "7a22a832856c5cfcc7fc5b2a314772827164fb97f411ecccfe4bd7f9b6817e3e"},
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), [
+    pytest.param(c, f, id=f"{' '.join(c)}-{f}")
+    for c in COMMAND_DIGESTS for f in ("json", "csv", "text")])
+def test_command_output_is_pinned_per_format(runner, command, fmt):
+    name, *args = command
+    result = runner.invoke(main, [name, "--format", fmt, "--", *args])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == COMMAND_DIGESTS[command][fmt]
+
+
 def test_output_flag_writes_file(runner, tmp_path):
     target = tmp_path / "rows.jsonl"
     result = runner.invoke(main, ["analyze", "2", "85", "--format", "json",
@@ -226,6 +268,27 @@ def test_pollack_examples(runner):
     payload = json.loads(result.output)
     assert (payload["p"], payload["q"]) == (7, 5)
     assert runner.invoke(main, ["pollack", "11"]).exit_code == 2
+
+
+def is_prime_by_trial(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_pollack_large_r_stops_at_the_answer(runner):
+    r = 1000000007
+    result = runner.invoke(main, ["pollack", str(r), "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    p, q = payload["p"], payload["q"]
+    assert payload["r"] == r and p % 4 == 3 and q % 4 == 1
+
+    def non_residue(v: int) -> bool:   # Euler's criterion, independent of jacobi
+        return pow(v, (r - 1) // 2, r) == r - 1
+
+    assert is_prime_by_trial(p) and is_prime_by_trial(q)
+    assert non_residue(p) and non_residue(q)
+    assert not any(is_prime_by_trial(v) and non_residue(v) for v in range(3, p, 4))
+    assert not any(is_prime_by_trial(v) and non_residue(v) for v in range(5, q, 4))
 
 
 def test_contrast_examples(runner):
@@ -258,3 +321,45 @@ def test_budget_env_variable_is_read(runner):
     result = runner.invoke(main, ["analyze", "2", "85"],
                            env={"POLYA_FACTOR_BUDGET": "-5"})
     assert result.exit_code == 2
+
+
+EXIT_CODES = {0, 2, 3, 4}
+ints = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
+scan_bounds = st.integers(min_value=-5, max_value=60)
+theorem_names = st.sampled_from(["t1", "t2", "t3", "T1", "T2", "T3", "t4"])
+
+
+def _argv(name: str, *parts: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(*parts).map(lambda values: [name, *(str(v) for v in values)])
+
+
+cli_argv = st.one_of(
+    _argv("classify-quadratic", ints),
+    _argv("analyze", ints, ints),
+    st.tuples(theorem_names, st.lists(ints, max_size=4)).map(
+        lambda t: ["verify", t[0], *(str(v) for v in t[1])]),
+    _argv("scan", theorem_names, scan_bounds),
+    st.just(["table"]),
+    _argv("pollack", ints),
+    _argv("contrast", ints, ints, ints),
+)
+
+
+@given(cli_argv, st.sampled_from(["text", "json", "csv"]))
+@settings(max_examples=150, deadline=None)
+def test_every_cli_input_ends_with_a_documented_exit_code(argv, fmt):
+    # options go before `--` so that negative integers reach the command
+    name, *args = argv
+    result = CliRunner().invoke(main, [name, "--format", fmt, "--", *args])
+    assert result.exit_code in EXIT_CODES, (argv, fmt, result.exception)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="the unit of Q(sqrt(1000000007)) has more than 4300 digits, "
+                          "over Python's int-to-str limit")
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_classify_quadratic_of_a_long_unit_keeps_the_exit_code_contract(runner, fmt):
+    result = runner.invoke(main, ["classify-quadratic", "1000000007", "--format", fmt])
+    if not isinstance(result.exception, (SystemExit, type(None))):
+        raise result.exception
+    assert result.exit_code in EXIT_CODES

@@ -66,6 +66,53 @@ def test_cf_period_structure(d):
     assert cf.q_values[-1] == 1
 
 
+def division_period(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period, q_values) of sqrt(d) by the textbook full-period walk,
+    Q_{k+1} = (d - m_{k+1}^2)/Q_k until Q = 1: the reference for cf_expand."""
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    period: list[int] = []
+    q_values: list[int] = []
+    while True:
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        period.append(a)
+        q_values.append(q)
+        if q == 1:
+            return (a0,), tuple(period), tuple(q_values)
+
+
+def test_cf_expand_matches_division_walk():
+    for d in range(2, 30000):
+        if math.isqrt(d) ** 2 != d:
+            cf = cf_expand(d)
+            assert (cf.preperiod, cf.period, cf.q_values) == division_period(d), d
+
+
+@given(st.integers(min_value=2 ** 30, max_value=10 ** 12))
+@settings(max_examples=30, deadline=None)
+def test_cf_expand_and_period_invariants_beyond_one_digit(d):
+    # d has two 30-bit digits, so the walk's recurrence no longer squares or
+    # divides a one-digit number
+    assume(math.isqrt(d) ** 2 != d)
+    preperiod, period, q_values = division_period(d)
+    cf = cf_expand(d)
+    assert (cf.preperiod, cf.period, cf.q_values) == (preperiod, period, q_values), d
+    if squarefree_part(d) != d:
+        return
+    inv = period_invariants(d)
+    length = len(period)
+    assert inv.norm == (-1) ** length, d
+    if length % 2 == 0:
+        h = length // 2
+        q_h = q_values[h - 1]
+        assert inv.a_class == class_of(q_h if h % 2 == 0 else d * q_h), d
+    else:
+        assert inv.a_class == IDENTITY, d
+    assert inv.two_is_norm == (2 in q_values), d
+
+
 def test_fundamental_unit_known_table():
     for d, expected in KNOWN_UNITS.items():
         u = fundamental_unit(d)

@@ -260,6 +260,20 @@ def test_pollack_examples():
         pollack_search(14)
 
 
+def sieve_pollack(r: int) -> tuple[int, int]:
+    """The sieve route: every prime below r, then the first of each class."""
+    primes = sieve_primes(r)
+    p = next(v for v in primes if v % 4 == 3 and jacobi(v, r) == -1)
+    q = next(v for v in primes if v % 4 == 1 and jacobi(v, r) == -1)
+    return p, q
+
+
+def test_pollack_matches_sieve_route():
+    for r in sieve_primes(3000):
+        if r >= 13:
+            assert pollack_search(r) == sieve_pollack(r), r
+
+
 def test_pollack_pairs_satisfy_all_side_conditions():
     for r in (13, 17, 29, 37, 41):
         p, q = pollack_search(r)
