@@ -8,7 +8,11 @@ every subfield contains an element of norm 2 or -2, in which case the index
 doubles.  The Polya group order is then prod(e_l) / |H^1| by the exact
 sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
 +-2 norm, unit norm) comes from `period_invariants`, one continued-fraction
-period of sqrt(delta) on small integers; no fundamental unit is built.
+half period of sqrt(delta) on small integers; no fundamental unit is built.
+`biquadratic_field` factors m and n, never mn, and the field keeps their
+primes: the third kernel is (m/g)*(n/g) with g = gcd(m, n), the ramified
+primes are the primes of m and n, and the span of the six classes is taken
+over a coprime base of their kernels, with no factoring.
 
 leriche_classify is the independent route: it never touches H^1 and decides
 composita of two quadratic Polya fields by the classical composite rules,
@@ -17,6 +21,7 @@ settling norms +-2 with norm_equation and the fundamental unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arith import factor, is_prime, squarefree_part
@@ -28,36 +33,62 @@ from .quadratic import (
     period_invariants,
     zantema_classify,
 )
-from .sqclass import SquareClass, class_of, subgroup_order
+from .sqclass import SquareClass, subgroup_order
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
 
 
-def subfields(m: int, n: int) -> tuple[int, int, int]:
-    """The three quadratic kernels (m, n, squarefree_part(mn)) of Q(sqrt(m), sqrt(n))."""
-    for v in (m, n):
-        if v in (0, 1):
-            raise ValueError("kernels must be squarefree integers other than 0 and 1")
-        if squarefree_part(v) != v:
-            raise ValueError(f"{v} is not squarefree")
-    third = squarefree_part(m * n)
+def _kernel_primes(v: int) -> tuple[int, ...]:
+    """The primes of a squarefree kernel v not in {0, 1}, ascending."""
+    if v in (0, 1):
+        raise ValueError("kernels must be squarefree integers other than 0 and 1")
+    f = factor(abs(v))
+    if any(e > 1 for _, e in f.factors):
+        raise ValueError(f"{v} is not squarefree")
+    return f.primes()
+
+
+def _third_kernel(m: int, n: int) -> int:
+    """squarefree_part(mn) for squarefree m and n: the shared primes cancel."""
+    g = math.gcd(m, n)
+    third = (m // g) * (n // g)
     if third == 1:
         raise ValueError("m and n must generate distinct quadratic fields")
-    return m, n, third
+    return third
+
+
+def subfields(m: int, n: int) -> tuple[int, int, int]:
+    """The three quadratic kernels (m, n, squarefree_part(mn)) of Q(sqrt(m), sqrt(n))."""
+    _kernel_primes(m)
+    _kernel_primes(n)
+    return m, n, _third_kernel(m, n)
 
 
 @dataclass(frozen=True)
 class BiquadraticField:
-    """Q(sqrt(m), sqrt(n)), with its three subfield kernels sorted ascending."""
+    """Q(sqrt(m), sqrt(n)), with its three subfield kernels sorted ascending
+    and the primes dividing mn, ascending."""
 
     m: int
     n: int
     delta1: int
     delta2: int
     delta3: int
+    primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if tuple(sorted(subfields(self.m, self.n))) != self.deltas:
+        # m and n are squarefree with exactly these primes iff each is the
+        # product of the listed primes dividing it and every prime divides one.
+        m, n, primes = self.m, self.n, self.primes
+        if m in (0, 1) or n in (0, 1):
+            raise ValueError("kernels must be squarefree integers other than 0 and 1")
+        if list(primes) != sorted(set(primes)) or not all(map(is_prime, primes)):
+            raise ValueError("primes must be distinct primes, ascending")
+        if (math.prod(p for p in primes if m % p == 0) != abs(m)
+                or math.prod(p for p in primes if n % p == 0) != abs(n)
+                or any(m % p and n % p for p in primes)):
+            raise ValueError("primes do not match m and n")
+        if tuple(sorted((m, n, _third_kernel(m, n)))) != self.deltas:
             raise ValueError("kernels do not match m and n")
 
     @property
@@ -70,8 +101,10 @@ class BiquadraticField:
 
 
 def biquadratic_field(m: int, n: int) -> BiquadraticField:
-    d1, d2, d3 = sorted(subfields(m, n))
-    return BiquadraticField(m, n, d1, d2, d3)
+    """Q(sqrt(m), sqrt(n)); m and n are the only numbers factored."""
+    primes = tuple(sorted(set(_kernel_primes(m)) | set(_kernel_primes(n))))
+    d1, d2, d3 = sorted((m, n, _third_kernel(m, n)))
+    return BiquadraticField(m, n, d1, d2, d3, primes)
 
 
 @dataclass(frozen=True)
@@ -107,9 +140,8 @@ def ramification(field: BiquadraticField) -> RamificationProfile:
     entries: list[tuple[int, int]] = []
     if any(d % 4 != 1 for d in deltas):
         entries.append((2, 4 if all(d % 4 != 1 for d in deltas) else 2))
-    odd = sorted({p for d in deltas for p in factor(abs(d)).primes()} - {2})
-    entries.extend((p, 2) for p in odd)
-    return RamificationProfile(tuple(sorted(entries)))
+    entries.extend((p, 2) for p in field.primes if p != 2)
+    return RamificationProfile(tuple(entries))
 
 
 def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
@@ -117,7 +149,7 @@ def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     if not field.totally_real:
         raise ValueError("H generators require a totally real field")
     deltas = field.deltas
-    return tuple([class_of(d) for d in deltas] + [a_value(d) for d in deltas])
+    return tuple([SquareClass(1, d) for d in deltas] + [a_value(d) for d in deltas])
 
 
 def _has_norm_pm2(d: int) -> bool:

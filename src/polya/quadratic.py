@@ -9,10 +9,13 @@ x = y (mod 2) and d = 1 (mod 4).
 The bi-quadratic pipeline needs three facts per kernel, and
 `period_invariants` reads all three off the first half of the period of the
 continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
-(`a_value`) and whether 2 or -2 is a norm.  No unit is built.  That half
-period is the only continued-fraction walk (`_half_period`, which `cf_expand`
-mirrors into the full period); past its first step it works on integers below
-2*sqrt(d), each a one-digit Python int (below 2^30) for every d below 2^58.
+(`a_value`) and whether 2 or -2 is a norm.  No unit is built.  Two walks step
+through that half period by the same recurrence: `_midpoint` keeps nothing
+but the current denominators and returns the parity of its length, the last
+denominator and how it ended, in constant memory; `_half_period` keeps the
+partial quotients and denominators, which `cf_expand` mirrors into the full
+period.  Past the first step both work on integers below 2*sqrt(d), each a
+one-digit Python int (below 2^30) for every d below 2^58.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
 the period) serves classify-quadratic, the theorem witnesses and the norm
@@ -136,6 +139,36 @@ def _half_period(d: int) -> tuple[list[int], list[int], bool]:
         q_head.append(q)
 
 
+def _midpoint(d: int) -> tuple[bool, int, bool]:
+    """Where `_half_period` stops, without its lists: (h_odd, q_h, odd).
+
+    h is the length of the half period, q_h = Q_h the last denominator
+    (Q_0 = 1 when h = 0) and odd says which symmetry ended the walk, as in
+    `_half_period`.  Each loop pass takes two steps, from an even k and from
+    the odd k + 1, so the variables holding Q_{k-1} and Q_k swap roles with no
+    rotation and the half that returns gives the parity of h.
+    """
+    a0 = math.isqrt(d)
+    m, q_prev, q, a = 0, d, 1, a0
+    while True:
+        # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
+        m_next = a * q - m
+        if m_next == m:
+            return False, q, False
+        q_prev += a * (m - m_next)
+        if q_prev == q:
+            return False, q, True
+        a = (a0 + m_next) // q_prev
+        # k + 1 odd: q_prev = Q_{k+1}, q = Q_k, m_next = m_{k+1}; q becomes Q_{k+2}
+        m = a * q_prev - m_next
+        if m == m_next:
+            return True, q_prev, False
+        q += a * (m_next - m)
+        if q == q_prev:
+            return True, q_prev, True
+        a = (a0 + m) // q
+
+
 def cf_expand(d: int) -> ContinuedFraction:
     """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
 
@@ -254,10 +287,9 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     z, delta = u.z, u.denom
     g = math.gcd(z - delta, z + delta)
     big, small = (z + delta) // g, (z - delta) // g
-    epsilon = 1
-    for p in factor(d).primes():
-        if big % p == 0:
-            epsilon *= p
+    # big = m^2 * epsilon and small = n^2 * eta are coprime, so eta shares no
+    # prime with big and gcd(d, big) = epsilon.
+    epsilon = math.gcd(d, big)
     eta = d // epsilon
     m = math.isqrt(big // epsilon)
     n = math.isqrt(small // eta)
@@ -286,8 +318,8 @@ def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
 
     With period length l, convergents p_k/q_k and complete-quotient
-    denominators Q_k (q_head[k - 1] up to the middle of the period),
-    p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.
+    denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  `_midpoint` gives
+    the parity of l, the parity of h = floor(l/2) and Q_h.
 
     norm: N(u) = (-1)^l.
 
@@ -302,25 +334,30 @@ def period_invariants(d: int) -> PeriodInvariants:
     so the class is the same.  Q_h divides 2d; that is checked here, in
     place of the norm check FundamentalUnit makes.
 
+    For h odd the class is [d]*[Q_h]: Q_h < 2*sqrt(d), so only Q_h is factored.
+
     two_is_norm: for |c| < sqrt(d), c = x^2 - d*y^2 with gcd(x, y) = 1 iff
     c = (-1)^k Q_k for some k.  When 2 ramifies every solution of norm +-2 is
     primitive (gcd(x, y)^2 divides 2), so +-2 is a norm iff 2 is a Q_k when
-    d > 4; d = 3 has Q_1 = 2, and sqrt(2) itself has norm -2.
+    d > 4; d = 3 has Q_1 = 2, and sqrt(2) itself has norm -2.  The reduced
+    ideal [Q_k, m_k + sqrt(d)] has the conjugate [Q_{l-k}, m_{l-k} +
+    sqrt(d)], and the ramified prime of norm 2 is its own conjugate, so it
+    can only be the one at k = l/2: 2 is a Q_k iff l is even and Q_h = 2.
+    (When d = 1 mod 4 no Q_k is 2, as that form would have content 2.)
     """
     _require_radicand(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
-    _, q_head, odd = _half_period(d)
-    two_is_norm = d == 2 or 2 in q_head
+    h_odd, q_h, odd = _midpoint(d)
     if odd:
-        return PeriodInvariants(d, -1, IDENTITY, two_is_norm)
-    h = len(q_head)
-    q_h = q_head[-1]
+        return PeriodInvariants(d, -1, IDENTITY, d == 2)
     if (2 * d) % q_h:
         raise ArithmeticError(
             f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")
-    a_class = class_of(q_h if h % 2 == 0 else d * q_h)
-    return PeriodInvariants(d, 1, a_class, two_is_norm)
+    a_class = class_of(q_h)
+    if h_odd:
+        a_class = SquareClass(1, d) * a_class
+    return PeriodInvariants(d, 1, a_class, q_h == 2)
 
 
 def a_value(d: int) -> SquareClass:

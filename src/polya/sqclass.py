@@ -2,8 +2,9 @@
 
 A class is a sign together with a positive squarefree kernel; multiplication
 cancels the shared part of the kernels.  Subgroups generated by finitely many
-classes are handled as GF(2) spans over the coordinates {-1} and the primes
-involved, so orders come out as exact powers of two.
+classes are handled as GF(2) spans over the coordinates {-1} and a coprime
+base of the kernels involved, so orders come out as exact powers of two and
+nothing is factored.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import factor, squarefree_part
+from .arith import squarefree_part
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,11 @@ class SquareClassSubgroup:
     generators: tuple[SquareClass, ...]
     basis: tuple[SquareClass, ...]
     order: int
-    _primes: tuple[int, ...] = field(repr=False)
+    _base: tuple[int, ...] = field(repr=False)
     _masks: tuple[int, ...] = field(repr=False)
 
     def contains(self, c: SquareClass) -> bool:
-        mask = _encode(c, self._primes)
+        mask = _encode(c, self._base)
         if mask is None:
             return False
         return _reduce(mask, self._masks) == 0
@@ -79,14 +80,42 @@ class SquareClassSubgroup:
         return len(self.basis)
 
 
-def _encode(c: SquareClass, primes: tuple[int, ...]) -> int | None:
-    """GF(2) coordinate mask of c, or None if c needs a prime outside `primes`."""
+def _coprime_base(kernels: list[int]) -> tuple[int, ...]:
+    """Pairwise coprime integers > 1, ascending, such that each of the given
+    squarefree kernels is the product of the base elements dividing it.
+
+    The base elements have disjoint prime sets and every kernel's primes are a
+    union of them, so the coordinates over the base determine the primes and
+    the GF(2) rank over the base equals the rank over the primes.
+    """
+    base: list[int] = []
+    for k in kernels:
+        refined = []
+        for b in base:
+            g = math.gcd(k, b)
+            if g == 1:
+                refined.append(b)
+                continue
+            # squarefree: b // g, g and k // g are pairwise coprime
+            refined.extend(x for x in (g, b // g) if x > 1)
+            k //= g
+        if k > 1:
+            refined.append(k)
+        base = refined
+    return tuple(sorted(base))
+
+
+def _encode(c: SquareClass, base: tuple[int, ...]) -> int | None:
+    """GF(2) coordinate mask of c, or None if c is no product of base elements."""
     mask = 1 if c.sign < 0 else 0
     rest = c.kernel
-    for i, p in enumerate(primes):
-        if rest % p == 0:
+    for i, b in enumerate(base):
+        g = math.gcd(rest, b)
+        if g == b:
             mask |= 1 << (i + 1)
-            rest //= p
+            rest //= b
+        elif g != 1:
+            return None
     if rest != 1:
         return None
     return mask
@@ -103,11 +132,11 @@ def _reduce(mask: int, echelon: tuple[int, ...]) -> int:
 def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClassSubgroup:
     """The subgroup generated by the given classes, with an echelon basis."""
     gens = tuple(generators)
-    primes = tuple(sorted({p for g in gens for p in factor(g.kernel).primes()}))
+    base = _coprime_base([g.kernel for g in gens])
     echelon: list[int] = []
     basis: list[SquareClass] = []
     for g in gens:
-        mask = _encode(g, primes)
+        mask = _encode(g, base)
         assert mask is not None
         residue = _reduce(mask, tuple(echelon))
         if residue:
@@ -118,7 +147,7 @@ def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClass
         generators=gens,
         basis=tuple(basis),
         order=1 << len(echelon),
-        _primes=primes,
+        _base=base,
         _masks=tuple(echelon),
     )
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya.arith import squarefree_part
-from polya.biquad import (OUTSIDE_PROPOSITION, biquadratic_field, h1_order,
+from polya.arith import factor, squarefree_part
+from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_field, h1_order,
                           h_generators, leriche_classify, polya_report,
                           ramification, subfields)
 from polya.quadratic import NOT_POLYA, POLYA, zantema_classify
@@ -33,6 +33,31 @@ def test_subfields_rejects_degenerate_input():
         subfields(12, 5)    # not squarefree
     with pytest.raises(ValueError):
         subfields(0, 5)
+
+
+signed_kernels = (st.integers(min_value=-400, max_value=400).filter(bool)
+                  .map(squarefree_part).filter(lambda d: d != 1))
+
+
+@given(signed_kernels, signed_kernels)
+def test_third_kernel_and_primes_need_only_m_and_n(m, n):
+    if m == n:
+        return
+    f = biquadratic_field(m, n)
+    assert subfields(m, n)[2] == squarefree_part(m * n)
+    assert f.deltas == tuple(sorted((m, n, squarefree_part(m * n))))
+    assert f.primes == factor(abs(m * n)).primes()
+
+
+def test_field_validation_checks_the_primes():
+    assert biquadratic_field(6, 10).primes == (2, 3, 5)
+    for primes in ((2, 3), (2, 3, 5, 7), (3, 2, 5), (2, 3, 15)):
+        with pytest.raises(ValueError):
+            BiquadraticField(6, 10, 6, 10, 15, primes)
+    with pytest.raises(ValueError):
+        BiquadraticField(6, 10, 6, 10, 30, (2, 3, 5))
+    with pytest.raises(ValueError):
+        BiquadraticField(12, 5, 5, 12, 15, (2, 3, 5))   # 12 is not squarefree
 
 
 def test_biquadratic_field_sorts_and_flags_real():

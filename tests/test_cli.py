@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya import quadratic
+from polya import arith, biquad, quadratic, sqclass
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import main
 
@@ -241,6 +241,29 @@ COMMAND_DIGESTS = {
         "json": "80ba2c3fb537f5a904079e8eb52811944e61af32138e40ea9dc43d5875a71e75",
         "csv": "a40b365407f0138ed311f0ac389878f93f5019be480eb6f8a6780b580de7a285",
         "text": "7a22a832856c5cfcc7fc5b2a314772827164fb97f411ecccfe4bd7f9b6817e3e"},
+    # index factor 2: 2 totally ramified and +-2 a norm in every subfield
+    ("analyze", "2", "3"): {
+        "json": "ece86169453d13c43cc6a96f5d59fc2458215a1f12af0ab7628d45e1a415cdda",
+        "csv": "2595b77088465c239e00f0227ba057464c31f1a9a162259d7550e015d4862af0",
+        "text": "5057a7a058a5b4bbbb0494ee63835a54b80f5e6233957aa8133bde17605a46be"},
+    ("analyze", "2", "7"): {
+        "json": "893669e5405c28f8cff4f97fd630b431694162686d7f58ccb086b4f823dcf00a",
+        "csv": "82a3c692ba993e51db37664f98cf5a9a9884584dd5efb3199c264d03d173fb6b",
+        "text": "c1a0ebffb9691540512a79a900a378206585c393a5d4823cb571ba14637079c2"},
+    # kernels 6 and 15 have an odd half period h, so their a-class is [d*Q_h]
+    ("analyze", "6", "10"): {
+        "json": "b49738568c1db44afe4d41f5150bc0977772c677104dcacc645886e1fbd315ed",
+        "csv": "f2ed7154cc3eb504679494a44cab25d9003044565b7075019c609e5f29428014",
+        "text": "81f687e7536bcd5930d11995ba94ba68d7bb1ee0f246b44f9a900853a85e94d1"},
+    # the first two large-fields commands of benchmark seed 401
+    ("analyze", "46658798722", "5504613353"): {
+        "json": "d5de95e05d600e5290c280e8210ef2ebef358f560c6210eb8b1d01f1d3b4125b",
+        "csv": "5c73eb524c3164e709b3fb317046d02f1ebb1f3f9d87f7bb310018c32d561b63",
+        "text": "3aff2cc9d17ead824b5688711bcc7b12dcedf8afec550aa9d1870adc415c91ab"},
+    ("analyze", "53025824986", "66689013007"): {
+        "json": "19d173a3fafbf38d1812fe13a385c40fb6669da55372bdca43438bf897db4d29",
+        "csv": "8fbffbc070181028ae5d7f07b34801fb59f993504b9bebf8302e47ced8a916a7",
+        "text": "fea4aef25fd24bea65279e67ec1054b60318a518bbf176c96abebe1759647067"},
 }
 
 
@@ -252,6 +275,27 @@ def test_command_output_is_pinned_per_format(runner, command, fmt):
     result = runner.invoke(main, [name, "--format", fmt, "--", *args])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == COMMAND_DIGESTS[command][fmt]
+
+
+def test_analyze_factors_only_its_arguments(runner, monkeypatch):
+    calls: list[int] = []
+    real = arith.factor
+
+    def counted(n: int, **kwargs):
+        calls.append(n)
+        return real(n, **kwargs)
+
+    for module in (arith, sqclass, quadratic, biquad):
+        if hasattr(module, "factor"):
+            monkeypatch.setattr(module, "factor", counted)
+    quadratic.period_invariants.cache_clear()
+    m, n = 46658798722, 5504613353
+    assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
+    # m, n and each kernel once (squarefree check), plus a few Q_h < 2*sqrt(d);
+    # never m*n, which is about 2.6e20 here
+    largest_kernel = max(m, n, m * n // math.gcd(m, n) ** 2)
+    assert 0 < len(calls) <= 8
+    assert max(calls) <= largest_kernel
 
 
 def test_output_flag_writes_file(runner, tmp_path):
@@ -308,7 +352,9 @@ def test_factor_budget_exhaustion_exits_undecided(runner):
 
 
 def test_budget_factor_is_scoped_to_one_command(runner):
-    args = ["analyze", "10007", "10009"]
+    # analyze factors only its arguments, and 100160063 = 10007 * 10009 is
+    # past trial division, so every run of it needs Pollard rho
+    args = ["analyze", "10007", "100160063"]
     assert runner.invoke(main, args).exit_code == 0
     assert runner.invoke(main, args + ["--budget-factor", "1"]).exit_code == 4
     assert runner.invoke(main, args).exit_code == 0

@@ -4,6 +4,7 @@ and the two independent Polya classification routes."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from polya.arith import squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, a_value,
+from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, _midpoint, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
                              period_invariants, quadratic_polya_oracle,
@@ -111,6 +112,46 @@ def test_cf_expand_and_period_invariants_beyond_one_digit(d):
     else:
         assert inv.a_class == IDENTITY, d
     assert inv.two_is_norm == (2 in q_values), d
+
+
+def check_midpoint(d: int) -> None:
+    """_midpoint against the half period of cf_expand's full period."""
+    cf = cf_expand(d)
+    h, odd = divmod(cf.period_length, 2)
+    q_h = cf.q_values[h - 1] if h else 1
+    assert _midpoint(d) == (h % 2 == 1, q_h, odd == 1), d
+    # the ideal of norm 2 is its own conjugate, so it sits at k = l/2
+    assert (2 in cf.q_values) == (not odd and q_h == 2), d
+
+
+def test_midpoint_matches_cf_expand():
+    for d in range(2, 30000):
+        if math.isqrt(d) ** 2 != d:
+            check_midpoint(d)
+
+
+@given(st.integers(min_value=2 ** 30, max_value=10 ** 12))
+@settings(max_examples=30, deadline=None)
+def test_midpoint_matches_cf_expand_beyond_one_digit(d):
+    assume(math.isqrt(d) ** 2 != d)
+    check_midpoint(d)
+
+
+def test_period_invariants_walk_a_long_half_period_in_bounded_memory():
+    # 10**12 + 39 is a prime whose half period has 266,286 steps; held as
+    # lists, as cf_expand holds it, that half period takes about 13 MB
+    d = 10 ** 12 + 39
+    uncached = period_invariants.__wrapped__
+    expected = uncached(d)
+    tracemalloc.start()
+    try:
+        inv = uncached(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inv == expected
+    assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
+    assert peak < 64 * 1024
 
 
 def test_fundamental_unit_known_table():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polya.arith import factor
 from polya.sqclass import IDENTITY, SquareClass, class_of, span, subgroup_order
 
 nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(lambda n: n != 0)
@@ -76,6 +78,27 @@ def test_basis_is_independent(values):
     for i in range(len(basis)):
         rest = span([b for j, b in enumerate(basis) if j != i])
         assert not rest.contains(basis[i])
+
+
+@given(st.lists(st.integers(min_value=-300, max_value=300).filter(bool), max_size=5))
+def test_contains_is_membership_over_every_prime_subset(values):
+    # span works over a coprime base of the kernels; a class that takes part
+    # of a base element (3 against the base element 15 of span([15])) is out
+    gens = [class_of(v) for v in values]
+    members = brute_span(gens)
+    sub = span(gens)
+    primes = sorted({p for g in gens for p in factor(g.kernel).primes()})
+    for sign in (1, -1):
+        for r in range(len(primes) + 1):
+            for subset in combinations(primes, r):
+                c = SquareClass(sign, math.prod(subset))
+                assert sub.contains(c) == (c in members), (values, c)
+
+
+def test_contains_rejects_part_of_a_kernel():
+    sub = span([class_of(15)])
+    assert sub.contains(class_of(15)) and not sub.contains(class_of(3))
+    assert not sub.contains(class_of(5)) and not sub.contains(class_of(-15))
 
 
 def test_subgroup_order_examples():
