@@ -7,8 +7,10 @@ fundamental units u.  H^1 equals that span H unless 2 is totally ramified and
 every subfield contains an element of norm 2 or -2, in which case the index
 doubles.  The Polya group order is then prod(e_l) / |H^1| by the exact
 sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
-+-2 norm, unit norm) comes from `period_invariants`, one continued-fraction
-half period of sqrt(delta) on small integers; no fundamental unit is built.
++-2 norm, unit norm) comes from `period_invariants`, the middle of the
+continued-fraction period of sqrt(delta) on small integers; no fundamental
+unit is built.  The field validated its kernels when it was built, so they
+go to the unchecked `_kernel_invariants`, which factors none of them.
 `biquadratic_field` factors m and n, never mn, and the field keeps their
 primes: the third kernel is (m/g)*(n/g) with g = gcd(m, n), the ramified
 primes are the primes of m and n, and the span of the six classes is taken
@@ -28,9 +30,8 @@ from .arith import factor, is_prime, squarefree_part
 from .quadratic import (
     NOT_POLYA,
     POLYA,
-    a_value,
+    _kernel_invariants,
     norm_equation,
-    period_invariants,
     zantema_classify,
 )
 from .sqclass import SquareClass, subgroup_order
@@ -149,7 +150,8 @@ def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     if not field.totally_real:
         raise ValueError("H generators require a totally real field")
     deltas = field.deltas
-    return tuple([SquareClass(1, d) for d in deltas] + [a_value(d) for d in deltas])
+    return tuple([SquareClass(1, d) for d in deltas]
+                 + [_kernel_invariants(d).a_class for d in deltas])
 
 
 def _has_norm_pm2(d: int) -> bool:
@@ -160,7 +162,7 @@ def _h1(field: BiquadraticField, profile: RamificationProfile,
         gens: tuple[SquareClass, ...]) -> tuple[int, int, int]:
     h, _ = subgroup_order(gens)
     index = 1
-    if profile.e2 == 4 and all(period_invariants(d).two_is_norm for d in field.deltas):
+    if profile.e2 == 4 and all(_kernel_invariants(d).two_is_norm for d in field.deltas):
         index = 2
     return h, index, h * index
 
@@ -218,7 +220,7 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
         structure = "trivial" if po == 1 else ("Z/2" if po == 2 else f"(Z/2)^{rank}")
     else:
         structure = "order-only"
-    norms = tuple(period_invariants(d).norm for d in field.deltas)
+    norms = tuple(_kernel_invariants(d).norm for d in field.deltas)
     return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
 
 

@@ -7,15 +7,24 @@ elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
 x = y (mod 2) and d = 1 (mod 4).
 
 The bi-quadratic pipeline needs three facts per kernel, and
-`period_invariants` reads all three off the first half of the period of the
+`period_invariants` reads all three off the middle of the period of the
 continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
 (`a_value`) and whether 2 or -2 is a norm.  No unit is built.  Two walks step
-through that half period by the same recurrence: `_midpoint` keeps nothing
-but the current denominators and returns the parity of its length, the last
+through the period by the same recurrence: `_midpoint` keeps nothing but the
+current denominators and returns the parity of its length, the last
 denominator and how it ended, in constant memory; `_half_period` keeps the
 partial quotients and denominators, which `cf_expand` mirrors into the full
 period.  Past the first step both work on integers below 2*sqrt(d), each a
 one-digit Python int (below 2^30) for every d below 2^58.
+
+`_midpoint` walks a half period of up to 2048 steps from its start.  Past
+that, `_search_midpoint` finds a start near the middle by Shanks'
+baby-step giant-step search in the infrastructure of the reduced binary
+quadratic forms of discriminant 4d (D. Shanks, "The infrastructure of a real
+quadratic field and its applications", 1972), in about h/384 giant steps
+of two compositions each for a half period of h steps, and `_midpoint`
+walks from there to the recurrence's own stop.  The answer is that stop, so
+it is exact and equal to the linear walk's.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
 the period) serves classify-quadratic, the theorem witnesses and the norm
@@ -31,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
 from .sqclass import IDENTITY, SquareClass, class_of
@@ -139,7 +149,8 @@ def _half_period(d: int) -> tuple[list[int], list[int], bool]:
         q_head.append(q)
 
 
-def _midpoint(d: int) -> tuple[bool, int, bool]:
+def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
+              steps: int | None = None) -> tuple[bool, int, bool] | None:
     """Where `_half_period` stops, without its lists: (h_odd, q_h, odd).
 
     h is the length of the half period, q_h = Q_h the last denominator
@@ -147,13 +158,23 @@ def _midpoint(d: int) -> tuple[bool, int, bool]:
     `_half_period`.  Each loop pass takes two steps, from an even k and from
     the odd k + 1, so the variables holding Q_{k-1} and Q_k swap roles with no
     rotation and the half that returns gives the parity of h.
+
+    By default the walk starts at k = 0 and runs to the stop.  Given the state
+    (m, q_prev, q) = (m_k, Q_{k-1}, Q_k) of some k >= 1 it starts there, and
+    h_odd is then the parity of the number of steps it took.  It walks on
+    through m_k = m_{k+1} where k is a multiple of l, the one stop with
+    Q_k = 1, so from any k it stops at the next index = h (mod l).
+    Given steps, it returns None once it has taken that many (rounded up to
+    even) without stopping.
     """
     a0 = math.isqrt(d)
-    m, q_prev, q, a = 0, d, 1, a0
-    while True:
+    if q_prev is None:
+        q_prev = d
+    a = (a0 + m) // q
+    for _ in repeat(None) if steps is None else repeat(None, (steps + 1) // 2):
         # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
         m_next = a * q - m
-        if m_next == m:
+        if m_next == m and q != 1:
             return False, q, False
         q_prev += a * (m - m_next)
         if q_prev == q:
@@ -161,12 +182,152 @@ def _midpoint(d: int) -> tuple[bool, int, bool]:
         a = (a0 + m_next) // q_prev
         # k + 1 odd: q_prev = Q_{k+1}, q = Q_k, m_next = m_{k+1}; q becomes Q_{k+2}
         m = a * q_prev - m_next
-        if m == m_next:
+        if m == m_next and q_prev != 1:
             return True, q_prev, False
         q += a * (m_next - m)
         if q == q_prev:
             return True, q_prev, True
         a = (a0 + m) // q
+    return None
+
+
+# The midpoint search.  Each size below was measured on the benchmark's
+# kernels (Python 3.11, 2 vCPUs).
+#
+# Steps walked from k = 0 before the search starts.  theorem-scan has 2 of
+# its 5,141 kernels with h > 2048 (0.5% of its steps), large-fields 26 of the
+# 36 kernels at seed 401 (98% of its steps).  With the switch at 1024
+# instead, theorem-scan's kernels walked 0.83x as fast (0.134 s -> 0.161 s).
+_PLAIN_STEPS = 2048
+# Baby steps s: the keys of f_1..f_s, whose mirrors are the last s forms of
+# the period.  For d = 10^12 + 39 the whole search peaks at 51,236 bytes
+# under tracemalloc, most of it this set of 512 keys.
+_BABY_STEPS = 512
+# The giant step is f_g with g = 3s/4: squares of J then advance by about
+# 3s/2 forms, inside the 2s-form window of the baby table with room to spare.
+_GIANT_FRACTION = (3, 4)
+
+
+def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
+             root: int) -> tuple[int, int, int]:
+    """The reduced form of the composite f1*f2 of two primitive forms (a, b, c)
+    of nonsquare discriminant disc > 0, with root = isqrt(disc).
+
+    Composition is H. Cohen, A Course in Computational Algebraic Number
+    Theory (GTM 138), Algorithm 5.4.7, with the extended gcds taken as
+    modular inverses; it holds for indefinite forms and signed a.  Reduction
+    is Cohen's rho (section 5.6.1): (a, b, c) -> (c, r, (r^2 - disc)/(4c))
+    with r = -b (mod 2c), taken in (-|c|, |c|] while |c| > sqrt(disc) and
+    in (sqrt(disc) - 2|c|, sqrt(disc)) after, until |sqrt(disc) - 2|a|| < b
+    < sqrt(disc).  sqrt(disc) is irrational, so each bound is exact on root.
+    """
+    a1, b1, _ = f1
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2
+    g1 = math.gcd(a1, a2)
+    y1 = pow(a2 // g1, -1, a1 // g1)
+    g2 = math.gcd(s, g1)
+    x2 = pow(s // g2, -1, g1 // g2)
+    y2 = (x2 * s - g2) // g1
+    v1, v2 = a1 // g2, a2 // g2
+    r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
+    b = b2 + 2 * v2 * r
+    a = v1 * v2
+    c = (b * b - disc) // (4 * a)
+    while not (root - 2 * abs(a) < b <= root and 2 * abs(a) - b <= root):
+        span = 2 * abs(c)
+        if abs(c) > root:
+            r = -b % span
+            if 2 * r > span:
+                r -= span
+        else:
+            r = root - (root + b) % span
+        a, b, c = c, r, (r * r - disc) // (4 * c)
+    return a, b, c
+
+
+def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, baby: int = _BABY_STEPS,
+                     cap: int | None = None) -> tuple[bool | None, int, bool]:
+    """(h_odd, q_h, odd) as `_midpoint(d)` gives them, by baby-step giant-step
+    on the reduced forms of discriminant 4d; h_odd is None for odd periods.
+
+    Step k of the walk is the reduced form f_k = ((-1)^k Q_k, 2m_k,
+    (-1)^(k+1) Q_{k-1}), and f_1, f_2, ... run through the principal cycle.
+    A composite of two of them reduces to some f_j of the cycle: (Q_j, m_j)
+    names j mod l and the sign of the first coefficient gives the parity of
+    j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, with key (Q_{k-1}, m_k).
+
+    First `_midpoint` walks `plain` steps from k = 0.  Past that, a walk of
+    f_1..f_s (s = baby) keys a table that also names the last s forms of the
+    period through their mirrors.  Giant steps J <- J*G, G = f_{3s/4}, move
+    J along the cycle, and S = J*J lands near f_{2j}.  When S or its mirror
+    is in the table, J is within about s/2 steps of the midpoint: past it if
+    S lies after the period's end, before it if S lies before.  From before
+    `_midpoint` walks from J; from past it walks from f_{l-j}, the mirror of
+    J's successor.  Near the midpoint the side can come out wrong, so the
+    walk from the other start follows when the first ends without a stop.
+    Each of those walks has s steps.
+
+    After `cap` giant steps without a stop, `_midpoint(d)` walks from k = 0
+    to the end, so the search always ends.  J passes the middle once a lap,
+    and a hit is expected there.  By default the cap is a lap for the bound
+    l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and Williams, Pacific J.
+    Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2, which is larger as
+    0.72*ln(2) < 1/2.  The keyword sizes are for tests.
+
+    Every answer is the stop of `_midpoint`'s exact recurrence; the search
+    only chooses where that walk starts.  With an odd period the form cycle
+    has length 2l, and a walk that starts one lap further round flips the
+    parity of h, so h_odd is None there.
+    """
+    found = _midpoint(d, steps=plain)
+    if found is None:
+        found = _giant_steps(d, baby, cap)
+    h_odd, q_h, odd = found
+    return (None if odd else h_odd), q_h, odd
+
+
+def _giant_steps(d: int, baby: int, cap: int | None) -> tuple[bool, int, bool]:
+    """The search of `_search_midpoint` past its plain walk."""
+    a0 = math.isqrt(d)
+    bits = a0.bit_length()
+    stride = baby * _GIANT_FRACTION[0] // _GIANT_FRACTION[1]
+    table = set()
+    m, q_prev, q, a = 0, d, 1, a0
+    for k in range(1, baby + 1):
+        m_next = a * q - m
+        m, q_prev, q = m_next, q, q_prev + a * (m - m_next)
+        a = (a0 + m) // q
+        table.add(q << bits | m)
+        if k == stride:
+            sign = -1 if k % 2 else 1
+            giant = (sign * q, 2 * m, -sign * q_prev)
+    if cap is None:
+        cap = (a0 + 1) * d.bit_length() // (2 * stride) + 1
+    disc = 4 * d
+    root = math.isqrt(disc)
+    j = giant
+    for _ in range(cap):
+        j = _compose(j, giant, disc, root)
+        s_a, s_b, s_c = _compose(j, j, disc, root)
+        past = (abs(s_a) << bits | s_b >> 1) in table
+        if not past and (abs(s_c) << bits | s_b >> 1) not in table:
+            continue
+        j_a, j_b, j_c = j
+        m, q_prev, q = j_b >> 1, abs(j_c), abs(j_a)
+        a = (a0 + m) // q
+        m_next = a * q - m
+        # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for an
+        # even period both have the parity of j
+        starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
+        if past:
+            starts.reverse()
+        for start in starts:
+            found = _midpoint(d, *start, steps=baby)
+            if found is not None:
+                h_odd, q_h, odd = found
+                return h_odd != (j_a < 0), q_h, odd
+    return _midpoint(d)
 
 
 def cf_expand(d: int) -> ContinuedFraction:
@@ -318,8 +479,13 @@ def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
 
     With period length l, convergents p_k/q_k and complete-quotient
-    denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  `_midpoint` gives
-    the parity of l, the parity of h = floor(l/2) and Q_h.
+    denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  The walk to the
+    middle of the period gives the parity of l, Q_h for h = floor(l/2) and,
+    when l is even, the parity of h.  A half period of up to 2048 steps is walked from its start.  A
+    longer one is found by `_search_midpoint`'s baby-step giant-step search
+    on reduced forms, which lands within a few hundred steps of the middle
+    and walks the rest.  Either way the three facts are read off the exact
+    recurrence where its symmetry stops it, so they are the linear walk's.
 
     norm: N(u) = (-1)^l.
 
@@ -348,7 +514,12 @@ def period_invariants(d: int) -> PeriodInvariants:
     _require_radicand(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
-    h_odd, q_h, odd = _midpoint(d)
+    return _invariants(d)
+
+
+def _invariants(d: int) -> PeriodInvariants:
+    """`period_invariants` without the check that d is squarefree and > 1."""
+    h_odd, q_h, odd = _search_midpoint(d)
     if odd:
         return PeriodInvariants(d, -1, IDENTITY, d == 2)
     if (2 * d) % q_h:
@@ -358,6 +529,12 @@ def period_invariants(d: int) -> PeriodInvariants:
     if h_odd:
         a_class = SquareClass(1, d) * a_class
     return PeriodInvariants(d, 1, a_class, q_h == 2)
+
+
+# period_invariants for kernels of a BiquadraticField, which validated them
+# when it was built: factoring them again cost a Pollard rho on m*n for
+# coprime m and n.  Its cache is separate from period_invariants'.
+_kernel_invariants = lru_cache(maxsize=_KERNEL_CACHE_SIZE)(_invariants)
 
 
 def a_value(d: int) -> SquareClass:

@@ -12,8 +12,9 @@ A report recomputes everything the corresponding proof asserts along the way
 unit, membership of epsilon in the allowed set) and records divergences as
 anomalies instead of failing, so a wrong intermediate step is visible even
 when the headline Polya order still comes out as claimed.  Unit norms come
-from the continued-fraction period parity (`period_invariants`), so only an
-epsilon witness builds a fundamental unit.
+from the continued-fraction period parity (`period_invariants`, unchecked on
+the field's own kernels), so only an epsilon witness builds a fundamental
+unit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
-from .quadratic import UnitSplit, epsilon_decomposition, period_invariants
+from .quadratic import UnitSplit, _kernel_invariants, epsilon_decomposition
 
 T1 = "T1"
 T2 = "T2"
@@ -195,14 +196,14 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     report = polya_report(field)
     anomalies: list[str] = []
     for label, asserted, kernel in _asserted_unit_norms(theorem, triple):
-        computed = period_invariants(kernel).norm
+        computed = _kernel_invariants(kernel).norm
         if computed != asserted:
             anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
     witness = None
     in_set = None
     kernels = (field.delta3, field.delta2) if theorem == T3 else (field.delta3,)
     for kernel in kernels:
-        if period_invariants(kernel).norm == 1:
+        if _kernel_invariants(kernel).norm == 1:
             witness = epsilon_decomposition(kernel)
             allowed = _allowed_epsilons(theorem, triple)
             in_set = witness.epsilon in allowed

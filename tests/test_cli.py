@@ -95,7 +95,7 @@ def test_analyze_builds_no_fundamental_unit(runner, monkeypatch):
         raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
 
     quadratic.fundamental_unit.cache_clear()
-    quadratic.period_invariants.cache_clear()
+    quadratic._kernel_invariants.cache_clear()
     monkeypatch.setattr(quadratic, "_pell_min", refuse)
     report = polya_report(biquadratic_field(2, 85))
     assert (report.po_order, report.unit_norms) == (2, (-1, -1, -1))
@@ -288,14 +288,16 @@ def test_analyze_factors_only_its_arguments(runner, monkeypatch):
     for module in (arith, sqclass, quadratic, biquad):
         if hasattr(module, "factor"):
             monkeypatch.setattr(module, "factor", counted)
-    quadratic.period_invariants.cache_clear()
-    m, n = 46658798722, 5504613353
-    assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
-    # m, n and each kernel once (squarefree check), plus a few Q_h < 2*sqrt(d);
-    # never m*n, which is about 2.6e20 here
-    largest_kernel = max(m, n, m * n // math.gcd(m, n) ** 2)
-    assert 0 < len(calls) <= 8
-    assert max(calls) <= largest_kernel
+    # m and n once each, plus a few Q_h < 2*sqrt(delta); never m*n (about
+    # 2.6e20 for the first pair), and no kernel again: the field validated
+    # them, and 998244359987710471, the third kernel of the second pair, would
+    # need a Pollard rho
+    for m, n in ((46658798722, 5504613353), (1000000007, 998244353)):
+        quadratic._kernel_invariants.cache_clear()
+        calls.clear()
+        assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
+        assert 0 < len(calls) <= 8, (m, n)
+        assert max(calls) <= max(m, n), (m, n)
 
 
 def test_output_flag_writes_file(runner, tmp_path):

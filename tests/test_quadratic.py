@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polya import quadratic
 from polya.arith import squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, _midpoint, a_value,
+from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, _kernel_invariants,
+                             _midpoint, _search_midpoint, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
                              period_invariants, quadratic_polya_oracle,
@@ -154,6 +157,54 @@ def test_period_invariants_walk_a_long_half_period_in_bounded_memory():
     assert peak < 64 * 1024
 
 
+def check_search(d: int, **sizes: int) -> None:
+    """_search_midpoint against the linear walk; h_odd is None for odd periods."""
+    h_odd, q_h, odd = _midpoint(d)
+    assert _search_midpoint(d, **sizes) == (None if odd else h_odd, q_h, odd), (d, sizes)
+
+
+def test_search_midpoint_stops_at_its_cap_and_walks(monkeypatch):
+    # a cap of 3 giant steps cannot reach the middle of a half period of
+    # 266,286 steps, so the plain walk from k = 0 gives the answer
+    compose = Mock(wraps=quadratic._compose)
+    monkeypatch.setattr(quadratic, "_compose", compose)
+    check_search(10 ** 12 + 39, cap=3)
+    assert compose.call_count == 2 * 3
+
+
+def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch):
+    # 10**12 + 39: a giant step is f_384, so about 266,286 / 384 = 694 giant
+    # steps of two compositions each reach the middle; one more lap of the
+    # cycle would add about 2,800 and running to the cap more than 100,000.
+    # One walk of at most 2048 steps comes before the search and one after.
+    compose = Mock(wraps=quadratic._compose)
+    walk = Mock(wraps=quadratic._midpoint)
+    monkeypatch.setattr(quadratic, "_compose", compose)
+    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    inv = _kernel_invariants.__wrapped__(10 ** 12 + 39)
+    assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
+    assert compose.call_count <= 1500
+    assert walk.call_count == 2
+
+
+def test_search_midpoint_matches_the_linear_walk_with_small_sizes():
+    # sizes this small put most of these periods past the plain walk, with
+    # baby tables so short that squares miss them, land near the start of
+    # the period or on the wrong side of its middle; every answer must still
+    # be the linear walk's
+    for sizes in ({"plain": 0, "baby": 4}, {"plain": 2, "baby": 8}, {"plain": 16, "baby": 32}):
+        for d in range(2, 8000):
+            if math.isqrt(d) ** 2 != d:
+                check_search(d, **sizes)
+
+
+@given(st.integers(min_value=2 ** 30, max_value=10 ** 13))
+@settings(max_examples=25, deadline=None)
+def test_search_midpoint_matches_the_linear_walk_at_default_sizes(d):
+    assume(math.isqrt(d) ** 2 != d)
+    check_search(d)
+
+
 def test_fundamental_unit_known_table():
     for d, expected in KNOWN_UNITS.items():
         u = fundamental_unit(d)
@@ -285,7 +336,7 @@ def test_period_invariants_match_unit_route_large(d):
 
 
 def test_kernel_caches_are_bounded():
-    for cached in (fundamental_unit, period_invariants):
+    for cached in (fundamental_unit, period_invariants, _kernel_invariants):
         assert cached.cache_parameters()["maxsize"] is not None
 
 

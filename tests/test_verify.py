@@ -117,7 +117,7 @@ def test_verify_theorem_t1_example_with_witness():
 @pytest.fixture()
 def empty_kernel_caches():
     quadratic.fundamental_unit.cache_clear()
-    quadratic.period_invariants.cache_clear()
+    quadratic._kernel_invariants.cache_clear()
 
 
 def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches,
