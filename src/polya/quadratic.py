@@ -21,10 +21,12 @@ one-digit Python int (below 2^30) for every d below 2^58.
 that, `_search_midpoint` finds a start near the middle by Shanks'
 baby-step giant-step search in the infrastructure of the reduced binary
 quadratic forms of discriminant 4d (D. Shanks, "The infrastructure of a real
-quadratic field and its applications", 1972), in about h/384 giant steps
-of two compositions each for a half period of h steps, and `_midpoint`
-walks from there to the recurrence's own stop.  The answer is that stop, so
-it is exact and equal to the linear walk's.
+quadratic field and its applications", 1972): every 32nd form of the walk
+keys a table, giant steps as long as the walk so far move along the cycle,
+and the walk doubles whenever a phase of giant steps has cost more than it.
+A half period of h steps then costs O(sqrt(h)) steps and compositions, and
+`_midpoint` walks from near the middle to the recurrence's own stop.  The
+answer is that stop, so it is exact and equal to the linear walk's.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
 the period) serves classify-quadratic, the theorem witnesses and the norm
@@ -150,7 +152,8 @@ def _half_period(d: int) -> tuple[list[int], list[int], bool]:
 
 
 def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
-              steps: int | None = None) -> tuple[bool, int, bool] | None:
+              steps: int | None = None, marks: list[int] | None = None,
+              every: int = 2) -> tuple[bool, int, bool] | None:
     """Where `_half_period` stops, without its lists: (h_odd, q_h, odd).
 
     h is the length of the half period, q_h = Q_h the last denominator
@@ -165,47 +168,68 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
     through m_k = m_{k+1} where k is a multiple of l, the one stop with
     Q_k = 1, so from any k it stops at the next index = h (mod l).
     Given steps, it returns None once it has taken that many (rounded up to
-    even) without stopping.
+    even) without stopping.  Given also marks, a list, and an even `every`
+    that divides steps, it appends the key Q_k << bits | m_k of the form
+    after every `every`-th step to marks, bits = bit length of isqrt(d); the
+    last one is that of the step where it ran out.  m_k < 2^bits, and
+    Q_{k-1} = (d - m_k^2)/Q_k, so a key names the whole state.
     """
     a0 = math.isqrt(d)
     if q_prev is None:
         q_prev = d
     a = (a0 + m) // q
-    for _ in repeat(None) if steps is None else repeat(None, (steps + 1) // 2):
-        # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
-        m_next = a * q - m
-        if m_next == m and q != 1:
-            return False, q, False
-        q_prev += a * (m - m_next)
-        if q_prev == q:
-            return False, q, True
-        a = (a0 + m_next) // q_prev
-        # k + 1 odd: q_prev = Q_{k+1}, q = Q_k, m_next = m_{k+1}; q becomes Q_{k+2}
-        m = a * q_prev - m_next
-        if m == m_next and q_prev != 1:
-            return True, q_prev, False
-        q += a * (m_next - m)
-        if q == q_prev:
-            return True, q_prev, True
-        a = (a0 + m) // q
+    if marks is None:
+        stretches = repeat(None, 1)
+        passes = repeat(None) if steps is None else repeat(None, (steps + 1) // 2)
+    else:
+        stretches, passes = repeat(None, steps // every), range(every // 2)
+        bits = a0.bit_length()
+    for _ in stretches:
+        for _ in passes:
+            # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
+            m_next = a * q - m
+            if m_next == m and q != 1:
+                return False, q, False
+            q_prev += a * (m - m_next)
+            if q_prev == q:
+                return False, q, True
+            a = (a0 + m_next) // q_prev
+            # k + 1 odd: q_prev = Q_{k+1}, q = Q_k, m_next = m_{k+1}; q becomes Q_{k+2}
+            m = a * q_prev - m_next
+            if m == m_next and q_prev != 1:
+                return True, q_prev, False
+            q += a * (m_next - m)
+            if q == q_prev:
+                return True, q_prev, True
+            a = (a0 + m) // q
+        if marks is not None:
+            marks.append(q << bits | m)
     return None
 
 
 # The midpoint search.  Each size below was measured on the benchmark's
 # kernels (Python 3.11, 2 vCPUs).
 #
-# Steps walked from k = 0 before the search starts.  theorem-scan has 2 of
-# its 5,141 kernels with h > 2048 (0.5% of its steps), large-fields 26 of the
-# 36 kernels at seed 401 (98% of its steps).  With the switch at 1024
-# instead, theorem-scan's kernels walked 0.83x as fast (0.134 s -> 0.161 s).
+# Steps walked from k = 0 before the first giant step.  theorem-scan has 2 of
+# its 5,141 kernels with h > 2048 and 4,718 with h <= 512; large-fields has
+# 110 of the 144 kernels of seeds 401, 2718, 5003 and 7919 past 2048.
+# Starting at 1024 made theorem-scan's kernels search 2.5% slower and the
+# large-fields ones 2% faster; starting at 512 made those 1.2x slower.
 _PLAIN_STEPS = 2048
-# Baby steps s: the keys of f_1..f_s, whose mirrors are the last s forms of
-# the period.  For d = 10^12 + 39 the whole search peaks at 51,236 bytes
-# under tracemalloc, most of it this set of 512 keys.
-_BABY_STEPS = 512
-# The giant step is f_g with g = 3s/4: squares of J then advance by about
-# 3s/2 forms, inside the 2s-form window of the baby table with room to spare.
-_GIANT_FRACTION = (3, 4)
+# The walk keys every r-th form, and a probe walks r forms from each square.
+# A key costs the walk about two steps: with r = 16 theorem-scan's kernels,
+# nearly all of which stop inside the first walk, searched 0.91x as fast as
+# with a first walk that keys nothing, and with r = 32 0.94x, while
+# large-fields' kernels took 1.06x as long with r = 32.  Keying every form
+# made theorem-scan's kernels about half as fast.
+_MARK_EVERY = 32
+# A phase is walked/_PHASE_DIVISOR giant steps, then the walk goes on to
+# twice its length.  A giant step (two compositions and a probe of r forms)
+# costs about 150 walk steps, so a phase costs about 2.3 times the walk so
+# far.  On the kernels 10^12 + 39 to 999999943999999559 phases of walked/32
+# made the search about 1.25x slower and walked/128 no faster.  The first
+# phase reaches every large-fields midpoint (h < 31,000).
+_PHASE_DIVISOR = 64
 
 
 def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
@@ -246,7 +270,7 @@ def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
     return a, b, c
 
 
-def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, baby: int = _BABY_STEPS,
+def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EVERY,
                      cap: int | None = None) -> tuple[bool | None, int, bool]:
     """(h_odd, q_h, odd) as `_midpoint(d)` gives them, by baby-step giant-step
     on the reduced forms of discriminant 4d; h_odd is None for odd periods.
@@ -257,77 +281,119 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, baby: int = _BABY_STE
     names j mod l and the sign of the first coefficient gives the parity of
     j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, with key (Q_{k-1}, m_k).
 
-    First `_midpoint` walks `plain` steps from k = 0.  Past that, a walk of
-    f_1..f_s (s = baby) keys a table that also names the last s forms of the
-    period through their mirrors.  Giant steps J <- J*G, G = f_{3s/4}, move
-    J along the cycle, and S = J*J lands near f_{2j}.  When S or its mirror
-    is in the table, J is within about s/2 steps of the midpoint: past it if
-    S lies after the period's end, before it if S lies before.  From before
-    `_midpoint` walks from J; from past it walks from f_{l-j}, the mirror of
-    J's successor.  Near the midpoint the side can come out wrong, so the
-    walk from the other start follows when the first ends without a stop.
-    Each of those walks has s steps.
+    First `_midpoint` walks `plain` steps from k = 0, and the key of every
+    r-th form f_r, f_2r, ..., f_w of that walk (r = every, w the steps
+    walked) goes into a table.  Giant steps J <- J*G, G = f_{w-2r}, move J
+    along the cycle, and S = J*J lands near f_{2j}.  A probe walks r forms
+    from S; one of them, or one of their mirrors, is in the table when S is
+    within about w forms of the period's end, and then J is within about
+    w/2 steps of the midpoint: past it if a form lies after the period's end,
+    before it if a mirror does.  From before `_midpoint` walks from J; from
+    past it walks from f_{l-j}, the mirror of J's successor.  Near the
+    midpoint the side can come out wrong, so the walk from the other start
+    follows when the first ends without a stop.  Each of those walks has w
+    steps.
+
+    After w/64 giant steps without a stop, which cost a few times as much as
+    the walk so far, the walk goes on from f_w to twice its length, which
+    doubles the table and the stride.  A half period of h steps costs O(sqrt(h))
+    steps and compositions and O(sqrt(h)/r) keys.  The walk keeps the exact
+    recurrence's stops, so reaching the midpoint itself ends the search too.
 
     After `cap` giant steps without a stop, `_midpoint(d)` walks from k = 0
     to the end, so the search always ends.  J passes the middle once a lap,
-    and a hit is expected there.  By default the cap is a lap for the bound
-    l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and Williams, Pacific J.
-    Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2, which is larger as
-    0.72*ln(2) < 1/2.  The keyword sizes are for tests.
+    and a hit is expected there.  By default the cap is a lap at the first
+    stride for the bound l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and
+    Williams, Pacific J. Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2,
+    which is larger as 0.72*ln(2) < 1/2; strides only grow.  The keyword
+    sizes are for tests: every is even and divides plain.
 
     Every answer is the stop of `_midpoint`'s exact recurrence; the search
     only chooses where that walk starts.  With an odd period the form cycle
     has length 2l, and a walk that starts one lap further round flips the
     parity of h, so h_odd is None there.
     """
-    found = _midpoint(d, steps=plain)
+    marks: list[int] = []
+    found = _midpoint(d, steps=plain, marks=marks, every=every)
     if found is None:
-        found = _giant_steps(d, baby, cap)
+        found = _giant_steps(d, plain, every, marks, cap)
     h_odd, q_h, odd = found
     return (None if odd else h_odd), q_h, odd
 
 
-def _giant_steps(d: int, baby: int, cap: int | None) -> tuple[bool, int, bool]:
-    """The search of `_search_midpoint` past its plain walk."""
-    a0 = math.isqrt(d)
-    bits = a0.bit_length()
-    stride = baby * _GIANT_FRACTION[0] // _GIANT_FRACTION[1]
-    table = set()
-    m, q_prev, q, a = 0, d, 1, a0
-    for k in range(1, baby + 1):
+def _probe(s: tuple[int, int, int], table: set[int], forms: int, a0: int,
+           bits: int) -> bool | None:
+    """Whether one of the first `forms` forms from S is in the table (True),
+    or one of their mirrors is (False); None when neither is."""
+    s_a, s_b, s_c = s
+    m, q_prev, q = s_b >> 1, abs(s_c), abs(s_a)
+    for _ in range(forms):
+        if (q << bits | m) in table:
+            return True
+        if (q_prev << bits | m) in table:
+            return False
+        a = (a0 + m) // q
         m_next = a * q - m
         m, q_prev, q = m_next, q, q_prev + a * (m - m_next)
-        a = (a0 + m) // q
-        table.add(q << bits | m)
-        if k == stride:
-            sign = -1 if k % 2 else 1
-            giant = (sign * q, 2 * m, -sign * q_prev)
-    if cap is None:
-        cap = (a0 + 1) * d.bit_length() // (2 * stride) + 1
+    return None
+
+
+def _state(d: int, key: int, bits: int) -> tuple[int, int, int]:
+    """The state (m_k, Q_{k-1}, Q_k) that `_midpoint` marked with this key."""
+    q, m = key >> bits, key & ((1 << bits) - 1)
+    return m, (d - m * m) // q, q
+
+
+def _giant_steps(d: int, walked: int, every: int, marks: list[int],
+                 cap: int | None) -> tuple[bool, int, bool]:
+    """The search of `_search_midpoint` past a walk of `walked` steps from
+    k = 0 that left these marks."""
+    a0 = math.isqrt(d)
+    bits = a0.bit_length()
     disc = 4 * d
     root = math.isqrt(disc)
-    j = giant
-    for _ in range(cap):
-        j = _compose(j, giant, disc, root)
-        s_a, s_b, s_c = _compose(j, j, disc, root)
-        past = (abs(s_a) << bits | s_b >> 1) in table
-        if not past and (abs(s_c) << bits | s_b >> 1) not in table:
-            continue
-        j_a, j_b, j_c = j
-        m, q_prev, q = j_b >> 1, abs(j_c), abs(j_a)
-        a = (a0 + m) // q
-        m_next = a * q - m
-        # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for an
-        # even period both have the parity of j
-        starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
-        if past:
-            starts.reverse()
-        for start in starts:
-            found = _midpoint(d, *start, steps=baby)
-            if found is not None:
-                h_odd, q_h, odd = found
-                return h_odd != (j_a < 0), q_h, odd
-    return _midpoint(d)
+    table: set[int] = set()
+    j = None
+    giants = 0
+    while True:
+        table.update(marks)
+        # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
+        g = max(len(marks) - 3, 0)
+        m, q_prev, q = _state(d, marks[g], bits)
+        giant = (q, 2 * m, -q_prev)
+        if j is None:
+            j = giant
+            if cap is None:
+                cap = (a0 + 1) * d.bit_length() // (2 * (g + 1) * every) + 1
+        for _ in range(max(walked // _PHASE_DIVISOR, 1)):
+            if giants == cap:
+                return _midpoint(d)
+            giants += 1
+            past = _probe(_compose(j, j, disc, root), table, every, a0, bits)
+            if past is not None:
+                j_a, j_b, j_c = j
+                m, q_prev, q = j_b >> 1, abs(j_c), abs(j_a)
+                a = (a0 + m) // q
+                m_next = a * q - m
+                # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for
+                # an even period both have the parity of j
+                starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
+                if past:
+                    starts.reverse()
+                for start in starts:
+                    found = _midpoint(d, *start, steps=walked)
+                    if found is not None:
+                        h_odd, q_h, odd = found
+                        return h_odd != (j_a < 0), q_h, odd
+            j = _compose(j, giant, disc, root)
+        # the walk so far ended at an even k, so the parity of h is the
+        # parity of the steps taken from there
+        state = _state(d, marks[-1], bits)
+        marks = []
+        found = _midpoint(d, *state, steps=walked, marks=marks, every=every)
+        if found is not None:
+            return found
+        walked *= 2
 
 
 def cf_expand(d: int) -> ContinuedFraction:
@@ -455,7 +521,8 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     m = math.isqrt(big // epsilon)
     n = math.isqrt(small // eta)
     split = UnitSplit(d, u, g, m, n, epsilon, eta)
-    assert m * n * g == u.t and math.gcd(m, n) == 1
+    if m * n * g != u.t or math.gcd(m, n) != 1:
+        raise ArithmeticError(f"split of the unit of Q(sqrt({d})) fails m*n*g = t")
     return split
 
 
@@ -481,11 +548,13 @@ def period_invariants(d: int) -> PeriodInvariants:
     With period length l, convergents p_k/q_k and complete-quotient
     denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  The walk to the
     middle of the period gives the parity of l, Q_h for h = floor(l/2) and,
-    when l is even, the parity of h.  A half period of up to 2048 steps is walked from its start.  A
-    longer one is found by `_search_midpoint`'s baby-step giant-step search
-    on reduced forms, which lands within a few hundred steps of the middle
-    and walks the rest.  Either way the three facts are read off the exact
-    recurrence where its symmetry stops it, so they are the linear walk's.
+    when l is even, the parity of h.  A half period of up to 2048 steps is
+    walked from its start.  A longer one is found by `_search_midpoint`'s
+    baby-step giant-step search on reduced forms, whose walk and strides
+    double with the period, in O(sqrt(h)) steps and compositions; it lands
+    within half a walk of the middle and walks the rest.  Either way the three
+    facts are read off the exact recurrence where its symmetry stops it, so
+    they are the linear walk's.
 
     norm: N(u) = (-1)^l.
 

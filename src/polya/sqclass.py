@@ -137,7 +137,8 @@ def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClass
     basis: list[SquareClass] = []
     for g in gens:
         mask = _encode(g, base)
-        assert mask is not None
+        if mask is None:
+            raise ArithmeticError(f"{g} is no product of the coprime base {base}")
         residue = _reduce(mask, tuple(echelon))
         if residue:
             echelon.append(residue)

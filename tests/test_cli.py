@@ -255,6 +255,16 @@ COMMAND_DIGESTS = {
         "json": "b49738568c1db44afe4d41f5150bc0977772c677104dcacc645886e1fbd315ed",
         "csv": "f2ed7154cc3eb504679494a44cab25d9003044565b7075019c609e5f29428014",
         "text": "81f687e7536bcd5930d11995ba94ba68d7bb1ee0f246b44f9a900853a85e94d1"},
+    # the longest half periods: third kernels 1000001970000133 (about 2e7
+    # steps) and 999999943999999559 (about 1.2e8)
+    ("analyze", "10000019", "100000007"): {
+        "json": "4540575064f8b72001f27e76afb93c7de6eb0e9dbfc10abca2253834caae5330",
+        "csv": "a500f55056056bbe67c39ce5c1b695cc3150b019b2b1f633ea415e26d1a37890",
+        "text": "15873cbd6c2d4973af19214fad1a64c13b5c0d40e173463d1c615085249c4318"},
+    ("analyze", "999999937", "1000000007"): {
+        "json": "aa1541ee0f0ab1e5910a5b855002d38cd59a10e1c245046cde57ad1698d38752",
+        "csv": "a870624adbc09440d7ba9656a138dae6d61503614726244669045cc4203034e5",
+        "text": "5555d73f2f99e2e861b880194335ffd219e98c8275c71bf613c6804a36c67da4"},
     # the first two large-fields commands of benchmark seed 401
     ("analyze", "46658798722", "5504613353"): {
         "json": "d5de95e05d600e5290c280e8210ef2ebef358f560c6210eb8b1d01f1d3b4125b",
@@ -400,6 +410,23 @@ def test_every_cli_input_ends_with_a_documented_exit_code(argv, fmt):
     name, *args = argv
     result = CliRunner().invoke(main, [name, "--format", fmt, "--", *args])
     assert result.exit_code in EXIT_CODES, (argv, fmt, result.exception)
+
+
+# squarefree parts of draws from [-10^8, 10^8]: distinct positive ones other
+# than 1 name totally real fields, whose third kernel m*n/gcd(m, n)^2 reaches
+# 1e16 with a half period of millions of steps, seconds each for the linear
+# walk; the others must exit 2
+kernels_to_1e8 = st.integers(min_value=-10 ** 8, max_value=10 ** 8).map(
+    lambda v: arith.squarefree_part(v) if v else 0)
+
+
+@given(kernels_to_1e8, kernels_to_1e8)
+@settings(max_examples=30, deadline=None)
+def test_analyze_of_long_periods_ends_with_a_documented_exit_code(m, n):
+    result = CliRunner().invoke(main, ["analyze", "--", str(m), str(n)])
+    assert result.exit_code in EXIT_CODES, (m, n, result.exception)
+    if m > 1 and n > 1 and m != n:
+        assert result.exit_code == 0, (m, n, result.exception)
 
 
 @pytest.mark.xfail(raises=ValueError, strict=True,

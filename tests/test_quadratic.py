@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest.mock import Mock
 
 import pytest
@@ -173,29 +174,114 @@ def test_search_midpoint_stops_at_its_cap_and_walks(monkeypatch):
 
 
 def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch):
-    # 10**12 + 39: a giant step is f_384, so about 266,286 / 384 = 694 giant
-    # steps of two compositions each reach the middle; one more lap of the
-    # cycle would add about 2,800 and running to the cap more than 100,000.
-    # One walk of at most 2048 steps comes before the search and one after.
+    # 10**12 + 39 has a half period of 266,286 steps.  The walk from k = 0
+    # doubles once, from 2048 to 4096 steps, and giant steps of about 2,000
+    # and 4,000 forms reach the middle in about 80 giant steps of two
+    # compositions each.  The walks are the first one, the doubling and the
+    # last.
     compose = Mock(wraps=quadratic._compose)
     walk = Mock(wraps=quadratic._midpoint)
     monkeypatch.setattr(quadratic, "_compose", compose)
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     inv = _kernel_invariants.__wrapped__(10 ** 12 + 39)
     assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
-    assert compose.call_count <= 1500
-    assert walk.call_count == 2
+    assert compose.call_count <= 500
+    assert walk.call_count == 3
 
 
-def test_search_midpoint_matches_the_linear_walk_with_small_sizes():
-    # sizes this small put most of these periods past the plain walk, with
-    # baby tables so short that squares miss them, land near the start of
-    # the period or on the wrong side of its middle; every answer must still
-    # be the linear walk's
-    for sizes in ({"plain": 0, "baby": 4}, {"plain": 2, "baby": 8}, {"plain": 16, "baby": 32}):
+def test_search_midpoint_matches_the_linear_walk_on_a_longer_period(monkeypatch):
+    # 10**15 + 91 has a half period of about 4.5 million steps
+    d = 10 ** 15 + 91
+    compose = Mock(wraps=quadratic._compose)
+    monkeypatch.setattr(quadratic, "_compose", compose)
+    found = _search_midpoint(d)
+    assert compose.call_count <= 3_000
+    h_odd, q_h, odd = _midpoint(d)
+    assert found == (None if odd else h_odd, q_h, odd) == (True, 2, False)
+
+
+def test_search_midpoint_reaches_a_1e18_midpoint_in_few_compositions(monkeypatch):
+    # the third kernel of `analyze 999999937 1000000007`, with a half period
+    # of about 1.2e8 steps, too long for the linear walk in a test.  Q_h = 2
+    # with h even gives the a-class [2] and unit norm +1 that the pinned
+    # output of that command holds
+    compose = Mock(wraps=quadratic._compose)
+    monkeypatch.setattr(quadratic, "_compose", compose)
+    assert _search_midpoint(999999943999999559) == (False, 2, False)
+    assert compose.call_count <= 20_000
+
+
+def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
+    # sizes this small put most of these periods past the first walk, so
+    # that the walk doubles and reaches the middle itself, squares land on
+    # the wrong side of the middle, and hits come too far from it or with J
+    # near the period's end, after which J runs on round the cycle; every
+    # answer must still be the linear walk's
+    real_walk, real_probe = quadratic._midpoint, quadratic._probe
+    events: list[tuple[str, bool]] = []
+
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
+        found = real_walk(d, m, q_prev, q, steps, marks, every)
+        kind = {(True, True): "first", (False, True): "doubled",
+                (False, False): "from a hit", (True, False): "fallback"}
+        events.append((kind[q_prev is None, marks is not None], found is not None))
+        return found
+
+    def probe(*args):
+        past = real_probe(*args)
+        if past is not None:
+            events.append(("hit past" if past else "hit before", True))
+        return past
+
+    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    monkeypatch.setattr(quadratic, "_probe", probe)
+    seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
+                          "second start stops", "both starts fail"], 0)
+    for sizes in ({"plain": 2, "every": 2}, {"plain": 4, "every": 2},
+                  {"plain": 16, "every": 4}):
         for d in range(2, 8000):
             if math.isqrt(d) ** 2 != d:
-                check_search(d, **sizes)
+                h_odd, q_h, odd = real_walk(d)
+                events.clear()
+                assert _search_midpoint(d, **sizes) == (None if odd else h_odd, q_h, odd)
+                seen["doubled walk stops"] += events[-1] == ("doubled", True)
+                # each hit walks from one start, or from both when the first fails
+                hits = [i for i, (kind, _) in enumerate(events) if kind.startswith("hit")]
+                for i in hits:
+                    seen[events[i][0]] += 1
+                    after = [stopped for kind, stopped in events[i + 1:i + 3]
+                             if kind == "from a hit"]
+                    seen["second start stops"] += after == [False, True]
+                    seen["both starts fail"] += after == [False, False]
+    assert all(seen.values()), seen
+
+
+def test_probe_names_the_side_of_the_period_end():
+    # the table keys every 16th form of the walk from k = 0, here f_16 to
+    # f_1024.  A probe of r forms from f_{t-6} reaches the keyed f_t = f_336
+    # only when r >= 7 (True: a form after the period's end), and one from
+    # the mirror of f_{t+6}, which is f_{l-5-t}, reaches the mirror of f_t
+    # only then (False: a form before it)
+    d = 10 ** 12 + 39
+    a0 = math.isqrt(d)
+    bits = a0.bit_length()
+    marks: list[int] = []
+    assert _midpoint(d, steps=1024, marks=marks, every=16) is None
+    table = set(marks)
+    states: list[int] = []                    # the keys of f_2, f_4, ...
+    assert _midpoint(d, steps=1024, marks=states, every=2) is None
+    assert states[7::8] == marks
+
+    def form(k: int) -> tuple[int, int, int]:  # f_k for even k
+        m, q_prev, q = quadratic._state(d, states[k // 2 - 1], bits)
+        return q, 2 * m, -q_prev
+
+    t = 336
+    a, b, c = form(t + 6)
+    for forms, side in ((6, None), (7, True)):
+        assert quadratic._probe(form(t - 6), table, forms, a0, bits) is side
+    for forms, side in ((6, None), (7, False)):
+        assert quadratic._probe((c, b, a), table, forms, a0, bits) is side
 
 
 @given(st.integers(min_value=2 ** 30, max_value=10 ** 13))
@@ -269,6 +355,16 @@ def test_epsilon_decomposition_examples():
     assert (s.g, s.m, s.n, s.epsilon, s.eta) == (1, 1, 1, 5, 3)
     with pytest.raises(ValueError):
         epsilon_decomposition(85)
+
+
+def test_epsilon_decomposition_raises_when_the_split_misses_t(monkeypatch):
+    # z = 2, denom = 1 split as 3 = 1^2 * 3 and 1 = 1^2 * 1, which UnitSplit
+    # accepts, but m*n*g = 1 is not the forged t = 2; the check must survive
+    # python -O, so it is no assert
+    forged = SimpleNamespace(d=3, z=2, t=2, denom=1, norm=1)
+    monkeypatch.setattr(quadratic, "fundamental_unit", lambda d: forged)
+    with pytest.raises(ArithmeticError):
+        epsilon_decomposition(3)
 
 
 @given(squarefree_real)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polya import sqclass
 from polya.arith import factor
 from polya.sqclass import IDENTITY, SquareClass, class_of, span, subgroup_order
 
@@ -99,6 +100,14 @@ def test_contains_rejects_part_of_a_kernel():
     sub = span([class_of(15)])
     assert sub.contains(class_of(15)) and not sub.contains(class_of(3))
     assert not sub.contains(class_of(5)) and not sub.contains(class_of(-15))
+
+
+def test_span_raises_when_a_generator_is_off_its_base(monkeypatch):
+    # every generator is a product of the coprime base of the generators'
+    # kernels; a base that misses one must raise under python -O too
+    monkeypatch.setattr(sqclass, "_coprime_base", lambda kernels: (3,))
+    with pytest.raises(ArithmeticError):
+        span([class_of(15)])
 
 
 def test_subgroup_order_examples():
