@@ -18,11 +18,10 @@ from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
                      ramification, subfields)
 from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         DirichletReport, FundamentalUnit, NormEquationSolution,
-                        PeriodInvariants, QuadraticField, UndecidedError, UnitSplit,
-                        ZantemaVerdict, a_value, cf_expand, dirichlet_norm_criterion,
-                        epsilon_decomposition, fundamental_unit, norm_equation,
-                        period_invariants, quadratic_polya_oracle, ramified_primes,
-                        zantema_classify)
+                        PeriodInvariants, UnitSplit, ZantemaVerdict, a_value,
+                        cf_expand, dirichlet_norm_criterion, epsilon_decomposition,
+                        fundamental_unit, norm_equation, period_invariants,
+                        quadratic_polya_oracle, ramified_primes, zantema_classify)
 from .sqclass import (IDENTITY, SquareClass, SquareClassSubgroup, class_of, span,
                       subgroup_order)
 from .verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport,
@@ -38,8 +37,8 @@ __all__ = [
     "RamificationProfile", "biquadratic_field", "h1_order", "h_generators",
     "leriche_classify", "polya_report", "ramification", "subfields",
     "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
-    "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "QuadraticField",
-    "UndecidedError", "UnitSplit", "ZantemaVerdict", "a_value", "cf_expand",
+    "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "UnitSplit",
+    "ZantemaVerdict", "a_value", "cf_expand",
     "dirichlet_norm_criterion", "epsilon_decomposition", "fundamental_unit",
     "norm_equation", "period_invariants", "quadratic_polya_oracle", "ramified_primes",
     "zantema_classify",

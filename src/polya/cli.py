@@ -8,7 +8,8 @@ bits.  Identical inputs and budgets produce byte-identical output.  Batch
 commands run serially; --jobs is still accepted and has no effect.
 
 Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, table
-row or strict-mode claim failing), 4 undecided under the configured budgets.
+row or strict-mode claim failing), 4 undecided: the factoring budget
+(--budget-factor / POLYA_FACTOR_BUDGET) ran out.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import click
 from . import arith
 from .arith import FactorBudgetError, squarefree_part
 from .biquad import PolyaReport, biquadratic_field, polya_report
-from .quadratic import (UndecidedError, UnitSplit, fundamental_unit,
-                        quadratic_polya_oracle, zantema_classify)
+from .quadratic import (UnitSplit, fundamental_unit, quadratic_polya_oracle,
+                        zantema_classify)
 from .verify import (THEOREMS, TheoremReport, admissible_triples, contrast_rajaei,
                      pollack_search, verify_table, verify_theorem)
 
@@ -53,10 +54,11 @@ def _batch_options(fn: Callable) -> Callable:
 
 @contextmanager
 def _budget_guard(ctx: click.Context) -> Iterator[None]:
-    """Map budget exhaustion anywhere in a command body to exit code 4."""
+    """Map an exhausted factoring budget (--budget-factor, POLYA_FACTOR_BUDGET)
+    anywhere in a command body to exit code 4."""
     try:
         yield
-    except (FactorBudgetError, UndecidedError) as exc:
+    except FactorBudgetError as exc:
         click.echo(f"undecided: {exc}", err=True)
         ctx.exit(4)
 

@@ -35,6 +35,12 @@ equation deciders.  For a fundamental unit u = (z + t*sqrt(d))/denom of norm
 eta * square and epsilon * square with epsilon * eta = d.  That factorization
 decides every norm equation N(alpha) = +-l at ramified primes l without ever
 factoring a large integer.
+
+A quadratic field is Polya iff every ramified prime is principal (Zantema,
+1982), so for real d `norm_equation` decides only what the Polya tests ask:
+c = +-1 and c = +-l for a prime l that ramifies or is inert.  It raises
+ValueError for composite |c| and split primes.  For d < 0 a finite scan
+decides every c.
 """
 
 from __future__ import annotations
@@ -47,24 +53,9 @@ from itertools import repeat
 from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
 from .sqclass import IDENTITY, SquareClass, class_of
 
-DEFAULT_NORMEQ_BUDGET = 2_000_000
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
 # T3 and the table) asks for 5248 distinct kernels.
 _KERNEL_CACHE_SIZE = 8192
-
-
-class UndecidedError(RuntimeError):
-    """A norm equation whose search space exceeds the allotted budget."""
-
-    def __init__(self, d: int, c: int, required: int, budget: int) -> None:
-        super().__init__(
-            f"norm equation x^2 - {d}*y^2 = {c} needs a scan of about "
-            f"2^{required.bit_length()} candidates, over the budget of {budget}"
-        )
-        self.d = d
-        self.c = c
-        self.required = required
-        self.budget = budget
 
 
 def _require_radicand(d: int) -> None:
@@ -72,27 +63,6 @@ def _require_radicand(d: int) -> None:
         raise ValueError("d must be a squarefree integer other than 0 and 1")
     if squarefree_part(d) != d:
         raise ValueError(f"{d} is not squarefree")
-
-
-@dataclass(frozen=True)
-class QuadraticField:
-    """Q(sqrt(d)) for squarefree d."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        _require_radicand(self.d)
-
-    @property
-    def is_real(self) -> bool:
-        return self.d > 0
-
-    @property
-    def discriminant(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
-    def ramified_primes(self) -> tuple[int, ...]:
-        return ramified_primes(self.d)
 
 
 def ramified_primes(d: int) -> tuple[int, ...]:
@@ -541,7 +511,6 @@ class PeriodInvariants:
     two_is_norm: bool
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
 
@@ -583,11 +552,16 @@ def period_invariants(d: int) -> PeriodInvariants:
     _require_radicand(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
-    return _invariants(d)
+    return _kernel_invariants(d)
 
 
-def _invariants(d: int) -> PeriodInvariants:
-    """`period_invariants` without the check that d is squarefree and > 1."""
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _kernel_invariants(d: int) -> PeriodInvariants:
+    """`period_invariants` without the check that d is squarefree and > 1.
+
+    The kernels of a BiquadraticField were validated when it was built, and
+    checking them again cost a Pollard rho on m*n for coprime m and n.
+    """
     h_odd, q_h, odd = _search_midpoint(d)
     if odd:
         return PeriodInvariants(d, -1, IDENTITY, d == 2)
@@ -598,12 +572,6 @@ def _invariants(d: int) -> PeriodInvariants:
     if h_odd:
         a_class = SquareClass(1, d) * a_class
     return PeriodInvariants(d, 1, a_class, q_h == 2)
-
-
-# period_invariants for kernels of a BiquadraticField, which validated them
-# when it was built: factoring them again cost a Pollard rho on m*n for
-# coprime m and n.  Its cache is separate from period_invariants'.
-_kernel_invariants = lru_cache(maxsize=_KERNEL_CACHE_SIZE)(_invariants)
 
 
 def a_value(d: int) -> SquareClass:
@@ -693,83 +661,19 @@ def _scan_imaginary(d: int, c: int) -> NormEquationSolution | None:
     return None
 
 
-_SIEVE_MODULI = (64, 63, 65)
-
-
-@lru_cache(maxsize=64)
-def _square_table(mod: int) -> frozenset[int]:
-    return frozenset((i * i) % mod for i in range(mod))
-
-
-def _times_unit(d: int, c: int, x: int, y: int, denom: int) -> NormEquationSolution:
-    """Multiply (x + y*sqrt(d))/denom by the fundamental unit; norm becomes c."""
-    u = fundamental_unit(d)
-    nx = x * u.z + y * u.t * d
-    ny = x * u.t + y * u.z
-    nd = denom * u.denom
-    if nd == 4:
-        # A product of two half-integral elements is integral, so both
-        # coordinates are even and the denominator drops back to 2.
-        nx, ny, nd = nx // 2, ny // 2, 2
-    return _solution(d, c, nx, ny, nd)
-
-
-def _scan_real(d: int, c: int, budget: int) -> NormEquationSolution | None:
-    """Bounded search over y up to ceil(sqrt(|c|*U/d)) + 1, U the unit value.
-
-    Any element of norm +-c can be pushed into that window by unit powers, so
-    scanning both signs is complete: a hit with norm -c only matters when the
-    fundamental unit has norm -1, and is then converted by one multiplication.
-    Raises UndecidedError when the window exceeds the budget.
-    """
-    u = fundamental_unit(d)
-    half = d % 4 == 1
-    # The window is sqrt(num / den): (2z + 2)/denom bounds U, and the factor 4
-    # is for the numerator coordinate of half-integral elements.
-    num = abs(c) * (2 * u.z + 2) * (4 if half else 1)
-    den = u.denom * d
-    if num > budget * budget * den:
-        raise UndecidedError(d, c, math.isqrt(num // den), budget)
-    # isqrt(floor) + 1 is at least the ceiling of the real root; + 1 more slack.
-    y_max = math.isqrt(num // den) + 2
-    target_c = 4 * c if half else c
-    flip = u.norm == -1
-    squares = [_square_table(mod) for mod in _SIEVE_MODULI]
-    for y in range(y_max + 1):
-        base = d * y * y
-        for sign in (1, -1):
-            if sign == -1 and not flip:
-                break
-            rest = sign * target_c + base
-            if rest < 0:
-                continue
-            if any((rest % mod) not in table for mod, table in zip(_SIEVE_MODULI, squares)):
-                continue
-            if not is_square(rest):
-                continue
-            x = math.isqrt(rest)
-            denom = 2 if half else 1
-            if half and x % 2 != y % 2:
-                continue
-            if sign == 1:
-                return _solution(d, c, x, y, denom)
-            return _times_unit(d, c, x, y, denom)
-    return None
-
-
-def norm_equation(d: int, c: int, *, budget: int | None = None) -> NormEquationSolution | None:
+def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     """An integral element of Q(sqrt(d)) of norm c, or None if none exists.
 
-    Fast complete deciders handle |c| = 1, prime |c| ramified in the field,
-    and locally obstructed c.  Anything else falls back to a bounded scan;
-    if the bound implied by the fundamental unit exceeds the budget, raises
-    UndecidedError rather than guessing.
+    For d < 0 a finite scan decides every c.  For d > 1 only the norms the
+    Polya tests ask for are decided, each exactly: c = +-1 from the
+    fundamental unit, and c = +-l for a prime l that ramifies
+    (`_ramified_decider`) or is inert (never a norm).  A local obstruction
+    at an odd ramified prime may settle either first.  Composite |c| and
+    split primes raise ValueError.
     """
     _require_radicand(d)
     if c == 0:
         raise ValueError("c must be nonzero")
-    if budget is None:
-        budget = DEFAULT_NORMEQ_BUDGET
     if d < 0:
         return _scan_imaginary(d, c)
     if c == 1:
@@ -777,19 +681,19 @@ def norm_equation(d: int, c: int, *, budget: int | None = None) -> NormEquationS
     u = fundamental_unit(d)
     if c == -1:
         return _solution(d, c, u.z, u.t, u.denom) if u.norm == -1 else None
+    ell = abs(c)
+    if not is_prime(ell):
+        raise ValueError(f"norm_equation decides only c = +-1 and c = +-l, l prime, "
+                         f"for real d; |c| = {ell} is composite")
+    ramified = d % ell == 0 or (ell == 2 and d % 4 == 3)
+    if not ramified and (d % 8 == 1 if ell == 2 else jacobi(d, ell) == 1):
+        raise ValueError(f"norm_equation decides only ramified and inert primes "
+                         f"for real d; {ell} splits in Q(sqrt({d}))")
     # Local obstructions at odd ramified primes not dividing c.
     for p in factor(d).primes():
         if p != 2 and c % p != 0 and jacobi(c, p) == -1:
             return None
-    if is_prime(abs(c)):
-        ell = abs(c)
-        if d % ell == 0 or (ell == 2 and d % 4 == 3):
-            return _ramified_decider(d, c)
-        if ell == 2 and d % 8 == 5:
-            return None  # 2 is inert
-        if ell % 2 == 1 and jacobi(d, ell) == -1:
-            return None  # ell is inert
-    return _scan_real(d, c, budget)
+    return _ramified_decider(d, c) if ramified else None  # an inert l is no norm
 
 
 POLYA = "Polya"

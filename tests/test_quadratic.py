@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from polya import quadratic
 from polya.arith import squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, UndecidedError, _kernel_invariants,
+from polya.quadratic import (NOT_POLYA, POLYA, _kernel_invariants,
                              _midpoint, _search_midpoint, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
@@ -145,7 +145,7 @@ def test_period_invariants_walk_a_long_half_period_in_bounded_memory():
     # 10**12 + 39 is a prime whose half period has 266,286 steps; held as
     # lists, as cf_expand holds it, that half period takes about 13 MB
     d = 10 ** 12 + 39
-    uncached = period_invariants.__wrapped__
+    uncached = _kernel_invariants.__wrapped__
     expected = uncached(d)
     tracemalloc.start()
     try:
@@ -432,7 +432,7 @@ def test_period_invariants_match_unit_route_large(d):
 
 
 def test_kernel_caches_are_bounded():
-    for cached in (fundamental_unit, period_invariants, _kernel_invariants):
+    for cached in (fundamental_unit, _kernel_invariants):
         assert cached.cache_parameters()["maxsize"] is not None
 
 
@@ -473,16 +473,34 @@ def brute_norm_solutions(d: int, c: int, bound: int) -> bool:
     return False
 
 
+def splits(d: int, ell: int) -> bool:
+    """Whether the prime ell splits in Q(sqrt(d)): d is a nonzero square mod
+    ell, or d = 1 (mod 8) for ell = 2."""
+    if ell == 2:
+        return d % 8 == 1
+    return d % ell != 0 and any((x * x - d) % ell == 0 for x in range(ell))
+
+
 def test_norm_equation_agrees_with_brute_force_grid():
     # soundness is enforced by the solution type; completeness is checked by
-    # demanding a solution wherever the exhaustive search finds one
-    for d in (2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 26, 34, 65, 85, 105):
+    # demanding a solution wherever the exhaustive search finds one.  For
+    # d < 0 the search is exhaustive both ways (y^2 <= 4|c| < 60^2).  For
+    # real d only c = +-1 and non-split primes |c| are decided.
+    for d in (2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 26, 34, 65, 85, 105,
+              -1, -2, -3, -5, -6, -7, -15, -23):
         for c in range(-26, 27):
             if c == 0:
                 continue
+            ell = abs(c)
+            composite = any(ell % k == 0 for k in range(2, ell))
+            if d > 0 and ell != 1 and (composite or splits(d, ell)):
+                with pytest.raises(ValueError):
+                    norm_equation(d, c)
+                continue
             found = norm_equation(d, c)
-            if brute_norm_solutions(d, c, 60):
-                assert found is not None, (d, c)
+            exists = brute_norm_solutions(d, c, 60)
+            if exists or d < 0:
+                assert (found is not None) == exists, (d, c)
             if found is not None:
                 assert found.c == c and found.d == d
 
@@ -495,16 +513,17 @@ def test_norm_equation_imaginary_is_exhaustive():
 
 
 def test_norm_equation_ramified_primes_always_decided():
-    # ramified-prime targets route through a complete decider, never the scan
+    # ramified-prime targets route through a complete decider and never raise
     for d in (10, 34, 58, 85, 105, 205, 221, 1021):
         for ell in ramified_primes(d):
             for c in (ell, -ell):
-                norm_equation(d, c, budget=1)  # must not raise UndecidedError
+                norm_equation(d, c)
 
 
-def test_norm_equation_undecided_when_budget_too_small():
-    with pytest.raises(UndecidedError):
-        norm_equation(1021, 3, budget=10)
+def test_norm_equation_refuses_a_split_prime():
+    # 1021 = 1 (mod 3), so 3 splits in Q(sqrt(1021))
+    with pytest.raises(ValueError, match="splits"):
+        norm_equation(1021, 3)
 
 
 def test_zantema_examples():
