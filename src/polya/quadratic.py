@@ -17,15 +17,16 @@ partial quotients and denominators, which `cf_expand` mirrors into the full
 period.  Past the first step both work on integers below 2*sqrt(d), each a
 one-digit Python int (below 2^30) for every d below 2^58.
 
-`_midpoint` walks a half period of up to 2048 steps from its start.  Past
-that, `_search_midpoint` finds a start near the middle by Shanks'
-baby-step giant-step search in the infrastructure of the reduced binary
-quadratic forms of discriminant 4d (D. Shanks, "The infrastructure of a real
-quadratic field and its applications", 1972): every 32nd form of the walk
-keys a table, giant steps as long as the walk so far move along the cycle,
-and the walk doubles whenever a phase of giant steps has cost more than it.
-A half period of h steps then costs O(sqrt(h)) steps and compositions, and
-`_midpoint` walks from near the middle to the recurrence's own stop.  The
+`_midpoint` walks a half period of up to `_PLAIN_STEPS` steps from its
+start.  Past that, `_search_midpoint` finds a start near the middle by
+Shanks' baby-step giant-step search in the infrastructure of the reduced
+binary quadratic forms of discriminant 4d (D. Shanks, "The infrastructure of
+a real quadratic field and its applications", 1972): every 16th form of the
+walk keys a table, giant steps of one composition move the square of a form
+along the cycle, the walk doubles whenever a phase of them has cost more
+than it, and a hit's exact offset puts a rebuilt form a few steps from the
+middle.  A half period of h steps then costs O(sqrt(h)) steps and
+compositions, and `_midpoint` walks on to the recurrence's own stop.  The
 answer is that stop, so it is exact and equal to the linear walk's.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
@@ -48,13 +49,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
+from operator import indexOf
 
 from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
 from .sqclass import IDENTITY, SquareClass, class_of
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
-# T3 and the table) asks for 5248 distinct kernels.
+# T3 and the table) asks `_kernel_invariants` for 5,141 distinct kernels and
+# `fundamental_unit` for 4,236.
 _KERNEL_CACHE_SIZE = 8192
 
 
@@ -177,29 +180,28 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
     return None
 
 
-# The midpoint search.  Each size below was measured on the benchmark's
-# kernels (Python 3.11, 2 vCPUs).
+# The midpoint search.  Each size below was measured on the 216 kernels of
+# large-fields seeds 401, 2718, 5003, 7919, 31337 and 777 and the 5,141 of
+# theorem-scan (Python 3.11, 2 vCPUs), where a composition costs about as
+# much as 35 walk steps and a probed form about 2.5.
 #
-# Steps walked from k = 0 before the first giant step.  theorem-scan has 2 of
-# its 5,141 kernels with h > 2048 and 4,718 with h <= 512; large-fields has
-# 110 of the 144 kernels of seeds 401, 2718, 5003 and 7919 past 2048.
-# Starting at 1024 made theorem-scan's kernels search 2.5% slower and the
-# large-fields ones 2% faster; starting at 512 made those 1.2x slower.
-_PLAIN_STEPS = 2048
+# Steps walked from k = 0 before the first giant step.  185 of those
+# large-fields kernels and 89 of theorem-scan's have h > 1024.  Starting at
+# 2048 walks 386,222 steps on the large-fields kernels, not 206,044;
+# starting at 512 walks 164,536 but composes 5,783 times, not 3,729.
+_PLAIN_STEPS = 1024
 # The walk keys every r-th form, and a probe walks r forms from each square.
-# A key costs the walk about two steps: with r = 16 theorem-scan's kernels,
-# nearly all of which stop inside the first walk, searched 0.91x as fast as
-# with a first walk that keys nothing, and with r = 32 0.94x, while
-# large-fields' kernels took 1.06x as long with r = 32.  Keying every form
-# made theorem-scan's kernels about half as fast.
-_MARK_EVERY = 32
+# With r = 16 the first walk of theorem-scan's kernels, where nearly all of
+# them stop, took 1.05x as long as with r = 32, and 1.09x as long as a walk
+# that keys nothing; with r = 32 the large-fields kernels probe twice as
+# many forms, and searched about 1.2x as long.
+_MARK_EVERY = 16
 # A phase is walked/_PHASE_DIVISOR giant steps, then the walk goes on to
-# twice its length.  A giant step (two compositions and a probe of r forms)
-# costs about 150 walk steps, so a phase costs about 2.3 times the walk so
-# far.  On the kernels 10^12 + 39 to 999999943999999559 phases of walked/32
-# made the search about 1.25x slower and walked/128 no faster.  The first
-# phase reaches every large-fields midpoint (h < 31,000).
-_PHASE_DIVISOR = 64
+# twice its length.  A giant step (one composition and a probe of r forms)
+# costs about 75 walk steps, so a phase costs about 2.3 times the walk so
+# far, and the first phase reaches every large-fields midpoint (h < 31,000).
+# With walked/64 those kernels walk 290,012 steps, not 206,044.
+_PHASE_DIVISOR = 32
 
 
 def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
@@ -249,34 +251,39 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EV
     (-1)^(k+1) Q_{k-1}), and f_1, f_2, ... run through the principal cycle.
     A composite of two of them reduces to some f_j of the cycle: (Q_j, m_j)
     names j mod l and the sign of the first coefficient gives the parity of
-    j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, with key (Q_{k-1}, m_k).
+    j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, the inverse class, with
+    key (Q_{k-1}, m_k).
 
-    First `_midpoint` walks `plain` steps from k = 0, and the key of every
-    r-th form f_r, f_2r, ..., f_w of that walk (r = every, w the steps
-    walked) goes into a table.  Giant steps J <- J*G, G = f_{w-2r}, move J
-    along the cycle, and S = J*J lands near f_{2j}.  A probe walks r forms
-    from S; one of them, or one of their mirrors, is in the table when S is
-    within about w forms of the period's end, and then J is within about
-    w/2 steps of the midpoint: past it if a form lies after the period's end,
-    before it if a mirror does.  From before `_midpoint` walks from J; from
-    past it walks from f_{l-j}, the mirror of J's successor.  Near the
-    midpoint the side can come out wrong, so the walk from the other start
-    follows when the first ends without a stop.  Each of those walks has w
-    steps.
+    First `_midpoint` walks `plain` steps from k = 0, and the keys of f_l
+    and of every r-th form f_r, ..., f_w of that walk (r = every, w the
+    steps walked) go into a table in that order.  Each giant step multiplies
+    S by G^2, G = f_{w-2r}, so S = J*J for J = G^n.  A probe walks r forms
+    from S; when one of them or of their mirrors is keyed, S lies within w
+    forms of the period's end, and the key's place gives S's exact offset e.
+    J, rebuilt by square-and-multiply, then lies about e/2 forms past the
+    middle, and J times the keyed form nearest |e|/2 forms, or its mirror
+    when e > 0, a few forms from it.  `_midpoint` walks 2r steps from that
+    form or from the mirror of its successor, and failing that w steps from
+    J or from the mirror of J's successor.  The stride of S, 2(w - 2r),
+    leaves a margin of about 4r forms below the window of 2w + r forms, so a
+    composite that lands a few forms long cannot carry S over it.
 
-    After w/64 giant steps without a stop, which cost a few times as much as
+    After w/32 giant steps without a stop, which cost a few times as much as
     the walk so far, the walk goes on from f_w to twice its length, which
-    doubles the table and the stride.  A half period of h steps costs O(sqrt(h))
-    steps and compositions and O(sqrt(h)/r) keys.  The walk keeps the exact
+    doubles the table and the stride; J is then a product of each phase's G
+    to the number of its steps, and the last S of a phase is probed against
+    the longer table.  A half period of h steps costs O(sqrt(h)) steps and
+    compositions and O(sqrt(h)/r) keys.  The walk keeps the exact
     recurrence's stops, so reaching the midpoint itself ends the search too.
 
     After `cap` giant steps without a stop, `_midpoint(d)` walks from k = 0
     to the end, so the search always ends.  J passes the middle once a lap,
-    and a hit is expected there.  By default the cap is a lap at the first
-    stride for the bound l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and
-    Williams, Pacific J. Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2,
-    which is larger as 0.72*ln(2) < 1/2; strides only grow.  The keyword
-    sizes are for tests: every is even and divides plain.
+    and a hit is expected there (one with J near the period's end walks to
+    no stop).  By default the cap is a lap at the first stride for the bound
+    l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and Williams, Pacific J.
+    Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2, which is larger as
+    0.72*ln(2) < 1/2; strides only grow.  The keyword sizes are for tests:
+    every is even and divides plain.
 
     Every answer is the stop of `_midpoint`'s exact recurrence; the search
     only chooses where that walk starts.  With an odd period the form cycle
@@ -291,17 +298,22 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EV
     return (None if odd else h_odd), q_h, odd
 
 
-def _probe(s: tuple[int, int, int], table: set[int], forms: int, a0: int,
-           bits: int) -> bool | None:
-    """Whether one of the first `forms` forms from S is in the table (True),
-    or one of their mirrors is (False); None when neither is."""
+def _probe(s: tuple[int, int, int], table: dict[int, None], every: int, a0: int,
+           bits: int) -> int | None:
+    """The offset s - l (mod l) of S = f_s from the period's end, read off the
+    first r forms f_{s+t} from S (r = every): k - t when f_{s+t} is the keyed
+    f_k, 1 - k - t when its mirror f_{l+1-s-t} is, None when neither is.
+    table holds the keys of f_l, f_r, f_2r, ... in that order, so the key
+    at place p is that of f_pr."""
     s_a, s_b, s_c = s
     m, q_prev, q = s_b >> 1, abs(s_c), abs(s_a)
-    for _ in range(forms):
-        if (q << bits | m) in table:
-            return True
-        if (q_prev << bits | m) in table:
-            return False
+    for t in range(every):
+        key = q << bits | m
+        if key in table:
+            return indexOf(table, key) * every - t
+        key = q_prev << bits | m
+        if key in table:
+            return 1 - indexOf(table, key) * every - t
         a = (a0 + m) // q
         m_next = a * q - m
         m, q_prev, q = m_next, q, q_prev + a * (m - m_next)
@@ -322,40 +334,36 @@ def _giant_steps(d: int, walked: int, every: int, marks: list[int],
     bits = a0.bit_length()
     disc = 4 * d
     root = math.isqrt(disc)
-    table: set[int] = set()
-    j = None
+    # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
+    table: dict[int, None] = {1 << bits | a0: None}
+    powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
+    s = None
     giants = 0
     while True:
-        table.update(marks)
+        table.update(zip(marks, repeat(None)))
         # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
         g = max(len(marks) - 3, 0)
         m, q_prev, q = _state(d, marks[g], bits)
         giant = (q, 2 * m, -q_prev)
-        if j is None:
-            j = giant
-            if cap is None:
-                cap = (a0 + 1) * d.bit_length() // (2 * (g + 1) * every) + 1
+        square = _compose(giant, giant, disc, root)
+        if cap is None:
+            cap = (a0 + 1) * d.bit_length() // (2 * (g + 1) * every) + 1
+        n = 0
+        if s is None:
+            s, n = square, 1
+        # the last S of a phase is probed in the next, against its longer table
         for _ in range(max(walked // _PHASE_DIVISOR, 1)):
             if giants == cap:
                 return _midpoint(d)
             giants += 1
-            past = _probe(_compose(j, j, disc, root), table, every, a0, bits)
-            if past is not None:
-                j_a, j_b, j_c = j
-                m, q_prev, q = j_b >> 1, abs(j_c), abs(j_a)
-                a = (a0 + m) // q
-                m_next = a * q - m
-                # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for
-                # an even period both have the parity of j
-                starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
-                if past:
-                    starts.reverse()
-                for start in starts:
-                    found = _midpoint(d, *start, steps=walked)
-                    if found is not None:
-                        h_odd, q_h, odd = found
-                        return h_odd != (j_a < 0), q_h, odd
-            j = _compose(j, giant, disc, root)
+            e = _probe(s, table, every, a0, bits)
+            if e is not None:
+                found = _land(d, (*powers, (giant, n)), e, table, walked, every)
+                if found is not None:
+                    return found
+            s = _compose(s, square, disc, root)
+            n += 1
+        powers.append((giant, n))
         # the walk so far ended at an even k, so the parity of h is the
         # parity of the steps taken from there
         state = _state(d, marks[-1], bits)
@@ -364,6 +372,47 @@ def _giant_steps(d: int, walked: int, every: int, marks: list[int],
         if found is not None:
             return found
         walked *= 2
+
+
+def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
+          table: dict[int, None], walked: int, every: int) -> tuple[bool, int, bool] | None:
+    """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
+    whose square lies e forms from the period's end, so that J lies about e/2
+    forms past the middle; None when no walk from there stops."""
+    a0 = math.isqrt(d)
+    disc = 4 * d
+    root = math.isqrt(disc)
+    j = None
+    for g, n in powers:  # square-and-multiply
+        while n:
+            if n & 1:
+                j = g if j is None else _compose(j, g, disc, root)
+            n >>= 1
+            if n:
+                g = _compose(g, g, disc, root)
+    # J times f_nr, the key nearest |e|/2 forms (f_l for n = 0), or times its
+    # mirror, the inverse, lies about e/2 -+ nr forms past the middle
+    n = (abs(e) + every) // (2 * every)
+    m, q_prev, q = _state(d, next(islice(table, n, None)), a0.bit_length())
+    near = _compose(j, (q, 2 * m, -q_prev) if e < 0 else (-q_prev, 2 * m, q), disc, root)
+    # 2r steps from near, the side it lies on first; failing that, w from J
+    for form, steps, past in ((near, 2 * every, (abs(e) > 2 * n * every) == (e > 0)),
+                              (j, walked, e > 0)):
+        f_a, f_b, f_c = form
+        m, q_prev, q = f_b >> 1, abs(f_c), abs(f_a)
+        a = (a0 + m) // q
+        m_next = a * q - m
+        # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for an
+        # even period both have the parity of j
+        starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
+        if past:
+            starts.reverse()
+        for start in starts:
+            found = _midpoint(d, *start, steps=steps)
+            if found is not None:
+                h_odd, q_h, odd = found
+                return h_odd != (f_a < 0), q_h, odd
+    return None
 
 
 def cf_expand(d: int) -> ContinuedFraction:
@@ -517,13 +566,13 @@ def period_invariants(d: int) -> PeriodInvariants:
     With period length l, convergents p_k/q_k and complete-quotient
     denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  The walk to the
     middle of the period gives the parity of l, Q_h for h = floor(l/2) and,
-    when l is even, the parity of h.  A half period of up to 2048 steps is
-    walked from its start.  A longer one is found by `_search_midpoint`'s
-    baby-step giant-step search on reduced forms, whose walk and strides
-    double with the period, in O(sqrt(h)) steps and compositions; it lands
-    within half a walk of the middle and walks the rest.  Either way the three
-    facts are read off the exact recurrence where its symmetry stops it, so
-    they are the linear walk's.
+    when l is even, the parity of h.  A half period of up to `_PLAIN_STEPS`
+    steps is walked from its start.  A longer one is found by
+    `_search_midpoint`'s baby-step giant-step search on reduced forms, whose
+    walk and strides double with the period, in O(sqrt(h)) steps and
+    compositions; it lands a few steps from the middle and walks the rest.
+    Either way the three facts are read off the exact recurrence where its
+    symmetry stops it, so they are the linear walk's.
 
     norm: N(u) = (-1)^l.
 

@@ -166,19 +166,21 @@ def check_search(d: int, **sizes: int) -> None:
 
 def test_search_midpoint_stops_at_its_cap_and_walks(monkeypatch):
     # a cap of 3 giant steps cannot reach the middle of a half period of
-    # 266,286 steps, so the plain walk from k = 0 gives the answer
+    # 266,286 steps, so the plain walk from k = 0 gives the answer.  One
+    # composition squares the giant form G, and each giant step multiplies
+    # S by G^2 after its probe
     compose = Mock(wraps=quadratic._compose)
     monkeypatch.setattr(quadratic, "_compose", compose)
     check_search(10 ** 12 + 39, cap=3)
-    assert compose.call_count == 2 * 3
+    assert compose.call_count == 1 + 3
 
 
 def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch):
     # 10**12 + 39 has a half period of 266,286 steps.  The walk from k = 0
-    # doubles once, from 2048 to 4096 steps, and giant steps of about 2,000
-    # and 4,000 forms reach the middle in about 80 giant steps of two
-    # compositions each.  The walks are the first one, the doubling and the
-    # last.
+    # doubles twice, from 1024 to 4096 steps, and giant steps of about 1,000
+    # to 4,000 forms reach the middle in about 120 giant steps of one
+    # composition each.  The walks are the first one, the two doublings and
+    # one of at most 32 steps from J corrected by the hit's offset.
     compose = Mock(wraps=quadratic._compose)
     walk = Mock(wraps=quadratic._midpoint)
     monkeypatch.setattr(quadratic, "_compose", compose)
@@ -186,7 +188,7 @@ def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch
     inv = _kernel_invariants.__wrapped__(10 ** 12 + 39)
     assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
     assert compose.call_count <= 500
-    assert walk.call_count == 3
+    assert walk.call_count == 4
 
 
 def test_search_midpoint_matches_the_linear_walk_on_a_longer_period(monkeypatch):
@@ -214,9 +216,9 @@ def test_search_midpoint_reaches_a_1e18_midpoint_in_few_compositions(monkeypatch
 def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     # sizes this small put most of these periods past the first walk, so
     # that the walk doubles and reaches the middle itself, squares land on
-    # the wrong side of the middle, and hits come too far from it or with J
-    # near the period's end, after which J runs on round the cycle; every
-    # answer must still be the linear walk's
+    # either side of the period's end, J corrected by the hit's offset lands
+    # too far from the middle, or J lies near the period's end, after which
+    # S runs on round the cycle; every answer must still be the linear walk's
     real_walk, real_probe = quadratic._midpoint, quadratic._probe
     events: list[tuple[str, bool]] = []
 
@@ -228,15 +230,16 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
         return found
 
     def probe(*args):
-        past = real_probe(*args)
-        if past is not None:
-            events.append(("hit past" if past else "hit before", True))
-        return past
+        offset = real_probe(*args)
+        if offset is not None:
+            events.append(("hit past" if offset > 0 else "hit before", True))
+        return offset
 
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     monkeypatch.setattr(quadratic, "_probe", probe)
     seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
-                          "second start stops", "both starts fail"], 0)
+                          "corrected start stops", "uncorrected J stops",
+                          "all starts fail"], 0)
     for sizes in ({"plain": 2, "every": 2}, {"plain": 4, "every": 2},
                   {"plain": 16, "every": 4}):
         for d in range(2, 8000):
@@ -245,43 +248,153 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
                 events.clear()
                 assert _search_midpoint(d, **sizes) == (None if odd else h_odd, q_h, odd)
                 seen["doubled walk stops"] += events[-1] == ("doubled", True)
-                # each hit walks from one start, or from both when the first fails
+                # a hit walks from the two starts of the corrected J, then
+                # from the two of J itself, until one walk stops
                 hits = [i for i, (kind, _) in enumerate(events) if kind.startswith("hit")]
                 for i in hits:
                     seen[events[i][0]] += 1
-                    after = [stopped for kind, stopped in events[i + 1:i + 3]
+                    after = [stopped for kind, stopped in events[i + 1:i + 5]
                              if kind == "from a hit"]
-                    seen["second start stops"] += after == [False, True]
-                    seen["both starts fail"] += after == [False, False]
+                    assert after in ([True], [False, True], [False, False, True],
+                                     [False, False, False, True], [False] * 4), (d, after)
+                    seen["corrected start stops"] += True in after[:2]
+                    seen["uncorrected J stops"] += True in after[2:]
+                    seen["all starts fail"] += after == [False] * 4
     assert all(seen.values()), seen
 
 
+def period_distances(d: int) -> tuple[dict[tuple[int, int], int], list[float]]:
+    """k for each state (Q_k, m_k), k = 1..l, of one period of sqrt(d), and
+    the distances delta_k = sum of log((m_i + sqrt(d))/Q_{i-1}) over i <= k
+    of the reduced forms f_k from f_0, k = 0..l."""
+    a0, root = math.isqrt(d), math.sqrt(d)
+    m, q, a = 0, 1, a0
+    index: dict[tuple[int, int], int] = {}
+    distances = [0.0]
+    while q != 1 or not index:
+        m, q_prev = q * a - m, q
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        index[q, m] = len(index) + 1
+        distances.append(distances[-1] + math.log((m + root) / q_prev))
+    return index, distances
+
+
+def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
+    # after a walk of w steps from k = 0 the probe of r forms finds S = J*J
+    # within the distance delta_w of the period's end on either side.  A
+    # giant step multiplies S by G^2, which moves it about 2*delta_{w-2r} for
+    # G = f_{w-2r}, so a composition that lands a little long cannot carry S
+    # over that window.  Each step must stay below delta_w + delta_{w-2r},
+    # half way to the 2*delta_w that G = f_w would leave with no margin
+    real_walk, real_probe = quadratic._midpoint, quadratic._probe
+    walked = [0]
+    squares: list[tuple[tuple[int, int], int]] = []
+
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
+        if marks is not None:
+            walked[0] += steps
+        return real_walk(d, m, q_prev, q, steps, marks, every)
+
+    def probe(s, *args):
+        squares.append(((abs(s[0]), s[1] // 2), walked[0]))
+        return real_probe(s, *args)
+
+    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    monkeypatch.setattr(quadratic, "_probe", probe)
+    steps = 0
+    for sizes, ds in (({"plain": 16, "every": 4}, range(2, 8000)),
+                      ({"plain": 64, "every": 8}, range(10 ** 6, 10 ** 6 + 300))):
+        r = sizes["every"]
+        for d in ds:
+            if math.isqrt(d) ** 2 == d:
+                continue
+            index, delta = period_distances(d)
+            walked[0] = 0
+            squares.clear()
+            check_search(d, **sizes)
+            # S's place mod l, as keys ignore the sign that odd periods flip
+            for (before, w), (after, _) in zip(squares, squares[1:]):
+                step = (delta[index[after]] - delta[index[before]]) % delta[-1]
+                assert step < delta[w] + delta[w - 2 * r], (d, sizes)
+                steps += 1
+    assert steps > 1000
+
+
+def test_walks_after_a_hit_stay_short(monkeypatch):
+    # the 36 kernels of 12 bi-quadratic fields with kernels in 1e9..1e11.
+    # J corrected by the hit's offset lies a few forms from the middle, so
+    # the walks after the hits take a few hundred steps in all, where walks
+    # of up to w steps from J itself take over 11,000
+    kernels = (1068715119, 1449386354, 1503827846, 2021416954, 2153845146,
+               2359929418, 2822571517, 2924070598, 3369132493, 3719196906,
+               5449651410, 5504613353, 6427187338, 6932868742, 7041248518,
+               8461910262, 8640293801, 12830289014, 14563389210, 19136314086,
+               21755278654, 25697739554, 27459645665, 28097526135, 33414840311,
+               43101969502, 45262111151, 45764583962, 46658798722, 53025824986,
+               66689013007, 85681964927, 86028834893, 87341564401, 97254242097,
+               99312950334)
+    real_walk = quadratic._midpoint
+
+    def steps_to_stop(d, start):
+        # the least even budget with which the walk from start stops
+        fails, stops = 0, 2
+        while real_walk(d, *start, steps=stops) is None:
+            fails, stops = stops, 2 * stops
+        while stops - fails > 2:
+            mid = (fails + stops) // 4 * 2
+            if real_walk(d, *start, steps=mid) is None:
+                fails = mid
+            else:
+                stops = mid
+        return stops
+
+    taken = [0]
+
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
+        found = real_walk(d, m, q_prev, q, steps, marks, every)
+        if q_prev is not None and marks is None:
+            taken[0] += steps + steps % 2 if found is None else steps_to_stop(d, (m, q_prev, q))
+        return found
+
+    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    for d in kernels:
+        check_search(d)
+    assert 0 < taken[0] <= 1_000
+
+
 def test_probe_names_the_side_of_the_period_end():
-    # the table keys every 16th form of the walk from k = 0, here f_16 to
-    # f_1024.  A probe of r forms from f_{t-6} reaches the keyed f_t = f_336
-    # only when r >= 7 (True: a form after the period's end), and one from
-    # the mirror of f_{t+6}, which is f_{l-5-t}, reaches the mirror of f_t
-    # only then (False: a form before it)
+    # the table keys f_l, which closes the window at the period's end, then
+    # every 16th form of the walk from k = 0, here f_16 to f_1024.  A probe
+    # of 16 forms gives S's offset from the period's end: from f_{t-6} it
+    # finds the keyed f_t = f_336 (a form after the end), from the mirror of
+    # f_{t+6}, which is f_{l-5-t}, the mirror of f_t (a form before it), and
+    # from the mirror of f_6, f_{l-5}, the keyed f_l.  Past f_1024 it finds
+    # nothing
     d = 10 ** 12 + 39
     a0 = math.isqrt(d)
     bits = a0.bit_length()
     marks: list[int] = []
     assert _midpoint(d, steps=1024, marks=marks, every=16) is None
-    table = set(marks)
+    table = dict.fromkeys([1 << bits | a0, *marks])
     states: list[int] = []                    # the keys of f_2, f_4, ...
-    assert _midpoint(d, steps=1024, marks=states, every=2) is None
-    assert states[7::8] == marks
+    assert _midpoint(d, steps=1056, marks=states, every=2) is None
+    assert states[7:512:8] == marks
 
     def form(k: int) -> tuple[int, int, int]:  # f_k for even k
         m, q_prev, q = quadratic._state(d, states[k // 2 - 1], bits)
         return q, 2 * m, -q_prev
 
+    def mirror(k: int) -> tuple[int, int, int]:
+        a, b, c = form(k)
+        return c, b, a
+
     t = 336
-    a, b, c = form(t + 6)
-    for forms, side in ((6, None), (7, True)):
-        assert quadratic._probe(form(t - 6), table, forms, a0, bits) is side
-    for forms, side in ((6, None), (7, False)):
-        assert quadratic._probe((c, b, a), table, forms, a0, bits) is side
+    assert quadratic._probe(form(t - 6), table, 16, a0, bits) == t - 6
+    assert quadratic._probe(mirror(t + 6), table, 16, a0, bits) == -5 - t
+    assert quadratic._probe(mirror(6), table, 16, a0, bits) == -5
+    assert quadratic._probe(form(1026), table, 16, a0, bits) is None
+    assert quadratic._probe(mirror(1042), table, 16, a0, bits) is None
 
 
 @given(st.integers(min_value=2 ** 30, max_value=10 ** 13))
