@@ -281,12 +281,12 @@ def _perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def squarefree_part(n: int, *, budget: int | None = None) -> int:
+def squarefree_part(n: int) -> int:
     """The unique squarefree s with n = s * (square), sign preserved."""
     if n == 0:
         raise ValueError("squarefree_part(0) is undefined")
     out = 1
-    for p, e in factor(abs(n), budget=budget).factors:
+    for p, e in factor(abs(n)).factors:
         if e % 2:
             out *= p
     return out if n > 0 else -out

@@ -10,7 +10,7 @@ sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
 +-2 norm, unit norm) comes from `period_invariants`, the middle of the
 continued-fraction period of sqrt(delta) on small integers; no fundamental
 unit is built.  The field validated its kernels when it was built, so they
-go to the unchecked `_kernel_invariants`, which factors none of them.
+go to the unchecked `_kernel_invariants`, which factors nothing.
 `biquadratic_field` factors m and n, never mn, and the field keeps their
 primes: the third kernel is (m/g)*(n/g) with g = gcd(m, n), the ramified
 primes are the primes of m and n, and the span of the six classes is taken

@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Subcommands: classify-quadratic, analyze, verify {t1|t2|t3}, scan, table,
-pollack, contrast.  Output formats: text (default), json (one compact object
-per line), csv (one flat row per report, nested values JSON-encoded).  Unit
-coefficients are serialized as decimal strings since they routinely exceed 64
-bits.  Identical inputs and budgets produce byte-identical output.  Batch
-commands run serially; --jobs is still accepted and has no effect.
+pollack, contrast.  Every subcommand is registered through `_command`, which
+gives it --format, --output and --budget-factor (and, for the batch commands
+verify, scan, table and contrast, --strict and --jobs).  Output formats: text
+(default), json (one compact object per line), csv (one flat row per report,
+nested values JSON-encoded).  Unit coefficients are serialized as decimal
+strings since they routinely exceed 64 bits.  Identical inputs and budgets
+produce byte-identical output.  Batch commands run serially; --jobs is still
+accepted and has no effect.
 
 Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, table
 row or strict-mode claim failing), 4 undecided: the factoring budget
-(--budget-factor / POLYA_FACTOR_BUDGET) ran out.
+(--budget-factor / POLYA_FACTOR_BUDGET) ran out.  The budget applies to the
+one command it is given to and is restored when that command ends.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import click
 
@@ -29,54 +32,6 @@ from .quadratic import (UnitSplit, fundamental_unit, quadratic_polya_oracle,
                         zantema_classify)
 from .verify import (THEOREMS, TheoremReport, admissible_triples, contrast_rajaei,
                      pollack_search, verify_table, verify_theorem)
-
-
-def _common_options(fn: Callable) -> Callable:
-    fn = click.option("--budget-factor", type=int, default=None,
-                      envvar="POLYA_FACTOR_BUDGET",
-                      help="Factoring budget (default from env or built-in).")(fn)
-    fn = click.option("--output", type=click.Path(dir_okay=False, writable=True),
-                      default=None, help="Write the report here instead of stdout.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(("text", "json", "csv")),
-                      default="text", show_default=True,
-                      help="Report format.")(fn)
-    return fn
-
-
-def _batch_options(fn: Callable) -> Callable:
-    # Accepted so that existing invocations keep parsing; it selects nothing.
-    fn = click.option("--jobs", type=int, default=1, hidden=True,
-                      expose_value=False)(fn)
-    fn = click.option("--strict", is_flag=True,
-                      help="Exit 3 when any computed claim does not match.")(fn)
-    return fn
-
-
-@contextmanager
-def _budget_guard(ctx: click.Context) -> Iterator[None]:
-    """Map an exhausted factoring budget (--budget-factor, POLYA_FACTOR_BUDGET)
-    anywhere in a command body to exit code 4."""
-    try:
-        yield
-    except FactorBudgetError as exc:
-        click.echo(f"undecided: {exc}", err=True)
-        ctx.exit(4)
-
-
-def _apply_budgets(budget_factor: int | None) -> None:
-    """Set the factoring budget for the running command only.
-
-    The budget is a module global of arith; it is restored when the command's
-    context closes, so one command's --budget-factor never reaches the next
-    command run in the same process.
-    """
-    if budget_factor is not None:
-        if budget_factor <= 0:
-            raise click.UsageError("--budget-factor must be positive")
-        saved = arith.DEFAULT_FACTOR_BUDGET
-        click.get_current_context().call_on_close(
-            lambda: setattr(arith, "DEFAULT_FACTOR_BUDGET", saved))
-        arith.DEFAULT_FACTOR_BUDGET = budget_factor
 
 
 def _unit_payload(d: int) -> dict[str, Any] | None:
@@ -153,23 +108,19 @@ _THEOREM_COLUMNS = ("theorem", "triple", "hypotheses_ok", "po_order", "h1_order"
                     "epsilon_witness", "unit_norms", "anomalies")
 
 
+def _lift(payload: dict[str, Any]) -> dict[str, Any]:
+    """A CSV row: `payload` with the headline numbers of its field report
+    copied to the top level."""
+    field = payload["field_report"]
+    return {**payload, **{key: None if field is None else field[key]
+                          for key in ("po_order", "h1_order", "product_e", "unit_norms")}}
+
+
 def _theorem_row(report: TheoremReport) -> dict[str, Any]:
-    field = report.field_report
-    w = report.epsilon_witness
-    return {
-        "theorem": report.theorem,
-        "triple": list(report.triple),
-        "hypotheses_ok": report.hypotheses.ok,
-        "po_order": None if field is None else field.po_order,
-        "h1_order": None if field is None else field.h1_order,
-        "product_e": None if field is None else field.profile.product,
-        "claim_matches": report.claim_matches,
-        "epsilon": None if w is None else w.epsilon,
-        "epsilon_in_allowed_set": report.epsilon_in_allowed_set,
-        "epsilon_witness": _witness_payload(w),
-        "unit_norms": None if field is None else list(field.unit_norms),
-        "anomalies": list(report.anomalies),
-    }
+    row = _lift(_theorem_payload(report))
+    witness = row["epsilon_witness"]
+    row["epsilon"] = None if witness is None else witness["epsilon"]
+    return row
 
 
 def _theorem_text(report: TheoremReport) -> list[str]:
@@ -231,20 +182,68 @@ def main() -> None:
     """Polya groups of real quadratic and totally real bi-quadratic fields."""
 
 
-@main.command("classify-quadratic",
-              context_settings={"ignore_unknown_options": True})
+def _command(name: str, *, batch: bool = False, **settings: Any
+             ) -> Callable[[Callable[..., None]], click.Command]:
+    """Register the decorated function as the subcommand `name` of `main`.
+
+    The command gets --format, --output and --budget-factor, and with `batch`
+    also --strict and the ignored --jobs.  The function is called with the
+    click context and every parameter but the budget.  The factoring budget
+    is set for this one call and restored when it ends, however it ends, so
+    one command's --budget-factor never reaches the next command run in the
+    same process; an exhausted budget anywhere in the body exits 4.
+    """
+    options = [
+        click.Option(["--format", "fmt"], type=click.Choice(("text", "json", "csv")),
+                     default="text", show_default=True, help="Report format."),
+        click.Option(["--output"], type=click.Path(dir_okay=False, writable=True),
+                     default=None, help="Write the report here instead of stdout."),
+        click.Option(["--budget-factor"], type=int, default=None,
+                     envvar="POLYA_FACTOR_BUDGET",
+                     help="Factoring budget (default from env or built-in)."),
+    ]
+    if batch:
+        options[:0] = [
+            click.Option(["--strict"], is_flag=True,
+                         help="Exit 3 when any computed claim does not match."),
+            # accepted so that existing invocations keep parsing; it selects nothing
+            click.Option(["--jobs"], type=int, default=1, hidden=True, expose_value=False),
+        ]
+
+    def register(fn: Callable[..., None]) -> click.Command:
+        def run(budget_factor: int | None, **params: Any) -> None:
+            ctx = click.get_current_context()
+            saved = arith.DEFAULT_FACTOR_BUDGET
+            if budget_factor is not None:
+                if budget_factor <= 0:
+                    raise click.UsageError("--budget-factor must be positive")
+                arith.DEFAULT_FACTOR_BUDGET = budget_factor
+            try:
+                fn(ctx, **params)
+            except FactorBudgetError as exc:
+                click.echo(f"undecided: {exc}", err=True)
+                ctx.exit(4)
+            finally:
+                arith.DEFAULT_FACTOR_BUDGET = saved
+
+        run.__doc__ = fn.__doc__
+        # click stores decorated parameters last first; the command's arguments
+        # go before the shared options, so a missing argument is reported first
+        arguments = list(reversed(getattr(fn, "__click_params__", [])))
+        return main.command(name, params=arguments + options, **settings)(run)
+
+    return register
+
+
+@_command("classify-quadratic", context_settings={"ignore_unknown_options": True})
 @click.argument("d", type=int)
-@_common_options
-@click.pass_context
-def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | None,
-                           budget_factor: int | None) -> None:
+def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str,
+                           output: str | None) -> None:
     """Classify Q(sqrt(D)) by the unit criterion and by the ideal oracle."""
-    _apply_budgets(budget_factor)
-    with _budget_guard(ctx):
-        if d in (0, 1) or squarefree_part(d) != d:
-            raise click.UsageError(f"d must be a squarefree integer other than 0 and 1, got {d}")
-        verdict = zantema_classify(d)
-        oracle = quadratic_polya_oracle(d)
+    if d in (0, 1) or squarefree_part(d) != d:
+        raise click.UsageError(f"d must be a squarefree integer other than 0 and 1, got {d}")
+    verdict = zantema_classify(d)
+    oracle = quadratic_polya_oracle(d)
     if fmt == "text":
         case = f" ({verdict.case})" if verdict.case is not None else ""
         lines = [f"zantema: {verdict.verdict}{case}", f"oracle: {oracle}"]
@@ -267,21 +266,16 @@ def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str, output: str | N
         ctx.exit(3)
 
 
-@main.command("analyze")
+@_command("analyze")
 @click.argument("m", type=int)
 @click.argument("n", type=int)
-@_common_options
-@click.pass_context
-def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None,
-                budget_factor: int | None) -> None:
+def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None) -> None:
     """Full Polya report for the bi-quadratic field Q(sqrt(M), sqrt(N))."""
-    _apply_budgets(budget_factor)
-    with _budget_guard(ctx):
-        try:
-            field = biquadratic_field(m, n)
-            report = polya_report(field)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+    try:
+        field = biquadratic_field(m, n)
+        report = polya_report(field)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     columns = ("m", "n", "deltas", "ramification", "product_e", "h_generators",
                "h_order", "index_factor", "h1_order", "po_order", "po_structure",
                "unit_norms", "polya")
@@ -314,68 +308,47 @@ def _theorem_id(value: str) -> str:
     return theorem
 
 
-@main.command("verify", context_settings={"ignore_unknown_options": True})
+@_command("verify", batch=True, context_settings={"ignore_unknown_options": True})
 @click.argument("theorem")
 @click.argument("primes", type=int, nargs=-1)
-@_batch_options
-@_common_options
-@click.pass_context
 def cmd_verify(ctx: click.Context, theorem: str, primes: tuple[int, ...], fmt: str,
-               output: str | None, budget_factor: int | None, strict: bool) -> None:
+               output: str | None, strict: bool) -> None:
     """Verify one theorem instance, e.g. `verify t1 3 17 41` or `verify t3 5 17`."""
-    _apply_budgets(budget_factor)
     theorem = _theorem_id(theorem)
     expected = 2 if theorem == "T3" else 3
     if len(primes) != expected:
         raise click.UsageError(f"{theorem.lower()} takes {expected} primes, "
                                f"got {len(primes)}")
-    with _budget_guard(ctx):
-        report = verify_theorem(theorem, primes)
-    _finish_reports(ctx, fmt, output, [report], strict)
+    _finish_reports(ctx, fmt, output, [verify_theorem(theorem, primes)], strict)
 
 
-@main.command("scan")
+@_command("scan", batch=True)
 @click.argument("theorem")
 @click.argument("bound", type=int)
-@_batch_options
-@_common_options
-@click.pass_context
 def cmd_scan(ctx: click.Context, theorem: str, bound: int, fmt: str,
-             output: str | None, budget_factor: int | None, strict: bool) -> None:
+             output: str | None, strict: bool) -> None:
     """Verify every admissible triple with max prime <= BOUND."""
-    _apply_budgets(budget_factor)
     theorem = _theorem_id(theorem)
     try:
         triples = admissible_triples(theorem, bound)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    with _budget_guard(ctx):
-        reports = [verify_theorem(theorem, t) for t in triples]
+    reports = [verify_theorem(theorem, t) for t in triples]
     _finish_reports(ctx, fmt, output, reports, strict)
 
 
-@main.command("table")
-@_batch_options
-@_common_options
-@click.pass_context
-def cmd_table(ctx: click.Context, fmt: str, output: str | None,
-              budget_factor: int | None, strict: bool) -> None:
+@_command("table", batch=True)
+def cmd_table(ctx: click.Context, fmt: str, output: str | None, strict: bool) -> None:
     """Reproduce the published 20-row table; exit 0 iff every row has po order 2."""
-    _apply_budgets(budget_factor)
-    with _budget_guard(ctx):
-        reports = list(verify_table())
-    _finish_reports(ctx, fmt, output, reports, strict, require_all_claims=True)
+    _finish_reports(ctx, fmt, output, list(verify_table()), strict,
+                    require_all_claims=True)
 
 
-@main.command("pollack")
+@_command("pollack")
 @click.argument("r", type=int)
-@_common_options
-@click.pass_context
-def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None,
-                budget_factor: int | None) -> None:
+def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None) -> None:
     """Smallest primes p = 3 mod 4 and q = 1 mod 4 below R that are both
     non-residues mod R."""
-    _apply_budgets(budget_factor)
     try:
         p, q = pollack_search(r)
     except ValueError as exc:
@@ -387,34 +360,21 @@ def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None,
     _emit(fmt, output, [payload], ("r", "p", "q"), [f"r = {r}: p = {p}, q = {q}"])
 
 
-@main.command("contrast")
+@_command("contrast", batch=True)
 @click.argument("p", type=int)
 @click.argument("q", type=int)
 @click.argument("r", type=int)
-@_batch_options
-@_common_options
-@click.pass_context
 def cmd_contrast(ctx: click.Context, p: int, q: int, r: int, fmt: str,
-                 output: str | None, budget_factor: int | None, strict: bool) -> None:
+                 output: str | None, strict: bool) -> None:
     """Check the contrasting family Q(sqrt(P), sqrt(Q*R)) with P = Q = 3 mod 4,
     R = 5 mod 8: expected Polya."""
-    _apply_budgets(budget_factor)
-    with _budget_guard(ctx):
-        try:
-            report = contrast_rajaei(p, q, r)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+    try:
+        report = contrast_rajaei(p, q, r)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     payload = {
         "triple": list(report.triple),
         "field_report": _field_payload(report.field_report),
-        "matches": report.matches,
-        "anomalies": list(report.anomalies),
-    }
-    row = {
-        "triple": list(report.triple),
-        "po_order": report.field_report.po_order,
-        "h1_order": report.field_report.h1_order,
-        "product_e": report.field_report.profile.product,
         "matches": report.matches,
         "anomalies": list(report.anomalies),
     }
@@ -423,7 +383,7 @@ def cmd_contrast(ctx: click.Context, p: int, q: int, r: int, fmt: str,
     lines = [f"contrast ({triple}): po order {report.field_report.po_order}, "
              f"expected 1, matches: {'yes' if report.matches else 'no'}"]
     lines.extend(f"  anomaly: {note}" for note in report.anomalies)
-    _emit(fmt, output, [row] if fmt == "csv" else [payload], columns, lines)
+    _emit(fmt, output, [_lift(payload) if fmt == "csv" else payload], columns, lines)
     if report.anomalies and strict:
         ctx.exit(3)
 

@@ -53,7 +53,7 @@ from itertools import islice, repeat
 from operator import indexOf
 
 from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
-from .sqclass import IDENTITY, SquareClass, class_of
+from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
 # T3 and the table) asks `_kernel_invariants` for 5,141 distinct kernels and
@@ -587,7 +587,8 @@ def period_invariants(d: int) -> PeriodInvariants:
     so the class is the same.  Q_h divides 2d; that is checked here, in
     place of the norm check FundamentalUnit makes.
 
-    For h odd the class is [d]*[Q_h]: Q_h < 2*sqrt(d), so only Q_h is factored.
+    Nothing is factored: d is squarefree and Q_h divides 2d, so [Q_h] is
+    [Q_h/4] when 4 divides Q_h and [Q_h] otherwise.
 
     two_is_norm: for |c| < sqrt(d), c = x^2 - d*y^2 with gcd(x, y) = 1 iff
     c = (-1)^k Q_k for some k.  When 2 ramifies every solution of norm +-2 is
@@ -617,7 +618,8 @@ def _kernel_invariants(d: int) -> PeriodInvariants:
     if (2 * d) % q_h:
         raise ArithmeticError(
             f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")
-    a_class = class_of(q_h)
+    # Q_h divides 2d with d squarefree, so 4 is the only square it can have
+    a_class = SquareClass(1, q_h // 4 if q_h % 4 == 0 else q_h)
     if h_odd:
         a_class = SquareClass(1, d) * a_class
     return PeriodInvariants(d, 1, a_class, q_h == 2)

@@ -44,9 +44,6 @@ class SquareClass:
         g = math.gcd(self.kernel, other.kernel)
         return SquareClass(self.sign * other.sign, (self.kernel // g) * (other.kernel // g))
 
-    def is_identity(self) -> bool:
-        return self.sign == 1 and self.kernel == 1
-
 
 IDENTITY = SquareClass(1, 1)
 
@@ -74,10 +71,6 @@ class SquareClassSubgroup:
         if mask is None:
             return False
         return _reduce(mask, self._masks) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _coprime_base(kernels: list[int]) -> tuple[int, ...]:

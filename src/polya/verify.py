@@ -154,28 +154,19 @@ def _theorem_field(theorem: str, triple: tuple[int, ...]) -> BiquadraticField:
     return biquadratic_field(p, q * r)
 
 
-def _allowed_epsilons(theorem: str, triple: tuple[int, ...]) -> frozenset[int]:
-    # the proofs' exhaustive epsilon case lists for the norm +1 unit split
-    if theorem == T3:
-        p, q = triple
-        return frozenset((1, 2, p * q, 2 * p * q))
-    p, q, r = triple
-    return frozenset((1, p, q * r, p * q * r))
+def _allowed_epsilons(field: BiquadraticField) -> frozenset[int]:
+    # the proofs' exhaustive epsilon case lists for the norm +1 unit split:
+    # {1, 2, pq, 2pq} for T3 and {1, p, qr, pqr} for T1/T2
+    return frozenset((1, field.m, field.n, field.m * field.n))
 
 
-def _asserted_unit_norms(theorem: str, triple: tuple[int, ...]
+def _asserted_unit_norms(theorem: str, field: BiquadraticField
                          ) -> tuple[tuple[str, int, int], ...]:
     """(label, asserted norm, kernel) for the proofs' unit-norm steps."""
-    if theorem == T3:
-        p, q = triple
-        return (
-            ("unit norm of Q(sqrt(2)) behind the a1 step", -1, 2),
-            (f"unit norm of Q(sqrt({p * q})) behind the a2 step", -1, p * q),
-        )
-    p, q, r = triple
     return (
-        (f"unit norm of Q(sqrt({p})) behind the a1 step", 1, p),
-        (f"unit norm of Q(sqrt({q * r})) behind the a2 step", -1, q * r),
+        (f"unit norm of Q(sqrt({field.m})) behind the a1 step",
+         -1 if theorem == T3 else 1, field.m),
+        (f"unit norm of Q(sqrt({field.n})) behind the a2 step", -1, field.n),
     )
 
 
@@ -195,7 +186,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     field = _theorem_field(theorem, triple)
     report = polya_report(field)
     anomalies: list[str] = []
-    for label, asserted, kernel in _asserted_unit_norms(theorem, triple):
+    for label, asserted, kernel in _asserted_unit_norms(theorem, field):
         computed = _kernel_invariants(kernel).norm
         if computed != asserted:
             anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
@@ -205,7 +196,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
     for kernel in kernels:
         if _kernel_invariants(kernel).norm == 1:
             witness = epsilon_decomposition(kernel)
-            allowed = _allowed_epsilons(theorem, triple)
+            allowed = _allowed_epsilons(field)
             in_set = witness.epsilon in allowed
             if not in_set:
                 anomalies.append(

@@ -274,6 +274,28 @@ COMMAND_DIGESTS = {
         "json": "19d173a3fafbf38d1812fe13a385c40fb6669da55372bdca43438bf897db4d29",
         "csv": "8fbffbc070181028ae5d7f07b34801fb59f993504b9bebf8302e47ced8a916a7",
         "text": "fea4aef25fd24bea65279e67ec1054b60318a518bbf176c96abebe1759647067"},
+    # the other commands; verify, table and contrast build their CSV rows
+    # from their JSON payloads
+    ("verify", "t1", "3", "17", "41"): {
+        "json": "049b203eb859045af200b4db009fa460151d688cc4b5b453196692e6251dc2a6",
+        "csv": "8095af911d115b6e3a7cec9eb7673ceeb718dc73142451fb5e970310a5f52f4a",
+        "text": "cf0a3365605a9a9babf7218d14d6d7490f60b768198d247765c1e2da41eb8ead"},
+    ("verify", "t3", "5", "17"): {
+        "json": "f1a90751fce12aa136f63d4c1bf7961a45d8b8493b4e20822b53b22df8d6840d",
+        "csv": "d44e42c2135703f5867573f2b1a341ad374f240c2ed890dc095cd558a5a492d0",
+        "text": "7d40ef17817c7acbc88a122be38c12814de97c714feb69e09be7ac968c03bed9"},
+    ("table",): {
+        "json": "ea57ca963dd78fb6106f8e19d682d4f8410131fcc6561a498ba5b69b9424355a",
+        "csv": "9d5b778aead9bef71fdb9b08c31172cd2bcd1ca7266463c39581ff0466629176",
+        "text": "36b3a165c833807964108c74c875a9d573a0d259c021178948fd4bdde76dcacc"},
+    ("contrast", "3", "7", "13"): {
+        "json": "bb14110b0b25e7f5a7d3a2c9592066e06c388ff1b3f6e8f1aa24641ab280ae6e",
+        "csv": "ef676bd309f86af02665ab71be61b3ad3ab427886643e3980660a970a316331f",
+        "text": "57eab07dc2ac893ec257bc594806dcac3ee12de40d72880bdb542f9cf320f559"},
+    ("pollack", "13"): {
+        "json": "4b014021eb4d413cb5a4fe6b7985a819067308ef342283b749ecf48dc34e7e25",
+        "csv": "d036ea44c6f2d43a17c63804e79dcb877a018e36cb60c20a313fc604c770a91b",
+        "text": "d11f43e13b357da557d89d56bf5e4cfe752965c74590d24bce3eab05b00bccea"},
 }
 
 
@@ -298,16 +320,16 @@ def test_analyze_factors_only_its_arguments(runner, monkeypatch):
     for module in (arith, sqclass, quadratic, biquad):
         if hasattr(module, "factor"):
             monkeypatch.setattr(module, "factor", counted)
-    # m and n once each, plus a few Q_h < 2*sqrt(delta); never m*n (about
-    # 2.6e20 for the first pair), and no kernel again: the field validated
-    # them, and 998244359987710471, the third kernel of the second pair, would
-    # need a Pollard rho
+    # m and n once each, and nothing else: never m*n (about 2.6e20 for the
+    # first pair), no kernel again (the field validated them, and
+    # 998244359987710471, the third kernel of the second pair, would need a
+    # Pollard rho) and no half-period denominator Q_h, whose square class
+    # follows from Q_h dividing 2*delta
     for m, n in ((46658798722, 5504613353), (1000000007, 998244353)):
         quadratic._kernel_invariants.cache_clear()
         calls.clear()
         assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
-        assert 0 < len(calls) <= 8, (m, n)
-        assert max(calls) <= max(m, n), (m, n)
+        assert calls == [m, n]
 
 
 def test_output_flag_writes_file(runner, tmp_path):
@@ -370,6 +392,24 @@ def test_budget_factor_is_scoped_to_one_command(runner):
     assert runner.invoke(main, args).exit_code == 0
     assert runner.invoke(main, args + ["--budget-factor", "1"]).exit_code == 4
     assert runner.invoke(main, args).exit_code == 0
+
+
+def test_budget_factor_is_restored_after_a_usage_error(runner):
+    # 12 is not squarefree, so the command stops with exit 2 after its budget
+    # of 1 was set; the next command must run with the default budget again
+    result = runner.invoke(main, ["analyze", "12", "5", "--budget-factor", "1"])
+    assert result.exit_code == 2
+    assert runner.invoke(main, ["analyze", "10007", "100160063"]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [["analyze", "2", "85"], ["scan", "T3", "60"]])
+def test_budget_factor_must_be_positive(runner, args):
+    result = runner.invoke(main, args + ["--budget-factor", "0"])
+    assert result.exit_code == 2
+    assert "--budget-factor must be positive" in result.output
+    result = runner.invoke(main, args, env={"POLYA_FACTOR_BUDGET": "0"})
+    assert result.exit_code == 2
+    assert "--budget-factor must be positive" in result.output
 
 
 def test_budget_env_variable_is_read(runner):
