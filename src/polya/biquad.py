@@ -11,10 +11,13 @@ sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
 continued-fraction period of sqrt(delta) on small integers; no fundamental
 unit is built.  The field validated its kernels when it was built, so they
 go to the unchecked `_kernel_invariants`, which factors nothing.
-`biquadratic_field` factors m and n, never mn, and the field keeps their
-primes: the third kernel is (m/g)*(n/g) with g = gcd(m, n), the ramified
-primes are the primes of m and n, and the span of the six classes is taken
-over a coprime base of their kernels, with no factoring.
+A field is m, n and the primes of mn; its kernels are m, n and the third
+kernel (m/g)*(n/g) with g = gcd(m, n).  `biquadratic_field` finds the
+primes by factoring m and n once each, never mn, and a caller that already
+knows them (a theorem instance knows its triple) builds the field from them
+directly, with no factoring.  The ramified primes are those primes, and the
+span of the six classes is taken over a coprime base of the kernels, with no
+factoring either.
 
 leriche_classify is the independent route: it never touches H^1 and decides
 composita of two quadratic Polya fields by the classical composite rules,
@@ -26,27 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factor, is_prime, squarefree_part
+from .arith import is_prime
 from .quadratic import (
     NOT_POLYA,
     POLYA,
     _kernel_invariants,
+    _radicand_primes,
     norm_equation,
     zantema_classify,
 )
 from .sqclass import SquareClass, subgroup_order
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
-
-
-def _kernel_primes(v: int) -> tuple[int, ...]:
-    """The primes of a squarefree kernel v not in {0, 1}, ascending."""
-    if v in (0, 1):
-        raise ValueError("kernels must be squarefree integers other than 0 and 1")
-    f = factor(abs(v))
-    if any(e > 1 for _, e in f.factors):
-        raise ValueError(f"{v} is not squarefree")
-    return f.primes()
 
 
 def _third_kernel(m: int, n: int) -> int:
@@ -60,21 +54,17 @@ def _third_kernel(m: int, n: int) -> int:
 
 def subfields(m: int, n: int) -> tuple[int, int, int]:
     """The three quadratic kernels (m, n, squarefree_part(mn)) of Q(sqrt(m), sqrt(n))."""
-    _kernel_primes(m)
-    _kernel_primes(n)
+    _radicand_primes(m)
+    _radicand_primes(n)
     return m, n, _third_kernel(m, n)
 
 
 @dataclass(frozen=True)
 class BiquadraticField:
-    """Q(sqrt(m), sqrt(n)), with its three subfield kernels sorted ascending
-    and the primes dividing mn, ascending."""
+    """Q(sqrt(m), sqrt(n)) with the primes dividing mn, ascending."""
 
     m: int
     n: int
-    delta1: int
-    delta2: int
-    delta3: int
     primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -89,12 +79,12 @@ class BiquadraticField:
                 or math.prod(p for p in primes if n % p == 0) != abs(n)
                 or any(m % p and n % p for p in primes)):
             raise ValueError("primes do not match m and n")
-        if tuple(sorted((m, n, _third_kernel(m, n)))) != self.deltas:
-            raise ValueError("kernels do not match m and n")
+        _third_kernel(m, n)  # m and n must generate distinct fields
 
     @property
     def deltas(self) -> tuple[int, int, int]:
-        return (self.delta1, self.delta2, self.delta3)
+        """The three subfield kernels, ascending."""
+        return tuple(sorted((self.m, self.n, _third_kernel(self.m, self.n))))
 
     @property
     def totally_real(self) -> bool:
@@ -103,9 +93,8 @@ class BiquadraticField:
 
 def biquadratic_field(m: int, n: int) -> BiquadraticField:
     """Q(sqrt(m), sqrt(n)); m and n are the only numbers factored."""
-    primes = tuple(sorted(set(_kernel_primes(m)) | set(_kernel_primes(n))))
-    d1, d2, d3 = sorted((m, n, _third_kernel(m, n)))
-    return BiquadraticField(m, n, d1, d2, d3, primes)
+    primes = {*_radicand_primes(m), *_radicand_primes(n)}
+    return BiquadraticField(m, n, tuple(sorted(primes)))
 
 
 @dataclass(frozen=True)
@@ -254,7 +243,7 @@ def _even_pattern(deltas: tuple[int, int, int]) -> tuple[int, int] | None:
     for e in even:
         q = e // 2
         if q > 1 and q % 2 == 1 and is_prime(q):
-            other = squarefree_part(e * p)
+            other = _third_kernel(e, p)
             if sorted((e, other)) == sorted(even):
                 return p, q
     return None

@@ -4,7 +4,10 @@ norm equations, and the Polya property.
 Conventions.  d is a squarefree integer, d not in {0, 1}.  The ring of
 integers is Z[(1+sqrt(d))/2] when d = 1 mod 4 and Z[sqrt(d)] otherwise, so
 elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
-x = y (mod 2) and d = 1 (mod 4).
+x = y (mod 2) and d = 1 (mod 4).  `_radicand_primes` checks d by factoring
+|d| once and returns its primes; it is the only place this module factors,
+and the functions that need the primes of d (`ramified_primes`,
+`norm_equation`, `zantema_classify`) read them from it.
 
 The bi-quadratic pipeline needs three facts per kernel, and
 `period_invariants` reads all three off the middle of the period of the
@@ -52,7 +55,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import indexOf
 
-from .arith import factor, icbrt, is_prime, is_square, jacobi, squarefree_part
+from .arith import factor, icbrt, is_prime, is_square, jacobi
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
@@ -61,19 +64,23 @@ from .sqclass import IDENTITY, SquareClass
 _KERNEL_CACHE_SIZE = 8192
 
 
-def _require_radicand(d: int) -> None:
+def _radicand_primes(d: int) -> tuple[int, ...]:
+    """The primes of |d|, ascending, for a squarefree d other than 0 and 1.
+
+    The one check of a radicand, and the only place this module factors.
+    """
     if d in (0, 1):
-        raise ValueError("d must be a squarefree integer other than 0 and 1")
-    if squarefree_part(d) != d:
+        raise ValueError("radicands must be squarefree integers other than 0 and 1")
+    f = factor(abs(d))
+    if any(e > 1 for _, e in f.factors):
         raise ValueError(f"{d} is not squarefree")
+    return f.primes()
 
 
 def ramified_primes(d: int) -> tuple[int, ...]:
     """Primes dividing the field discriminant of Q(sqrt(d)), ascending."""
-    _require_radicand(d)
-    odd = [p for p in factor(abs(d)).primes() if p != 2]
-    out = ([2] if d % 4 != 1 else []) + odd
-    return tuple(sorted(out))
+    odd = [p for p in _radicand_primes(d) if p != 2]
+    return tuple(([2] if d % 4 != 1 else []) + odd)
 
 
 @dataclass(frozen=True)
@@ -475,7 +482,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     which is recovered by an exact cube root.  (d = 1 mod 8 admits no
     half-integral unit: a^2 - d*b^2 = 0 mod 8 can never be +-4.)
     """
-    _require_radicand(d)
+    _radicand_primes(d)
     if d < 2:
         raise ValueError("fundamental units require a real field, d > 1")
     x, y, nu = _pell_min(d)
@@ -599,7 +606,7 @@ def period_invariants(d: int) -> PeriodInvariants:
     can only be the one at k = l/2: 2 is a Q_k iff l is even and Q_h = 2.
     (When d = 1 mod 4 no Q_k is 2, as that form would have content 2.)
     """
-    _require_radicand(d)
+    _radicand_primes(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
     return _kernel_invariants(d)
@@ -682,7 +689,7 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
     s = epsilon_decomposition(d)
     delta, g = u.denom, s.g
     side = s.epsilon if tau == 1 else s.eta
-    if squarefree_part(2 * delta * g * side * ell) != 1:
+    if not is_square(2 * delta * g * side * ell):
         return None
     num, den = ell * (u.z + tau * delta), 2 * delta
     if num % den == 0 and is_square(num // den):
@@ -722,7 +729,7 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     at an odd ramified prime may settle either first.  Composite |c| and
     split primes raise ValueError.
     """
-    _require_radicand(d)
+    primes = _radicand_primes(d)
     if c == 0:
         raise ValueError("c must be nonzero")
     if d < 0:
@@ -741,7 +748,7 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
         raise ValueError(f"norm_equation decides only ramified and inert primes "
                          f"for real d; {ell} splits in Q(sqrt({d}))")
     # Local obstructions at odd ramified primes not dividing c.
-    for p in factor(d).primes():
+    for p in primes:
         if p != 2 and c % p != 0 and jacobi(c, p) == -1:
             return None
     return _ramified_decider(d, c) if ramified else None  # an inert l is no norm
@@ -772,16 +779,15 @@ def zantema_classify(d: int) -> ZantemaVerdict:
     (5) d = pq, odd primes, p = q = 3 mod 4, or p = q = 1 mod 4 and unit
     norm +1.  Everything else is not Polya.
     """
-    _require_radicand(d)
+    primes = _radicand_primes(d)
     if d in (-1, -2, 2):
         return ZantemaVerdict(d, True, "case 1")
     if d < 0:
-        if is_prime(-d) and (-d) % 4 == 3:
+        if primes == (-d,) and (-d) % 4 == 3:
             return ZantemaVerdict(d, True, "case 2")
         return ZantemaVerdict(d, False, None)
-    if is_prime(d):
+    if primes == (d,):
         return ZantemaVerdict(d, True, "case 3")
-    primes = factor(d).primes()
     if len(primes) == 2:
         if primes[0] == 2:
             p = primes[1]
@@ -804,7 +810,6 @@ def quadratic_polya_oracle(d: int) -> str:
     ramified l.  Independent of zantema_classify.  Ramified targets go to
     complete deciders, so the verdict is always definitive.
     """
-    _require_radicand(d)
     for ell in ramified_primes(d):
         if norm_equation(d, ell) is None and norm_equation(d, -ell) is None:
             return NOT_POLYA

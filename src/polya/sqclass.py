@@ -60,7 +60,6 @@ def class_of(n: int) -> SquareClass:
 class SquareClassSubgroup:
     """The subgroup of Q*/(Q*)^2 generated by a finite list of classes."""
 
-    generators: tuple[SquareClass, ...]
     basis: tuple[SquareClass, ...]
     order: int
     _base: tuple[int, ...] = field(repr=False)
@@ -124,11 +123,10 @@ def _reduce(mask: int, echelon: tuple[int, ...]) -> int:
 
 def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClassSubgroup:
     """The subgroup generated by the given classes, with an echelon basis."""
-    gens = tuple(generators)
-    base = _coprime_base([g.kernel for g in gens])
+    base = _coprime_base([g.kernel for g in generators])
     echelon: list[int] = []
     basis: list[SquareClass] = []
-    for g in gens:
+    for g in generators:
         mask = _encode(g, base)
         if mask is None:
             raise ArithmeticError(f"{g} is no product of the coprime base {base}")
@@ -138,7 +136,6 @@ def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClass
             echelon.sort(key=int.bit_length, reverse=True)
             basis.append(g)
     return SquareClassSubgroup(
-        generators=gens,
         basis=tuple(basis),
         order=1 << len(echelon),
         _base=base,

@@ -11,10 +11,11 @@ A report recomputes everything the corresponding proof asserts along the way
 (unit norms behind the a-class steps, the epsilon decomposition of a norm +1
 unit, membership of epsilon in the allowed set) and records divergences as
 anomalies instead of failing, so a wrong intermediate step is visible even
-when the headline Polya order still comes out as claimed.  Unit norms come
-from the continued-fraction period parity (`period_invariants`, unchecked on
-the field's own kernels), so only an epsilon witness builds a fundamental
-unit.
+when the headline Polya order still comes out as claimed.  A field is built
+only once its hypotheses hold, and then from the primes of its triple, so
+nothing about it is factored.  Unit norms come from the continued-fraction
+period parity (`period_invariants`, unchecked on the field's own kernels),
+so only an epsilon witness builds a fundamental unit.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
 class TheoremReport:
     """Verification record for one theorem instance.
 
-    `field_report` is None when the hypotheses failed and the computation was
-    not forced.  `claim_matches` mirrors po_order == 2 whenever the field was
-    computed.  `anomalies` lists every proof-asserted intermediate that
-    computed differently; the report never raises for those.
+    `field_report` is None exactly when the hypotheses failed.
+    `claim_matches` mirrors po_order == 2 whenever the field was computed.
+    `anomalies` lists every proof-asserted intermediate that computed
+    differently; the report never raises for those.
     """
 
     theorem: str
@@ -147,11 +148,13 @@ class TheoremReport:
 
 
 def _theorem_field(theorem: str, triple: tuple[int, ...]) -> BiquadraticField:
+    """The theorem's field, built from the primes of a triple that satisfies
+    its hypotheses, with no factoring."""
     if theorem == T3:
         p, q = triple
-        return biquadratic_field(2, p * q)
+        return BiquadraticField(2, p * q, (2, *sorted(triple)))
     p, q, r = triple
-    return biquadratic_field(p, q * r)
+    return BiquadraticField(p, q * r, tuple(sorted(triple)))
 
 
 def _allowed_epsilons(field: BiquadraticField) -> frozenset[int]:
@@ -170,18 +173,16 @@ def _asserted_unit_norms(theorem: str, field: BiquadraticField
     )
 
 
-def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
-                   ) -> TheoremReport:
+def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     """Full verification of one theorem instance.
 
-    When the hypotheses fail the report stops there unless `force` is set, in
-    which case the field is analyzed anyway (useful for probing near-misses).
-    The epsilon witness is taken from the largest kernel when its unit has
-    norm +1; for T3 the odd kernel pq is consulted as a fallback.
+    When the hypotheses fail the report stops there, before any field is
+    built.  The epsilon witness is taken from the largest kernel when its
+    unit has norm +1; for T3 the odd kernel pq is consulted as a fallback.
     """
     triple = tuple(triple)
     hyp = check_hypotheses(theorem, triple)
-    if not hyp.ok and not force:
+    if not hyp.ok:
         return TheoremReport(theorem, triple, hyp, None, None, None, None, ())
     field = _theorem_field(theorem, triple)
     report = polya_report(field)
@@ -192,7 +193,8 @@ def verify_theorem(theorem: str, triple: tuple[int, ...], *, force: bool = False
             anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
     witness = None
     in_set = None
-    kernels = (field.delta3, field.delta2) if theorem == T3 else (field.delta3,)
+    _, second, third = field.deltas
+    kernels = (third, second) if theorem == T3 else (third,)
     for kernel in kernels:
         if _kernel_invariants(kernel).norm == 1:
             witness = epsilon_decomposition(kernel)

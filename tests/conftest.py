@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import pytest
+
+from polya import arith, biquad, quadratic, sqclass, verify
+
+
+@pytest.fixture()
+def factor_calls(monkeypatch) -> list[int]:
+    """Every argument passed to `factor` while the test runs, in order,
+    whichever module calls it."""
+    calls: list[int] = []
+    real = arith.factor
+
+    def counted(n: int, **kwargs):
+        calls.append(n)
+        return real(n, **kwargs)
+
+    for module in (arith, sqclass, quadratic, biquad, verify):
+        if hasattr(module, "factor"):
+            monkeypatch.setattr(module, "factor", counted)
+    return calls

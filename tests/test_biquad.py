@@ -53,11 +53,12 @@ def test_field_validation_checks_the_primes():
     assert biquadratic_field(6, 10).primes == (2, 3, 5)
     for primes in ((2, 3), (2, 3, 5, 7), (3, 2, 5), (2, 3, 15)):
         with pytest.raises(ValueError):
-            BiquadraticField(6, 10, 6, 10, 15, primes)
+            BiquadraticField(6, 10, primes)
     with pytest.raises(ValueError):
-        BiquadraticField(6, 10, 6, 10, 30, (2, 3, 5))
+        BiquadraticField(12, 5, (2, 3, 5))   # 12 is not squarefree
     with pytest.raises(ValueError):
-        BiquadraticField(12, 5, 5, 12, 15, (2, 3, 5))   # 12 is not squarefree
+        BiquadraticField(6, 6, (2, 3))       # the same field twice
+    assert BiquadraticField(6, 10, (2, 3, 5)).deltas == (6, 10, 15)
 
 
 def test_biquadratic_field_sorts_and_flags_real():
@@ -119,7 +120,7 @@ def test_pipeline_is_permutation_symmetric_and_exact(m, n):
     assert a.po_order * a.h1_order == a.profile.product
     assert a.h_order * a.index_factor == a.h1_order
     # the third kernel yields the same field and the same invariants
-    third = a.field.delta3
+    third = a.field.deltas[2]
     if third not in (m, n):
         c = polya_report(biquadratic_field(m, third))
         assert (c.po_order, c.h1_order) == (a.po_order, a.h1_order)

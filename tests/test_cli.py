@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya import arith, biquad, quadratic, sqclass
+from polya import arith, quadratic
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import main
 
@@ -107,6 +107,12 @@ def test_analyze_builds_no_fundamental_unit(runner, monkeypatch):
 def test_analyze_rejects_equal_kernels(runner):
     result = runner.invoke(main, ["analyze", "2", "2"])
     assert result.exit_code == 2
+
+
+def test_analyze_rejects_a_zero_radicand(runner):
+    result = runner.invoke(main, ["analyze", "0", "5"])
+    assert result.exit_code == 2
+    assert "radicands must be squarefree integers other than 0 and 1" in result.output
 
 
 def test_verify_t3_text_and_exit(runner):
@@ -309,17 +315,7 @@ def test_command_output_is_pinned_per_format(runner, command, fmt):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == COMMAND_DIGESTS[command][fmt]
 
 
-def test_analyze_factors_only_its_arguments(runner, monkeypatch):
-    calls: list[int] = []
-    real = arith.factor
-
-    def counted(n: int, **kwargs):
-        calls.append(n)
-        return real(n, **kwargs)
-
-    for module in (arith, sqclass, quadratic, biquad):
-        if hasattr(module, "factor"):
-            monkeypatch.setattr(module, "factor", counted)
+def test_analyze_factors_only_its_arguments(runner, factor_calls):
     # m and n once each, and nothing else: never m*n (about 2.6e20 for the
     # first pair), no kernel again (the field validated them, and
     # 998244359987710471, the third kernel of the second pair, would need a
@@ -327,9 +323,19 @@ def test_analyze_factors_only_its_arguments(runner, monkeypatch):
     # follows from Q_h dividing 2*delta
     for m, n in ((46658798722, 5504613353), (1000000007, 998244353)):
         quadratic._kernel_invariants.cache_clear()
-        calls.clear()
+        factor_calls.clear()
         assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
-        assert calls == [m, n]
+        assert factor_calls == [m, n]
+
+
+@pytest.mark.parametrize("d", [-7, -5, 10, 79, 65, 21, 30030])
+def test_classify_quadratic_factors_only_its_radicand(runner, factor_calls, d):
+    # imaginary fields, d = 5 mod 8 (half-integral units) and the ramified
+    # decider, whose square test on 2*delta*g*side*l needs no factoring; a warm
+    # unit cache changes how often |d| is factored, never what is
+    result = runner.invoke(main, ["classify-quadratic", "--", str(d)])
+    assert result.exit_code == 0
+    assert factor_calls and set(factor_calls) == {abs(d)}
 
 
 def test_output_flag_writes_file(runner, tmp_path):

@@ -16,7 +16,7 @@ from polya.cli import _witness_payload
 from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
                              fundamental_unit)
 from polya.verify import (TABLE_ROWS, THEOREMS, ContrastReport, TheoremReport,
-                          admissible_triples, check_hypotheses,
+                          _theorem_field, admissible_triples, check_hypotheses,
                           contrast_rajaei, hypotheses_t1,
                           hypotheses_t2, hypotheses_t3, pollack_search, scan,
                           smallest_admissible, verify_table, verify_theorem)
@@ -155,12 +155,32 @@ def test_verify_theorem_t2_proof_step_anomaly():
     assert "asserted -1, computed 1" in rep.anomalies[0]
 
 
-def test_verify_theorem_skips_field_work_without_force():
+def test_verify_theorem_skips_field_work_when_hypotheses_fail():
     rep = verify_theorem("T1", (3, 17, 29))
     assert not rep.hypotheses.ok
     assert rep.field_report is None and rep.claim_matches is None
-    forced = verify_theorem("T1", (3, 17, 29), force=True)
-    assert forced.field_report is not None
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_theorem_field_from_the_triple_matches_the_factored_field(theorem):
+    for triple in admissible_triples(theorem, 100):
+        if theorem == "T3":
+            m, n = 2, triple[0] * triple[1]
+        else:
+            m, n = triple[0], triple[1] * triple[2]
+        assert _theorem_field(theorem, triple) == biquadratic_field(m, n)
+
+
+def test_theorem_reports_factor_only_their_witness_kernels(factor_calls):
+    # the fields come from their triples; a witness's fundamental unit checks
+    # its kernel, unless the unit cache already holds it (the table has no
+    # witness, so it factors nothing)
+    for run in (verify_table, lambda: scan("T1", 100)):
+        factor_calls.clear()
+        reports = run()
+        witnesses = {r.epsilon_witness.d for r in reports
+                     if r.epsilon_witness is not None}
+        assert set(factor_calls) <= witnesses
 
 
 def test_verify_theorem_rejects_wrong_arity():
