@@ -13,7 +13,10 @@ accepted and has no effect.
 Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, table
 row or strict-mode claim failing), 4 undecided: the factoring budget
 (--budget-factor / POLYA_FACTOR_BUDGET) ran out.  The budget applies to the
-one command it is given to and is restored when that command ends.
+one command it is given to and is restored when that command ends.  The
+primes of a radicand are memoised per (radicand, budget) for the life of the
+process, so a command factors each radicand once, and a later command with a
+smaller budget factors it again and can still exit 4.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from typing import Any, Callable
 import click
 
 from . import arith
-from .arith import FactorBudgetError, squarefree_part
+from .arith import FactorBudgetError
 from .biquad import PolyaReport, biquadratic_field, polya_report
-from .quadratic import (UnitSplit, fundamental_unit, quadratic_polya_oracle,
-                        zantema_classify)
+from .quadratic import (UnitSplit, _radicand_primes, fundamental_unit,
+                        quadratic_polya_oracle, zantema_classify)
 from .verify import (THEOREMS, TheoremReport, admissible_triples, contrast_rajaei,
                      pollack_search, verify_table, verify_theorem)
 
@@ -240,7 +243,9 @@ def _command(name: str, *, batch: bool = False, **settings: Any
 def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str,
                            output: str | None) -> None:
     """Classify Q(sqrt(D)) by the unit criterion and by the ideal oracle."""
-    if d in (0, 1) or squarefree_part(d) != d:
+    try:
+        _radicand_primes(d)
+    except ValueError:
         raise click.UsageError(f"d must be a squarefree integer other than 0 and 1, got {d}")
     verdict = zantema_classify(d)
     oracle = quadratic_polya_oracle(d)

@@ -5,9 +5,12 @@ Conventions.  d is a squarefree integer, d not in {0, 1}.  The ring of
 integers is Z[(1+sqrt(d))/2] when d = 1 mod 4 and Z[sqrt(d)] otherwise, so
 elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
 x = y (mod 2) and d = 1 (mod 4).  `_radicand_primes` checks d by factoring
-|d| once and returns its primes; it is the only place this module factors,
-and the functions that need the primes of d (`ramified_primes`,
-`norm_equation`, `zantema_classify`) read them from it.
+|d| and returns its primes; it is the only place this module factors, and
+the functions that need the primes of d (`ramified_primes`, `norm_equation`,
+`zantema_classify`, and the CLI's own check) read them from it.  It keeps
+them in a memo keyed by d and the factoring budget, so a command factors
+|d| once however many steps ask; the budget is in the key because a smaller
+budget must be able to run out on a d that a larger one factored.
 
 The bi-quadratic pipeline needs three facts per kernel, and
 `period_invariants` reads all three off the middle of the period of the
@@ -55,12 +58,14 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import indexOf
 
+from . import arith
 from .arith import factor, icbrt, is_prime, is_square, jacobi
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
 # T3 and the table) asks `_kernel_invariants` for 5,141 distinct kernels and
-# `fundamental_unit` for 4,236.
+# `fundamental_unit` for 4,236.  The radicand memo `_primes_under_budget` has
+# the same bound; its key holds the factoring budget as well as d.
 _KERNEL_CACHE_SIZE = 8192
 
 
@@ -68,10 +73,20 @@ def _radicand_primes(d: int) -> tuple[int, ...]:
     """The primes of |d|, ascending, for a squarefree d other than 0 and 1.
 
     The one check of a radicand, and the only place this module factors.
+    It is memoised by (d, factoring budget) in `_primes_under_budget`, so a
+    command that checks d at each step factors |d| once.  `factor` is
+    deterministic in (n, budget) and a raised error is never cached, so the
+    memo changes no result; with the budget in the key, a later call under a
+    smaller budget factors again and can still run out.
     """
+    return _primes_under_budget(d, arith.DEFAULT_FACTOR_BUDGET)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _primes_under_budget(d: int, budget: int) -> tuple[int, ...]:
     if d in (0, 1):
         raise ValueError("radicands must be squarefree integers other than 0 and 1")
-    f = factor(abs(d))
+    f = factor(abs(d), budget=budget)
     if any(e > 1 for _, e in f.factors):
         raise ValueError(f"{d} is not squarefree")
     return f.primes()

@@ -41,6 +41,17 @@ def test_classify_quadratic_negative_argument(runner):
 def test_classify_quadratic_rejects_non_squarefree(runner):
     result = runner.invoke(main, ["classify-quadratic", "12"])
     assert result.exit_code == 2
+    assert "d must be a squarefree integer other than 0 and 1, got 12" in result.output
+
+
+@pytest.mark.parametrize("d", ["-4", "0", "1"])
+def test_classify_quadratic_rejects_a_bad_radicand(runner, d):
+    # the radicand check's ValueError, for 0 and 1 and for a non-squarefree
+    # negative d, becomes the CLI's usage error; -1 and -7 are accepted
+    # (test_classify_quadratic_negative_argument and the factor-count test)
+    result = runner.invoke(main, ["classify-quadratic", "--", d])
+    assert result.exit_code == 2
+    assert f"d must be a squarefree integer other than 0 and 1, got {d}" in result.output
 
 
 def test_classify_quadratic_json_payload(runner):
@@ -331,11 +342,26 @@ def test_analyze_factors_only_its_arguments(runner, factor_calls):
 @pytest.mark.parametrize("d", [-7, -5, 10, 79, 65, 21, 30030])
 def test_classify_quadratic_factors_only_its_radicand(runner, factor_calls, d):
     # imaginary fields, d = 5 mod 8 (half-integral units) and the ramified
-    # decider, whose square test on 2*delta*g*side*l needs no factoring; a warm
-    # unit cache changes how often |d| is factored, never what is
+    # decider, whose square test on 2*delta*g*side*l needs no factoring; the
+    # CLI's check, Zantema's cases, the oracle's ramified primes and norm
+    # equations and the unit all read the primes of d from one memo, so |d|
+    # is factored exactly once
     result = runner.invoke(main, ["classify-quadratic", "--", str(d)])
     assert result.exit_code == 0
-    assert factor_calls and set(factor_calls) == {abs(d)}
+    assert factor_calls == [abs(d)]
+
+
+def test_radicand_memo_follows_the_budget(runner):
+    # 1022117 = 1009 * 1013 is past trial division, so factoring it runs
+    # Pollard rho, which a budget of 1 cannot finish.  A memo keyed on d
+    # alone would hand the second command the primes the first one found and
+    # exit 0 there; keyed on (d, budget) the second command factors again
+    args = ["classify-quadratic", "1022117"]
+    assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, args + ["--budget-factor", "1"])
+    assert result.exit_code == 4
+    assert "undecided" in result.output
+    assert runner.invoke(main, args).exit_code == 0
 
 
 def test_output_flag_writes_file(runner, tmp_path):
@@ -393,7 +419,7 @@ def test_factor_budget_exhaustion_exits_undecided(runner):
 
 def test_budget_factor_is_scoped_to_one_command(runner):
     # analyze factors only its arguments, and 100160063 = 10007 * 10009 is
-    # past trial division, so every run of it needs Pollard rho
+    # past trial division, so factoring it needs Pollard rho
     args = ["analyze", "10007", "100160063"]
     assert runner.invoke(main, args).exit_code == 0
     assert runner.invoke(main, args + ["--budget-factor", "1"]).exit_code == 4
