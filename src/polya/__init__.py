@@ -15,15 +15,14 @@ from .arith import (DEFAULT_FACTOR_BUDGET, FactorBudgetError, Factorization, fac
 from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
                      PolyaReport, RamificationProfile, biquadratic_field,
                      h1_order, h_generators, leriche_classify, polya_report,
-                     ramification, subfields)
+                     ramification)
 from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         DirichletReport, FundamentalUnit, NormEquationSolution,
                         PeriodInvariants, UnitSplit, ZantemaVerdict, a_value,
                         cf_expand, dirichlet_norm_criterion, epsilon_decomposition,
                         fundamental_unit, norm_equation, period_invariants,
                         quadratic_polya_oracle, ramified_primes, zantema_classify)
-from .sqclass import (IDENTITY, SquareClass, SquareClassSubgroup, class_of, span,
-                      subgroup_order)
+from .sqclass import IDENTITY, SquareClass, class_of, span
 from .verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport,
                      HypothesisReport, TheoremReport, admissible_triples,
                      check_hypotheses, contrast_rajaei, hypotheses_t1, hypotheses_t2,
@@ -35,15 +34,14 @@ __all__ = [
     "is_prime", "is_square", "jacobi", "sieve_primes", "squarefree_part",
     "OUTSIDE_PROPOSITION", "BiquadraticField", "LericheVerdict", "PolyaReport",
     "RamificationProfile", "biquadratic_field", "h1_order", "h_generators",
-    "leriche_classify", "polya_report", "ramification", "subfields",
+    "leriche_classify", "polya_report", "ramification",
     "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
     "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "UnitSplit",
     "ZantemaVerdict", "a_value", "cf_expand",
     "dirichlet_norm_criterion", "epsilon_decomposition", "fundamental_unit",
     "norm_equation", "period_invariants", "quadratic_polya_oracle", "ramified_primes",
     "zantema_classify",
-    "IDENTITY", "SquareClass", "SquareClassSubgroup", "class_of", "span",
-    "subgroup_order",
+    "IDENTITY", "SquareClass", "class_of", "span",
     "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport",
     "HypothesisReport", "TheoremReport", "admissible_triples", "check_hypotheses",
     "contrast_rajaei", "hypotheses_t1", "hypotheses_t2", "hypotheses_t3",

@@ -1,5 +1,5 @@
-"""Integer arithmetic helpers: primality, factorization, squarefree parts,
-and quadratic residue symbols.
+"""Integer arithmetic helpers: primality, factorization, integer roots,
+squarefree parts and quadratic residue symbols.
 
 Everything works on arbitrary-precision ints.  Factorization carries an
 explicit work budget so callers degrade to an error ("unfactored") instead of
@@ -78,25 +78,6 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def icbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0."""
-    if n < 0:
-        raise ValueError("icbrt needs n >= 0")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
 
 
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
@@ -254,8 +235,10 @@ def factor(n: int, *, budget: int | None = None) -> Factorization:
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the real k-th root of n >= 0."""
+def iroot(n: int, k: int) -> int:
+    """Floor of the real k-th root of n >= 0, by Newton's iteration from above."""
+    if n < 0:
+        raise ValueError("iroot needs n >= 0")
     if n < 2:
         return n
     x = 1 << (n.bit_length() + k - 1) // k
@@ -274,7 +257,7 @@ def _perfect_power(n: int) -> tuple[int, int]:
     for k in (2, 3, 5, 7, 11, 13):
         if k > n.bit_length():
             break
-        r = _iroot(n, k)
+        r = iroot(n, k)
         if r > 1 and r**k == n:
             sub, j = _perfect_power(r)
             return sub, j * k

@@ -38,7 +38,7 @@ from .quadratic import (
     norm_equation,
     zantema_classify,
 )
-from .sqclass import SquareClass, subgroup_order
+from .sqclass import SquareClass, span
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
 
@@ -50,13 +50,6 @@ def _third_kernel(m: int, n: int) -> int:
     if third == 1:
         raise ValueError("m and n must generate distinct quadratic fields")
     return third
-
-
-def subfields(m: int, n: int) -> tuple[int, int, int]:
-    """The three quadratic kernels (m, n, squarefree_part(mn)) of Q(sqrt(m), sqrt(n))."""
-    _radicand_primes(m)
-    _radicand_primes(n)
-    return m, n, _third_kernel(m, n)
 
 
 @dataclass(frozen=True)
@@ -104,19 +97,12 @@ class RamificationProfile:
     entries: tuple[tuple[int, int], ...]
 
     @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    @property
     def product(self) -> int:
-        out = 1
-        for _, e in self.entries:
-            out *= e
-        return out
+        return math.prod(e for _, e in self.entries)
 
     @property
     def e2(self) -> int:
-        return self.mapping.get(2, 1)
+        return dict(self.entries).get(2, 1)
 
 
 def ramification(field: BiquadraticField) -> RamificationProfile:
@@ -149,7 +135,7 @@ def _has_norm_pm2(d: int) -> bool:
 
 def _h1(field: BiquadraticField, profile: RamificationProfile,
         gens: tuple[SquareClass, ...]) -> tuple[int, int, int]:
-    h, _ = subgroup_order(gens)
+    h = span(gens)
     index = 1
     if profile.e2 == 4 and all(_kernel_invariants(d).two_is_norm for d in field.deltas):
         index = 2

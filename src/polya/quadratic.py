@@ -59,7 +59,7 @@ from itertools import islice, repeat
 from operator import indexOf
 
 from . import arith
-from .arith import factor, icbrt, is_prime, is_square, jacobi
+from .arith import factor, iroot, is_prime, is_square, jacobi
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
@@ -504,7 +504,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     if d % 8 == 5:
         # (a + b*sqrt(d))/2 cubed equals x + y*sqrt(d) iff a^3 - 3*nu*a = 2*x.
         target = 2 * x
-        guess = icbrt(target)
+        guess = iroot(target, 3)
         for a in range(max(1, guess - 2), guess + 3):
             if a * a * a - 3 * nu * a == target and a % 2 == 1:
                 if 2 * y % (a * a - nu) == 0:

@@ -1,16 +1,16 @@
 """Square classes: the group Q*/(Q*)^2 in concrete form.
 
 A class is a sign together with a positive squarefree kernel; multiplication
-cancels the shared part of the kernels.  Subgroups generated by finitely many
-classes are handled as GF(2) spans over the coordinates {-1} and a coprime
-base of the kernels involved, so orders come out as exact powers of two and
-nothing is factored.
+cancels the shared part of the kernels.  `span` returns the order of the
+subgroup generated by finitely many classes: 2 to the GF(2) rank of their
+coordinates over {-1} and a coprime base of the kernels involved, so the
+order is an exact power of two and nothing is factored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import squarefree_part
 
@@ -56,22 +56,6 @@ def class_of(n: int) -> SquareClass:
     return SquareClass(1 if s > 0 else -1, abs(s))
 
 
-@dataclass(frozen=True)
-class SquareClassSubgroup:
-    """The subgroup of Q*/(Q*)^2 generated by a finite list of classes."""
-
-    basis: tuple[SquareClass, ...]
-    order: int
-    _base: tuple[int, ...] = field(repr=False)
-    _masks: tuple[int, ...] = field(repr=False)
-
-    def contains(self, c: SquareClass) -> bool:
-        mask = _encode(c, self._base)
-        if mask is None:
-            return False
-        return _reduce(mask, self._masks) == 0
-
-
 def _coprime_base(kernels: list[int]) -> tuple[int, ...]:
     """Pairwise coprime integers > 1, ascending, such that each of the given
     squarefree kernels is the product of the base elements dividing it.
@@ -97,8 +81,9 @@ def _coprime_base(kernels: list[int]) -> tuple[int, ...]:
     return tuple(sorted(base))
 
 
-def _encode(c: SquareClass, base: tuple[int, ...]) -> int | None:
-    """GF(2) coordinate mask of c, or None if c is no product of base elements."""
+def _encode(c: SquareClass, base: tuple[int, ...]) -> int:
+    """GF(2) coordinate mask of c; ArithmeticError if c is no product of base
+    elements."""
     mask = 1 if c.sign < 0 else 0
     rest = c.kernel
     for i, b in enumerate(base):
@@ -107,13 +92,13 @@ def _encode(c: SquareClass, base: tuple[int, ...]) -> int | None:
             mask |= 1 << (i + 1)
             rest //= b
         elif g != 1:
-            return None
+            break
     if rest != 1:
-        return None
+        raise ArithmeticError(f"{c} is no product of the coprime base {base}")
     return mask
 
 
-def _reduce(mask: int, echelon: tuple[int, ...]) -> int:
+def _reduce(mask: int, echelon: list[int]) -> int:
     for row in echelon:
         lead = 1 << (row.bit_length() - 1)
         if mask & lead:
@@ -121,30 +106,14 @@ def _reduce(mask: int, echelon: tuple[int, ...]) -> int:
     return mask
 
 
-def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> SquareClassSubgroup:
-    """The subgroup generated by the given classes, with an echelon basis."""
+def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> int:
+    """Order of the subgroup generated by the given classes: 2 to the GF(2)
+    rank of their coordinate masks."""
     base = _coprime_base([g.kernel for g in generators])
     echelon: list[int] = []
-    basis: list[SquareClass] = []
     for g in generators:
-        mask = _encode(g, base)
-        if mask is None:
-            raise ArithmeticError(f"{g} is no product of the coprime base {base}")
-        residue = _reduce(mask, tuple(echelon))
+        residue = _reduce(_encode(g, base), echelon)
         if residue:
             echelon.append(residue)
             echelon.sort(key=int.bit_length, reverse=True)
-            basis.append(g)
-    return SquareClassSubgroup(
-        basis=tuple(basis),
-        order=1 << len(echelon),
-        _base=base,
-        _masks=tuple(echelon),
-    )
-
-
-def subgroup_order(generators: list[SquareClass] | tuple[SquareClass, ...]
-                   ) -> tuple[int, tuple[SquareClass, ...]]:
-    """Order of the generated subgroup together with an independent basis."""
-    sub = span(generators)
-    return sub.order, sub.basis
+    return 1 << len(echelon)

@@ -13,9 +13,9 @@ unit, membership of epsilon in the allowed set) and records divergences as
 anomalies instead of failing, so a wrong intermediate step is visible even
 when the headline Polya order still comes out as claimed.  A field is built
 only once its hypotheses hold, and then from the primes of its triple, so
-nothing about it is factored.  Unit norms come from the continued-fraction
-period parity (`period_invariants`, unchecked on the field's own kernels),
-so only an epsilon witness builds a fundamental unit.
+nothing about it is factored.  Unit norms are read from the field's Polya
+report, which takes them from the continued-fraction period parity, so only
+an epsilon witness builds a fundamental unit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
-from .quadratic import UnitSplit, _kernel_invariants, epsilon_decomposition
+from .quadratic import UnitSplit, epsilon_decomposition
 
 T1 = "T1"
 T2 = "T2"
@@ -186,9 +186,10 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
         return TheoremReport(theorem, triple, hyp, None, None, None, None, ())
     field = _theorem_field(theorem, triple)
     report = polya_report(field)
+    norms = dict(zip(field.deltas, report.unit_norms))
     anomalies: list[str] = []
     for label, asserted, kernel in _asserted_unit_norms(theorem, field):
-        computed = _kernel_invariants(kernel).norm
+        computed = norms[kernel]
         if computed != asserted:
             anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
     witness = None
@@ -196,7 +197,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     _, second, third = field.deltas
     kernels = (third, second) if theorem == T3 else (third,)
     for kernel in kernels:
-        if _kernel_invariants(kernel).norm == 1:
+        if norms[kernel] == 1:
             witness = epsilon_decomposition(kernel)
             allowed = _allowed_epsilons(field)
             in_set = witness.epsilon in allowed

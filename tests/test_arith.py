@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya.arith import (FactorBudgetError, factor, icbrt, is_prime, is_square,
+from polya.arith import (FactorBudgetError, factor, iroot, is_prime, is_square,
                          jacobi, sieve_primes, squarefree_part)
 
 
@@ -121,11 +121,25 @@ def test_jacobi_rejects_even_modulus():
         jacobi(3, 4)
 
 
-@given(st.integers(min_value=0, max_value=10 ** 12))
-def test_is_square_and_icbrt(n):
+@given(st.integers(min_value=0, max_value=2 ** 4096),
+       st.sampled_from((2, 3, 5, 7, 11, 13)))
+def test_is_square_and_iroot(n, k):
     assert is_square(n) == (math.isqrt(n) ** 2 == n)
-    r = icbrt(n)
-    assert r ** 3 <= n < (r + 1) ** 3
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    # an exact power and the number just below it, where an off-by-one shows
+    assert iroot(r ** k, k) == r
+    assert r == 0 or iroot(r ** k - 1, k) == r - 1
+    with pytest.raises(ValueError):
+        iroot(-1 - n, k)
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+@pytest.mark.parametrize("p", (1009, 1000003, 2 ** 61 - 1))
+def test_factor_splits_a_prime_power_past_trial_division(p, k):
+    # p is past the trial-division primes, so p**k reaches the perfect-power
+    # step before any rho round
+    assert factor(p ** k).factors == ((p, k),)
 
 
 def test_is_square_negative():

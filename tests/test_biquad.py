@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polya.arith import factor, squarefree_part
 from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_field, h1_order,
                           h_generators, leriche_classify, polya_report,
-                          ramification, subfields)
+                          ramification)
 from polya.quadratic import NOT_POLYA, POLYA, zantema_classify
 from polya.sqclass import IDENTITY, class_of
 
@@ -19,20 +19,20 @@ kernels = (st.integers(min_value=2, max_value=400)
 
 
 def test_subfields_examples():
-    assert subfields(2, 85) == (2, 85, 170)
-    assert subfields(3, 51) == (3, 51, 17)
-    assert subfields(6, 10) == (6, 10, 15)
+    assert biquadratic_field(2, 85).deltas == (2, 85, 170)
+    assert biquadratic_field(3, 51).deltas == (3, 17, 51)
+    assert biquadratic_field(6, 10).deltas == (6, 10, 15)
 
 
 def test_subfields_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        subfields(2, 2)
+        biquadratic_field(2, 2)     # same field twice
     with pytest.raises(ValueError):
-        subfields(2, 8)     # same field twice
+        biquadratic_field(2, 8)     # 8 is not squarefree
     with pytest.raises(ValueError):
-        subfields(12, 5)    # not squarefree
+        biquadratic_field(12, 5)    # not squarefree
     with pytest.raises(ValueError):
-        subfields(0, 5)
+        biquadratic_field(0, 5)
 
 
 signed_kernels = (st.integers(min_value=-400, max_value=400).filter(bool)
@@ -44,7 +44,6 @@ def test_third_kernel_and_primes_need_only_m_and_n(m, n):
     if m == n:
         return
     f = biquadratic_field(m, n)
-    assert subfields(m, n)[2] == squarefree_part(m * n)
     assert f.deltas == tuple(sorted((m, n, squarefree_part(m * n))))
     assert f.primes == factor(abs(m * n)).primes()
 
@@ -70,13 +69,13 @@ def test_biquadratic_field_sorts_and_flags_real():
 
 def test_ramification_examples():
     prof = ramification(biquadratic_field(2, 85))
-    assert prof.mapping == {2: 2, 5: 2, 17: 2}
+    assert prof.entries == ((2, 2), (5, 2), (17, 2))
     assert prof.product == 8
     prof = ramification(biquadratic_field(2, 3))
-    assert prof.mapping == {2: 4, 3: 2}
+    assert prof.entries == ((2, 4), (3, 2))
     assert prof.product == 8 and prof.e2 == 4
     prof = ramification(biquadratic_field(5, 13))
-    assert prof.mapping == {5: 2, 13: 2}
+    assert prof.entries == ((5, 2), (13, 2))
     assert prof.product == 4 and prof.e2 == 1
 
 

@@ -44,10 +44,11 @@ def test_classify_quadratic_rejects_non_squarefree(runner):
     assert "d must be a squarefree integer other than 0 and 1, got 12" in result.output
 
 
-@pytest.mark.parametrize("d", ["-4", "0", "1"])
+@pytest.mark.parametrize("d", ["-4", "0", "1", "1018081"])
 def test_classify_quadratic_rejects_a_bad_radicand(runner, d):
-    # the radicand check's ValueError, for 0 and 1 and for a non-squarefree
-    # negative d, becomes the CLI's usage error; -1 and -7 are accepted
+    # the radicand check's ValueError, for 0 and 1, for a non-squarefree
+    # negative d and for 1009^2, whose square is found only as a perfect power
+    # past trial division, becomes the CLI's usage error; -1 and -7 are accepted
     # (test_classify_quadratic_negative_argument and the factor-count test)
     result = runner.invoke(main, ["classify-quadratic", "--", d])
     assert result.exit_code == 2
@@ -370,6 +371,14 @@ def test_output_flag_writes_file(runner, tmp_path):
                                   "--output", str(target)])
     assert result.exit_code == 0
     assert json.loads(target.read_text())["po_order"] == 2
+
+
+def test_output_that_cannot_be_opened_is_a_usage_error(runner, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, ["pollack", "13", "--output", str(target)])
+    assert result.exit_code == 2
+    assert (f"Invalid value for '--output': cannot write {target}: "
+            "No such file or directory") in result.output
 
 
 def test_pollack_examples(runner):
