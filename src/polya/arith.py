@@ -9,8 +9,9 @@ hanging on adversarial inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .record import Record, set_field
 
 DEFAULT_FACTOR_BUDGET = 500_000
 
@@ -34,23 +35,23 @@ class FactorBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A complete prime factorization, primes strictly increasing."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "value", value)
+        set_field(self, "factors", factors)
         prev = 1
         prod = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must have strictly increasing primes and exponents >= 1")
             prev = p
             prod *= p**e
-        if prod != self.value:
-            raise ValueError(f"factor list does not multiply back to {self.value}")
+        if prod != value:
+            raise ValueError(f"factor list does not multiply back to {value}")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

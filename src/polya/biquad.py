@@ -27,7 +27,6 @@ settling norms +-2 with norm_equation and the fundamental unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import is_prime
 from .quadratic import (
@@ -38,6 +37,7 @@ from .quadratic import (
     norm_equation,
     zantema_classify,
 )
+from .record import Record, set_field
 from .sqclass import SquareClass, span
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
@@ -52,18 +52,17 @@ def _third_kernel(m: int, n: int) -> int:
     return third
 
 
-@dataclass(frozen=True)
-class BiquadraticField:
+class BiquadraticField(Record):
     """Q(sqrt(m), sqrt(n)) with the primes dividing mn, ascending."""
 
-    m: int
-    n: int
-    primes: tuple[int, ...]
+    __slots__ = ("m", "n", "primes")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, n: int, primes: tuple[int, ...]) -> None:
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "primes", primes)
         # m and n are squarefree with exactly these primes iff each is the
         # product of the listed primes dividing it and every prime divides one.
-        m, n, primes = self.m, self.n, self.primes
         if m in (0, 1) or n in (0, 1):
             raise ValueError("kernels must be squarefree integers other than 0 and 1")
         if list(primes) != sorted(set(primes)) or not all(map(is_prime, primes)):
@@ -90,11 +89,13 @@ def biquadratic_field(m: int, n: int) -> BiquadraticField:
     return BiquadraticField(m, n, tuple(sorted(primes)))
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(Record):
     """Ramification indices (prime, e) of the ramified rational primes, ascending."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        set_field(self, "entries", entries)
 
     @property
     def product(self) -> int:
@@ -151,24 +152,28 @@ def h1_order(field: BiquadraticField) -> tuple[int, int, int]:
     return _h1(field, ramification(field), h_generators(field))
 
 
-@dataclass(frozen=True)
-class PolyaReport:
+class PolyaReport(Record):
     """Every quantity of the Polya group computation, with exactness enforced."""
 
-    field: BiquadraticField
-    profile: RamificationProfile
-    h_generators: tuple[SquareClass, ...]
-    h_order: int
-    index_factor: int
-    h1_order: int
-    po_order: int
-    po_structure: str
-    unit_norms: tuple[int, int, int]
+    __slots__ = ("field", "profile", "h_generators", "h_order", "index_factor",
+                 "h1_order", "po_order", "po_structure", "unit_norms")
 
-    def __post_init__(self) -> None:
-        if self.h1_order != self.h_order * self.index_factor:
+    def __init__(self, field: BiquadraticField, profile: RamificationProfile,
+                 h_generators: tuple[SquareClass, ...], h_order: int, index_factor: int,
+                 h1_order: int, po_order: int, po_structure: str,
+                 unit_norms: tuple[int, int, int]) -> None:
+        set_field(self, "field", field)
+        set_field(self, "profile", profile)
+        set_field(self, "h_generators", h_generators)
+        set_field(self, "h_order", h_order)
+        set_field(self, "index_factor", index_factor)
+        set_field(self, "h1_order", h1_order)
+        set_field(self, "po_order", po_order)
+        set_field(self, "po_structure", po_structure)
+        set_field(self, "unit_norms", unit_norms)
+        if h1_order != h_order * index_factor:
             raise ValueError("index bookkeeping violated")
-        if self.po_order * self.h1_order != self.profile.product:
+        if po_order * h1_order != profile.product:
             raise ValueError("exact sequence arithmetic violated")
 
     @property
@@ -199,14 +204,16 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
     return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
 
 
-@dataclass(frozen=True)
-class LericheVerdict:
+class LericheVerdict(Record):
     """Composite classification of Q(sqrt(m), sqrt(n)) with the rule that fired."""
 
-    m: int
-    n: int
-    verdict: str
-    rule: str
+    __slots__ = ("m", "n", "verdict", "rule")
+
+    def __init__(self, m: int, n: int, verdict: str, rule: str) -> None:
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "verdict", verdict)
+        set_field(self, "rule", rule)
 
 
 def _polya_kernels(deltas: tuple[int, int, int]) -> list[int]:

@@ -53,13 +53,13 @@ decides every c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import indexOf
 
 from . import arith
 from .arith import factor, iroot, is_prime, is_square, jacobi
+from .record import Record, set_field
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
@@ -98,18 +98,21 @@ def ramified_primes(d: int) -> tuple[int, ...]:
     return tuple(([2] if d % 4 != 1 else []) + odd)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Record):
     """Continued fraction of sqrt(d): preperiod (a0,) then the periodic part.
 
     q_values holds the denominators of the complete quotients (m + sqrt(d))/q
     over one full period; the last entry is always 1.
     """
 
-    d: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    q_values: tuple[int, ...]
+    __slots__ = ("d", "preperiod", "period", "q_values")
+
+    def __init__(self, d: int, preperiod: tuple[int, ...], period: tuple[int, ...],
+                 q_values: tuple[int, ...]) -> None:
+        set_field(self, "d", d)
+        set_field(self, "preperiod", preperiod)
+        set_field(self, "period", period)
+        set_field(self, "q_values", q_values)
 
     @property
     def period_length(self) -> int:
@@ -456,22 +459,22 @@ def cf_expand(d: int) -> ContinuedFraction:
     return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]), tuple(q_values + [1]))
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
+class FundamentalUnit(Record):
     """The fundamental unit (z + t*sqrt(d))/denom > 1 of the real field Q(sqrt(d))."""
 
-    d: int
-    z: int
-    t: int
-    denom: int
-    norm: int
+    __slots__ = ("d", "z", "t", "denom", "norm")
 
-    def __post_init__(self) -> None:
-        if self.z < 1 or self.t < 1 or self.denom not in (1, 2) or self.norm not in (-1, 1):
+    def __init__(self, d: int, z: int, t: int, denom: int, norm: int) -> None:
+        set_field(self, "d", d)
+        set_field(self, "z", z)
+        set_field(self, "t", t)
+        set_field(self, "denom", denom)
+        set_field(self, "norm", norm)
+        if z < 1 or t < 1 or denom not in (1, 2) or norm not in (-1, 1):
             raise ValueError("malformed unit")
-        if self.z * self.z - self.d * self.t * self.t != self.norm * self.denom * self.denom:
+        if z * z - d * t * t != norm * denom * denom:
             raise ValueError("unit fails its norm equation")
-        if self.denom == 2 and (self.d % 4 != 1 or self.z % 2 != self.t % 2):
+        if denom == 2 and (d % 4 != 1 or z % 2 != t % 2):
             raise ValueError("half-integral unit outside the ring of integers")
 
 
@@ -514,8 +517,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     return FundamentalUnit(d, x, y, 1, nu)
 
 
-@dataclass(frozen=True)
-class UnitSplit:
+class UnitSplit(Record):
     """Split of a norm +1 fundamental unit u = (z + t*sqrt(d))/denom:
 
         z + denom = g * m^2 * epsilon,   z - denom = g * n^2 * eta,
@@ -524,23 +526,24 @@ class UnitSplit:
     and m^2 * epsilon - n^2 * eta = 2 * denom / g.
     """
 
-    d: int
-    unit: FundamentalUnit
-    g: int
-    m: int
-    n: int
-    epsilon: int
-    eta: int
+    __slots__ = ("d", "unit", "g", "m", "n", "epsilon", "eta")
 
-    def __post_init__(self) -> None:
-        u = self.unit
-        if u.norm != 1:
+    def __init__(self, d: int, unit: FundamentalUnit, g: int, m: int, n: int,
+                 epsilon: int, eta: int) -> None:
+        set_field(self, "d", d)
+        set_field(self, "unit", unit)
+        set_field(self, "g", g)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "eta", eta)
+        if unit.norm != 1:
             raise ValueError("unit split needs norm +1")
-        if self.epsilon * self.eta != self.d:
+        if epsilon * eta != d:
             raise ValueError("epsilon * eta must equal d")
-        if self.g * self.m * self.m * self.epsilon != u.z + u.denom:
+        if g * m * m * epsilon != unit.z + unit.denom:
             raise ValueError("epsilon side fails")
-        if self.g * self.n * self.n * self.eta != u.z - u.denom:
+        if g * n * n * eta != unit.z - unit.denom:
             raise ValueError("eta side fails")
 
 
@@ -567,8 +570,7 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     return split
 
 
-@dataclass(frozen=True)
-class PeriodInvariants:
+class PeriodInvariants(Record):
     """The facts H^1 needs of Q(sqrt(d)), read off the continued fraction of sqrt(d).
 
     norm is N(u) for the fundamental unit u, a_class is [N(u + 1)], and
@@ -576,10 +578,13 @@ class PeriodInvariants:
     it is exact only when d != 1 (mod 4), where 2 ramifies.
     """
 
-    d: int
-    norm: int
-    a_class: SquareClass
-    two_is_norm: bool
+    __slots__ = ("d", "norm", "a_class", "two_is_norm")
+
+    def __init__(self, d: int, norm: int, a_class: SquareClass, two_is_norm: bool) -> None:
+        set_field(self, "d", d)
+        set_field(self, "norm", norm)
+        set_field(self, "a_class", a_class)
+        set_field(self, "two_is_norm", two_is_norm)
 
 
 def period_invariants(d: int) -> PeriodInvariants:
@@ -658,22 +663,22 @@ def a_value(d: int) -> SquareClass:
     return period_invariants(d).a_class
 
 
-@dataclass(frozen=True)
-class NormEquationSolution:
+class NormEquationSolution(Record):
     """alpha = (x + y*sqrt(d))/denom in O_K with N(alpha) = c."""
 
-    d: int
-    c: int
-    x: int
-    y: int
-    denom: int
+    __slots__ = ("d", "c", "x", "y", "denom")
 
-    def __post_init__(self) -> None:
-        if self.denom not in (1, 2):
+    def __init__(self, d: int, c: int, x: int, y: int, denom: int) -> None:
+        set_field(self, "d", d)
+        set_field(self, "c", c)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "denom", denom)
+        if denom not in (1, 2):
             raise ValueError("denom must be 1 or 2")
-        if self.x * self.x - self.d * self.y * self.y != self.c * self.denom * self.denom:
+        if x * x - d * y * y != c * denom * denom:
             raise ValueError("claimed solution fails the norm equation")
-        if self.denom == 2 and (self.d % 4 != 1 or self.x % 2 != self.y % 2):
+        if denom == 2 and (d % 4 != 1 or x % 2 != y % 2):
             raise ValueError("half-integral solution outside the ring of integers")
 
 
@@ -773,13 +778,15 @@ POLYA = "Polya"
 NOT_POLYA = "NotPolya"
 
 
-@dataclass(frozen=True)
-class ZantemaVerdict:
+class ZantemaVerdict(Record):
     """Outcome of Zantema's five-case classification of quadratic Polya fields."""
 
-    d: int
-    polya: bool
-    case: str | None
+    __slots__ = ("d", "polya", "case")
+
+    def __init__(self, d: int, polya: bool, case: str | None) -> None:
+        set_field(self, "d", d)
+        set_field(self, "polya", polya)
+        set_field(self, "case", case)
 
     @property
     def verdict(self) -> str:
@@ -831,15 +838,17 @@ def quadratic_polya_oracle(d: int) -> str:
     return POLYA
 
 
-@dataclass(frozen=True)
-class DirichletReport:
+class DirichletReport(Record):
     """Audit of the norm -1 criterion for Q(sqrt(rs)), r and s distinct primes."""
 
-    r: int
-    s: int
-    applies: bool
-    norm: int
-    consistent: bool
+    __slots__ = ("r", "s", "applies", "norm", "consistent")
+
+    def __init__(self, r: int, s: int, applies: bool, norm: int, consistent: bool) -> None:
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "applies", applies)
+        set_field(self, "norm", norm)
+        set_field(self, "consistent", consistent)
 
 
 def dirichlet_norm_criterion(r: int, s: int) -> DirichletReport:

@@ -10,26 +10,26 @@ order is an exact power of two and nothing is factored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import squarefree_part
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Record):
     """An element of Q*/(Q*)^2, stored as sign and positive squarefree kernel."""
 
-    sign: int
-    kernel: int
+    __slots__ = ("sign", "kernel")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, kernel: int) -> None:
+        set_field(self, "sign", sign)
+        set_field(self, "kernel", kernel)
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.kernel < 1:
+        if kernel < 1:
             raise ValueError("kernel must be a positive integer")
         for p in (2, 3, 5, 7, 11, 13):  # cheap screen; class_of guarantees the rest
-            if self.kernel % (p * p) == 0:
-                raise ValueError(f"kernel {self.kernel} is divisible by {p}^2")
+            if kernel % (p * p) == 0:
+                raise ValueError(f"kernel {kernel} is divisible by {p}^2")
 
     @property
     def value(self) -> int:

@@ -20,11 +20,10 @@ an epsilon witness builds a fundamental unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
 from .quadratic import UnitSplit, epsilon_decomposition
+from .record import Record, set_field
 
 T1 = "T1"
 T2 = "T2"
@@ -41,17 +40,20 @@ TABLE_ROWS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     """Per-condition hypothesis check for one theorem instance.
 
     Truthy exactly when every condition holds; `checks` keeps the individual
     (label, verdict) pairs so a failure names the condition that broke.
     """
 
-    theorem: str
-    triple: tuple[int, ...]
-    checks: tuple[tuple[str, bool], ...]
+    __slots__ = ("theorem", "triple", "checks")
+
+    def __init__(self, theorem: str, triple: tuple[int, ...],
+                 checks: tuple[tuple[str, bool], ...]) -> None:
+        set_field(self, "theorem", theorem)
+        set_field(self, "triple", triple)
+        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -120,8 +122,7 @@ def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
     raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Verification record for one theorem instance.
 
     `field_report` is None exactly when the hypotheses failed.
@@ -130,20 +131,25 @@ class TheoremReport:
     differently; the report never raises for those.
     """
 
-    theorem: str
-    triple: tuple[int, ...]
-    hypotheses: HypothesisReport
-    field_report: PolyaReport | None
-    epsilon_witness: UnitSplit | None
-    epsilon_in_allowed_set: bool | None
-    claim_matches: bool | None
-    anomalies: tuple[str, ...]
+    __slots__ = ("theorem", "triple", "hypotheses", "field_report", "epsilon_witness",
+                 "epsilon_in_allowed_set", "claim_matches", "anomalies")
 
-    def __post_init__(self) -> None:
-        if self.field_report is not None:
-            if self.claim_matches != (self.field_report.po_order == 2):
+    def __init__(self, theorem: str, triple: tuple[int, ...], hypotheses: HypothesisReport,
+                 field_report: PolyaReport | None, epsilon_witness: UnitSplit | None,
+                 epsilon_in_allowed_set: bool | None, claim_matches: bool | None,
+                 anomalies: tuple[str, ...]) -> None:
+        set_field(self, "theorem", theorem)
+        set_field(self, "triple", triple)
+        set_field(self, "hypotheses", hypotheses)
+        set_field(self, "field_report", field_report)
+        set_field(self, "epsilon_witness", epsilon_witness)
+        set_field(self, "epsilon_in_allowed_set", epsilon_in_allowed_set)
+        set_field(self, "claim_matches", claim_matches)
+        set_field(self, "anomalies", anomalies)
+        if field_report is not None:
+            if claim_matches != (field_report.po_order == 2):
                 raise ValueError("claim_matches must mirror po_order == 2")
-        elif self.claim_matches is not None:
+        elif claim_matches is not None:
             raise ValueError("claim_matches requires a field report")
 
 
@@ -259,15 +265,18 @@ def verify_table() -> tuple[TheoremReport, ...]:
     return tuple(verify_theorem(T3, (p, q)) for _, p, q in TABLE_ROWS)
 
 
-@dataclass(frozen=True)
-class ContrastReport:
+class ContrastReport(Record):
     """Report for the contrasting family Q(sqrt(p), sqrt(qr)) with p = q = 3
     mod 4 and r = 5 mod 8, expected to be Polya (order 1)."""
 
-    triple: tuple[int, int, int]
-    field_report: PolyaReport
-    matches: bool
-    anomalies: tuple[str, ...]
+    __slots__ = ("triple", "field_report", "matches", "anomalies")
+
+    def __init__(self, triple: tuple[int, int, int], field_report: PolyaReport,
+                 matches: bool, anomalies: tuple[str, ...]) -> None:
+        set_field(self, "triple", triple)
+        set_field(self, "field_report", field_report)
+        set_field(self, "matches", matches)
+        set_field(self, "anomalies", anomalies)
 
 
 def contrast_rajaei(p: int, q: int, r: int) -> ContrastReport:

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from polya.arith import (FactorBudgetError, factor, iroot, is_prime, is_square,

@@ -12,7 +12,7 @@ from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_fie
                           h_generators, leriche_classify, polya_report,
                           ramification)
 from polya.quadratic import NOT_POLYA, POLYA, zantema_classify
-from polya.sqclass import IDENTITY, class_of
+from polya.sqclass import class_of
 
 kernels = (st.integers(min_value=2, max_value=400)
            .map(squarefree_part).filter(lambda d: d > 1))

@@ -15,9 +15,8 @@ from polya.biquad import biquadratic_field, polya_report
 from polya.cli import _witness_payload
 from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
                              fundamental_unit)
-from polya.verify import (TABLE_ROWS, THEOREMS, ContrastReport, TheoremReport,
-                          _theorem_field, admissible_triples, check_hypotheses,
-                          contrast_rajaei, hypotheses_t1,
+from polya.verify import (TABLE_ROWS, THEOREMS, _theorem_field, admissible_triples,
+                          check_hypotheses, contrast_rajaei, hypotheses_t1,
                           hypotheses_t2, hypotheses_t3, pollack_search, scan,
                           smallest_admissible, verify_table, verify_theorem)
 
