@@ -5,8 +5,8 @@ The pipeline: classify a real quadratic field by its fundamental unit
 `quadratic_polya_oracle`), then assemble a bi-quadratic field's first unit
 cohomology from square classes of subfield data read off continued-fraction
 periods (`period_invariants`, `polya_report`) and read the Polya group's
-order off the ramification exact sequence.  `verify` adds
-theorem-level harnesses for three families claiming Polya order 2, and `cli`
+order off the ramification exact sequence.  `verify` declares three
+theorem families claiming Polya order 2 (`FAMILIES`) and checks them, and `cli`
 exposes everything as a command-line tool.  Every result type is an
 immutable record on `record.Record`, whose classes compile no code when
 they are created, so a one-command CLI process starts without that cost.
@@ -25,11 +25,10 @@ from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         fundamental_unit, norm_equation, period_invariants,
                         quadratic_polya_oracle, ramified_primes, zantema_classify)
 from .sqclass import IDENTITY, SquareClass, class_of, span
-from .verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport,
+from .verify import (FAMILIES, T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport, Family,
                      HypothesisReport, TheoremReport, admissible_triples,
-                     check_hypotheses, contrast_rajaei, hypotheses_t1, hypotheses_t2,
-                     hypotheses_t3, pollack_search, scan, smallest_admissible,
-                     verify_table, verify_theorem)
+                     check_hypotheses, contrast_rajaei, pollack_search, scan,
+                     smallest_admissible, verify_table, verify_theorem)
 
 __all__ = [
     "DEFAULT_FACTOR_BUDGET", "FactorBudgetError", "Factorization", "factor",
@@ -44,8 +43,8 @@ __all__ = [
     "norm_equation", "period_invariants", "quadratic_polya_oracle", "ramified_primes",
     "zantema_classify",
     "IDENTITY", "SquareClass", "class_of", "span",
-    "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport",
+    "FAMILIES", "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport", "Family",
     "HypothesisReport", "TheoremReport", "admissible_triples", "check_hypotheses",
-    "contrast_rajaei", "hypotheses_t1", "hypotheses_t2", "hypotheses_t3",
-    "pollack_search", "scan", "smallest_admissible", "verify_table", "verify_theorem",
+    "contrast_rajaei", "pollack_search", "scan", "smallest_admissible", "verify_table",
+    "verify_theorem",
 ]

@@ -9,7 +9,6 @@ hanging on adversarial inputs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .record import Record, set_field
 
@@ -69,9 +68,7 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(sieve_primes(_TRIAL_LIMIT))
+_TRIAL_PRIMES = tuple(sieve_primes(_TRIAL_LIMIT))
 
 
 def is_square(n: int) -> bool:
@@ -145,7 +142,7 @@ def is_prime(n: int) -> bool:
     (strong probable-prime plus strong Lucas) for larger inputs."""
     if n < 2:
         return False
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if n == p:
             return True
         if n % p == 0:
@@ -210,7 +207,7 @@ def factor(n: int, *, budget: int | None = None) -> Factorization:
         budget = DEFAULT_FACTOR_BUDGET
     counts: dict[int, int] = {}
     m = n
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:

@@ -126,7 +126,7 @@ def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     if not field.totally_real:
         raise ValueError("H generators require a totally real field")
     deltas = field.deltas
-    return tuple([SquareClass(1, d) for d in deltas]
+    return tuple([SquareClass._known(1, d) for d in deltas]
                  + [_kernel_invariants(d).a_class for d in deltas])
 
 

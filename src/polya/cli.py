@@ -33,8 +33,8 @@ from .arith import FactorBudgetError
 from .biquad import PolyaReport, biquadratic_field, polya_report
 from .quadratic import (UnitSplit, _radicand_primes, fundamental_unit,
                         quadratic_polya_oracle, zantema_classify)
-from .verify import (THEOREMS, TheoremReport, admissible_triples, contrast_rajaei,
-                     pollack_search, verify_table, verify_theorem)
+from .verify import (FAMILIES, THEOREMS, TheoremReport, contrast_rajaei, pollack_search,
+                     scan, verify_table, verify_theorem)
 
 
 def _unit_payload(d: int) -> dict[str, Any] | None:
@@ -296,7 +296,7 @@ def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None
 
 
 def _finish_reports(ctx: click.Context, fmt: str, output: str | None,
-                    reports: list[TheoremReport], strict: bool) -> None:
+                    reports: tuple[TheoremReport, ...], strict: bool) -> None:
     if fmt == "json":
         payloads, lines = [_theorem_payload(r) for r in reports], []
     elif fmt == "csv":
@@ -322,11 +322,10 @@ def cmd_verify(ctx: click.Context, theorem: str, primes: tuple[int, ...], fmt: s
                output: str | None, strict: bool) -> None:
     """Verify one theorem instance, e.g. `verify t1 3 17 41` or `verify t3 5 17`."""
     theorem = _theorem_id(theorem)
-    expected = 2 if theorem == "T3" else 3
-    if len(primes) != expected:
-        raise click.UsageError(f"{theorem.lower()} takes {expected} primes, "
-                               f"got {len(primes)}")
-    _finish_reports(ctx, fmt, output, [verify_theorem(theorem, primes)], strict)
+    arity = len(FAMILIES[theorem].primes)
+    if len(primes) != arity:
+        raise click.UsageError(f"{theorem.lower()} takes {arity} primes, got {len(primes)}")
+    _finish_reports(ctx, fmt, output, (verify_theorem(theorem, primes),), strict)
 
 
 @_command("scan", batch=True)
@@ -337,17 +336,16 @@ def cmd_scan(ctx: click.Context, theorem: str, bound: int, fmt: str,
     """Verify every admissible triple with max prime <= BOUND."""
     theorem = _theorem_id(theorem)
     try:
-        triples = admissible_triples(theorem, bound)
+        reports = scan(theorem, bound)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    reports = [verify_theorem(theorem, t) for t in triples]
     _finish_reports(ctx, fmt, output, reports, strict)
 
 
 @_command("table", batch=True)
 def cmd_table(ctx: click.Context, fmt: str, output: str | None, strict: bool) -> None:
     """Reproduce the published 20-row table; exit 0 iff every row has po order 2."""
-    _finish_reports(ctx, fmt, output, list(verify_table()), strict=True)
+    _finish_reports(ctx, fmt, output, verify_table(), strict=True)
 
 
 @_command("pollack")

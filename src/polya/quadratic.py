@@ -646,9 +646,9 @@ def _kernel_invariants(d: int) -> PeriodInvariants:
         raise ArithmeticError(
             f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")
     # Q_h divides 2d with d squarefree, so 4 is the only square it can have
-    a_class = SquareClass(1, q_h // 4 if q_h % 4 == 0 else q_h)
+    a_class = SquareClass._known(1, q_h // 4 if q_h % 4 == 0 else q_h)
     if h_odd:
-        a_class = SquareClass(1, d) * a_class
+        a_class = SquareClass._known(1, d) * a_class
     return PeriodInvariants(d, 1, a_class, q_h == 2)
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 
-from .arith import squarefree_part
+from .arith import factor, squarefree_part
 from .record import Record, set_field
 
 
 class SquareClass(Record):
-    """An element of Q*/(Q*)^2, stored as sign and positive squarefree kernel."""
+    """An element of Q*/(Q*)^2, stored as sign and positive squarefree kernel;
+    the constructor factors the kernel to check it."""
 
     __slots__ = ("sign", "kernel")
 
@@ -27,9 +28,17 @@ class SquareClass(Record):
             raise ValueError("sign must be +1 or -1")
         if kernel < 1:
             raise ValueError("kernel must be a positive integer")
-        for p in (2, 3, 5, 7, 11, 13):  # cheap screen; class_of guarantees the rest
-            if kernel % (p * p) == 0:
+        for p, e in factor(kernel).factors:
+            if e > 1:
                 raise ValueError(f"kernel {kernel} is divisible by {p}^2")
+
+    @classmethod
+    def _known(cls, sign: int, kernel: int) -> "SquareClass":
+        """The class of sign * kernel, squarefree by construction: no factoring."""
+        c = object.__new__(cls)
+        set_field(c, "sign", sign)
+        set_field(c, "kernel", kernel)
+        return c
 
     @property
     def value(self) -> int:
@@ -42,10 +51,10 @@ class SquareClass(Record):
         if not isinstance(other, SquareClass):
             return NotImplemented
         g = math.gcd(self.kernel, other.kernel)
-        return SquareClass(self.sign * other.sign, (self.kernel // g) * (other.kernel // g))
+        return SquareClass._known(self.sign * other.sign, self.kernel // g * (other.kernel // g))
 
 
-IDENTITY = SquareClass(1, 1)
+IDENTITY = SquareClass._known(1, 1)
 
 
 def class_of(n: int) -> SquareClass:
@@ -53,7 +62,7 @@ def class_of(n: int) -> SquareClass:
     if n == 0:
         raise ValueError("0 has no square class")
     s = squarefree_part(n)
-    return SquareClass(1 if s > 0 else -1, abs(s))
+    return SquareClass._known(1 if s > 0 else -1, abs(s))
 
 
 def _coprime_base(kernels: list[int]) -> tuple[int, ...]:

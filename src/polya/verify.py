@@ -1,7 +1,8 @@
 """Theorem-level verification harnesses.
 
 Each theorem names a family of totally real bi-quadratic fields and claims a
-Polya group of order 2:
+Polya group of order 2.  Each is declared once, in `FAMILIES`, and the checks
+below read their hypotheses, triples, fields and proof steps from it:
 
     T1: Q(sqrt(p), sqrt(qr)), p = 3 mod 4, q = r = 1 mod 8, (q/r) = -1
     T2: Q(sqrt(p), sqrt(qr)), p = q = 3 mod 4, r = 1 mod 8, (p/r) = 1, (q/r) = -1
@@ -20,6 +21,9 @@ an epsilon witness builds a fundamental unit.
 
 from __future__ import annotations
 
+from itertools import product
+from typing import Callable
+
 from .arith import is_prime, jacobi, sieve_primes
 from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
 from .quadratic import UnitSplit, epsilon_decomposition
@@ -28,7 +32,6 @@ from .record import Record, set_field
 T1 = "T1"
 T2 = "T2"
 T3 = "T3"
-THEOREMS = (T1, T2, T3)
 
 # Reproduction targets: the twenty published example rows (2, p, q), each a
 # field Q(sqrt(2), sqrt(pq)) asserted to satisfy the T3 hypotheses.
@@ -38,6 +41,59 @@ TABLE_ROWS: tuple[tuple[int, int, int], ...] = (
     (2, 13, 193), (2, 13, 197), (2, 17, 5), (2, 17, 29), (2, 17, 37),
     (2, 17, 61), (2, 17, 197), (2, 29, 17), (2, 29, 61), (2, 29, 89),
 )
+
+
+class Family(Record):
+    """One theorem's statement: distinct `primes`, each (letter, modulus,
+    residue), with a Jacobi symbol (a/b) = value for each (a, b, value) in
+    `symbols`; its field's (m, n) = `field(*primes)`, products of the primes
+    and 2; and `m_norm`, the unit norm its proof asserts for Q(sqrt(m)) (each
+    asserts -1 for Q(sqrt(n)))."""
+
+    __slots__ = ("primes", "symbols", "field", "m_norm")
+
+    def __init__(self, primes: tuple[tuple[str, int, int], ...],
+                 symbols: tuple[tuple[str, str, int], ...],
+                 field: Callable[..., tuple[int, int]], m_norm: int) -> None:
+        set_field(self, "primes", primes)
+        set_field(self, "symbols", symbols)
+        set_field(self, "field", field)
+        set_field(self, "m_norm", m_norm)
+
+    @property
+    def conditions(self) -> tuple[str, tuple[tuple[str, int, int], ...],
+                                  tuple[tuple[str, int, int, int], ...]]:
+        """The labelled conditions, in order: distinct primes, (label, modulus,
+        residue) per prime and (label, i, j, value) per symbol (a_i/a_j)."""
+        letters = "".join(x for x, _, _ in self.primes)
+        return (f"{', '.join(letters)} are distinct primes",
+                tuple((f"{x} = {r} mod {m}", m, r) for x, m, r in self.primes),
+                tuple((f"({a}/{b}) = {v}", letters.index(a), letters.index(b), v)
+                      for a, b, v in self.symbols))
+
+
+# The statements in the module docstring, one declaration each.
+FAMILIES = {
+    T1: Family((("p", 4, 3), ("q", 8, 1), ("r", 8, 1)), (("q", "r", -1),),
+               lambda p, q, r: (p, q * r), m_norm=1),
+    T2: Family((("p", 4, 3), ("q", 4, 3), ("r", 8, 1)), (("p", "r", 1), ("q", "r", -1)),
+               lambda p, q, r: (p, q * r), m_norm=1),
+    T3: Family((("p", 4, 1), ("q", 4, 1)), (("p", "q", -1),),
+               lambda p, q: (2, p * q), m_norm=-1),
+}
+
+THEOREMS = tuple(FAMILIES)
+
+# Each family's conditions, derived once from its declaration.
+_CONDITIONS = {name: family.conditions for name, family in FAMILIES.items()}
+
+
+def _conditions(theorem: str) -> tuple[str, tuple[tuple[str, int, int], ...],
+                                       tuple[tuple[str, int, int, int], ...]]:
+    try:
+        return _CONDITIONS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}") from None
 
 
 class HypothesisReport(Record):
@@ -72,54 +128,18 @@ def _symbol_is(a: int, n: int, want: int) -> bool:
     return n > 2 and n % 2 == 1 and jacobi(a, n) == want
 
 
-def hypotheses_t1(p: int, q: int, r: int) -> HypothesisReport:
-    """p = 3 mod 4, q = r = 1 mod 8 distinct primes with (q/r) = -1."""
-    checks = (
-        ("p, q, r are distinct primes", _distinct_primes(p, q, r)),
-        ("p = 3 mod 4", p % 4 == 3),
-        ("q = 1 mod 8", q % 8 == 1),
-        ("r = 1 mod 8", r % 8 == 1),
-        ("(q/r) = -1", _symbol_is(q, r, -1)),
-    )
-    return HypothesisReport(T1, (p, q, r), checks)
-
-
-def hypotheses_t2(p: int, q: int, r: int) -> HypothesisReport:
-    """p = q = 3 mod 4, r = 1 mod 8 distinct primes, (p/r) = 1, (q/r) = -1."""
-    checks = (
-        ("p, q, r are distinct primes", _distinct_primes(p, q, r)),
-        ("p = 3 mod 4", p % 4 == 3),
-        ("q = 3 mod 4", q % 4 == 3),
-        ("r = 1 mod 8", r % 8 == 1),
-        ("(p/r) = 1", _symbol_is(p, r, 1)),
-        ("(q/r) = -1", _symbol_is(q, r, -1)),
-    )
-    return HypothesisReport(T2, (p, q, r), checks)
-
-
-def hypotheses_t3(p: int, q: int) -> HypothesisReport:
-    """p = q = 1 mod 4 distinct primes with (p/q) = -1."""
-    checks = (
-        ("p, q are distinct primes", _distinct_primes(p, q)),
-        ("p = 1 mod 4", p % 4 == 1),
-        ("q = 1 mod 4", q % 4 == 1),
-        ("(p/q) = -1", _symbol_is(p, q, -1)),
-    )
-    return HypothesisReport(T3, (p, q), checks)
-
-
 def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
-    """Dispatch to the theorem's hypothesis checker; validates arity."""
-    if theorem == T1:
-        p, q, r = triple
-        return hypotheses_t1(p, q, r)
-    if theorem == T2:
-        p, q, r = triple
-        return hypotheses_t2(p, q, r)
-    if theorem == T3:
-        p, q = triple
-        return hypotheses_t3(p, q)
-    raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    """Check a triple against the theorem's declaration, one labelled verdict
+    per condition: distinct primes, each residue class, each symbol."""
+    distinct, residues, symbols = _conditions(theorem)
+    if len(triple) != len(residues):
+        raise ValueError(f"{theorem.lower()} takes {len(residues)} primes, got {len(triple)}")
+    checks = [(distinct, _distinct_primes(*triple))]
+    for v, (label, m, r) in zip(triple, residues):
+        checks.append((label, v % m == r))
+    for label, i, j, want in symbols:
+        checks.append((label, _symbol_is(triple[i], triple[j], want)))
+    return HypothesisReport(theorem, triple, tuple(checks))
 
 
 class TheoremReport(Record):
@@ -156,35 +176,17 @@ class TheoremReport(Record):
 def _theorem_field(theorem: str, triple: tuple[int, ...]) -> BiquadraticField:
     """The theorem's field, built from the primes of a triple that satisfies
     its hypotheses, with no factoring."""
-    if theorem == T3:
-        p, q = triple
-        return BiquadraticField(2, p * q, (2, *sorted(triple)))
-    p, q, r = triple
-    return BiquadraticField(p, q * r, tuple(sorted(triple)))
-
-
-def _allowed_epsilons(field: BiquadraticField) -> frozenset[int]:
-    # the proofs' exhaustive epsilon case lists for the norm +1 unit split:
-    # {1, 2, pq, 2pq} for T3 and {1, p, qr, pqr} for T1/T2
-    return frozenset((1, field.m, field.n, field.m * field.n))
-
-
-def _asserted_unit_norms(theorem: str, field: BiquadraticField
-                         ) -> tuple[tuple[str, int, int], ...]:
-    """(label, asserted norm, kernel) for the proofs' unit-norm steps."""
-    return (
-        (f"unit norm of Q(sqrt({field.m})) behind the a1 step",
-         -1 if theorem == T3 else 1, field.m),
-        (f"unit norm of Q(sqrt({field.n})) behind the a2 step", -1, field.n),
-    )
+    m, n = FAMILIES[theorem].field(*triple)
+    primes = tuple(sorted(triple))
+    return BiquadraticField(m, n, (2, *primes) if (m * n) % 2 == 0 else primes)
 
 
 def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     """Full verification of one theorem instance.
 
     When the hypotheses fail the report stops there, before any field is
-    built.  The epsilon witness is taken from the largest kernel when its
-    unit has norm +1; for T3 the odd kernel pq is consulted as a fallback.
+    built.  The epsilon witness is the largest kernel whose unit has norm +1,
+    else the middle one; in T1 and T2 it is pqr, as p = 3 mod 4 divides it.
     """
     triple = tuple(triple)
     hyp = check_hypotheses(theorem, triple)
@@ -194,18 +196,18 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     report = polya_report(field)
     norms = dict(zip(field.deltas, report.unit_norms))
     anomalies: list[str] = []
-    for label, asserted, kernel in _asserted_unit_norms(theorem, field):
-        computed = norms[kernel]
-        if computed != asserted:
-            anomalies.append(f"{label}: asserted {asserted}, computed {computed}")
-    witness = None
-    in_set = None
+    for step, kernel, asserted in (("a1", field.m, FAMILIES[theorem].m_norm),
+                                   ("a2", field.n, -1)):
+        if norms[kernel] != asserted:
+            anomalies.append(f"unit norm of Q(sqrt({kernel})) behind the {step} step: "
+                             f"asserted {asserted}, computed {norms[kernel]}")
+    witness = in_set = None
+    # the proofs' exhaustive epsilon cases: {1, p, qr, pqr} or {1, 2, pq, 2pq}
+    allowed = frozenset((1, field.m, field.n, field.m * field.n))
     _, second, third = field.deltas
-    kernels = (third, second) if theorem == T3 else (third,)
-    for kernel in kernels:
+    for kernel in (third, second):
         if norms[kernel] == 1:
             witness = epsilon_decomposition(kernel)
-            allowed = _allowed_epsilons(field)
             in_set = witness.epsilon in allowed
             if not in_set:
                 anomalies.append(
@@ -218,26 +220,20 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
 
 def admissible_triples(theorem: str, bound: int) -> tuple[tuple[int, ...], ...]:
     """All triples satisfying the theorem's hypotheses with max prime <= bound,
-    in lexicographic order.  Only primes of the residue classes in the module
-    docstring are combined, each class sorted, and the Jacobi conditions
-    decide the rest; they force distinct primes, as (a/a) = 0 and T2's
-    (p/r) != (q/r).
+    in lexicographic order: the product of the sorted residue classes, kept
+    where each symbol, computed once per pair of primes, holds and the primes
+    are distinct.
     """
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    _, residues, symbols = _conditions(theorem)
     primes = sieve_primes(bound)
-    if theorem == T3:
-        one_mod_4 = [p for p in primes if p % 4 == 1]
-        return tuple((p, q) for p in one_mod_4 for q in one_mod_4 if jacobi(p, q) == -1)
-    three_mod_4 = [p for p in primes if p % 4 == 3]
-    one_mod_8 = [r for r in primes if r % 8 == 1]
-    if theorem == T1:
-        return tuple((p, q, r) for p in three_mod_4 for q in one_mod_8 for r in one_mod_8
-                     if jacobi(q, r) == -1)
-    return tuple((p, q, r) for p in three_mod_4 for q in three_mod_4 for r in one_mod_8
-                 if jacobi(p, r) == 1 and jacobi(q, r) == -1)
+    classes = [[v for v in primes if v % m == r] for _, m, r in residues]
+    found = product(*classes)
+    for _, i, j, want in symbols:
+        pairs = {(a, b) for a in classes[i] for b in classes[j] if _symbol_is(a, b, want)}
+        found = [t for t in found if (t[i], t[j]) in pairs]
+    return tuple(t for t in found if len(set(t)) == len(t))
 
 
 def scan(theorem: str, bound: int) -> tuple[TheoremReport, ...]:

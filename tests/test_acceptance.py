@@ -14,8 +14,8 @@ from polya.biquad import (OUTSIDE_PROPOSITION, biquadratic_field,
 from polya.quadratic import (POLYA, cf_expand,
                              dirichlet_norm_criterion, fundamental_unit,
                              quadratic_polya_oracle, zantema_classify)
-from polya.verify import (TABLE_ROWS, admissible_triples, contrast_rajaei,
-                          hypotheses_t1, pollack_search, smallest_admissible,
+from polya.verify import (T1, TABLE_ROWS, admissible_triples, check_hypotheses,
+                          contrast_rajaei, pollack_search, smallest_admissible,
                           verify_table, verify_theorem)
 
 
@@ -83,7 +83,7 @@ def test_criterion_03_first_family_sweep(criterion):
         for p in small:
             for q in big:
                 for r in big:
-                    if not hypotheses_t1(p, q, r):
+                    if not check_hypotheses(T1, (p, q, r)):
                         continue
                     rep = verify_theorem("T1", (p, q, r))
                     assert rep.field_report.po_order == 2, (p, q, r)

@@ -152,6 +152,14 @@ def test_verify_wrong_arity_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+def test_verify_arity_usage_error_is_pinned(runner):
+    result = runner.invoke(main, ["verify", "t1", "3", "17"])
+    assert result.exit_code == 2
+    assert result.output == ("Usage: main verify [OPTIONS] THEOREM [PRIMES]...\n"
+                             "Try 'main verify --help' for help.\n\n"
+                             "Error: t1 takes 3 primes, got 2\n")
+
+
 def test_verify_strict_flags_failed_hypotheses(runner):
     # hypotheses fail, so claim_matches is unset; strict only trips on False
     result = runner.invoke(main, ["verify", "T1", "3", "17", "29", "--format", "json"])
@@ -302,6 +310,28 @@ COMMAND_DIGESTS = {
         "json": "f1a90751fce12aa136f63d4c1bf7961a45d8b8493b4e20822b53b22df8d6840d",
         "csv": "d44e42c2135703f5867573f2b1a341ad374f240c2ed890dc095cd558a5a492d0",
         "text": "7d40ef17817c7acbc88a122be38c12814de97c714feb69e09be7ac968c03bed9"},
+    # T2's proof-step anomaly: its hypotheses force norm +1 for Q(sqrt(qr))
+    ("verify", "t2", "19", "3", "17"): {
+        "json": "dc8d8b58e7c7ef01e1046fedf935abee914d7e7517179a5a54b82f05c19aabef",
+        "csv": "9e2484dde9f8699b2ebb475baa87b01cd17f116a644ff8942b029fbd9f5261b0",
+        "text": "870cd7c8dd61ab611dcb5fb3a86ef0eebf57efd70e60185c138a08970500c4dd"},
+    # failed hypotheses: the labels of the conditions that broke, no field
+    ("verify", "t1", "3", "17", "29"): {
+        "json": "6eae8ca30ea930c61199e2654432106ec71852e2b593e5effcff38231a645e4a",
+        "csv": "4104ce14fc621c42a553e1771b2268a39774260d871898c21f24601073e01b77",
+        "text": "a6f1b13719c7edd7b3efacc1a6567e2076079e8aedbff0fd3e9279d7cc466ea1"},
+    ("verify", "t2", "3", "7", "13"): {
+        "json": "16e1f246bba9c1a24fc758454e80b13592090b64efeaaaa57d32640c96af2a6d",
+        "csv": "3abf2791d80bbd60e92e68f38602a682d764327b081cdbbc0fbc6eb215ad580a",
+        "text": "fb597588faeac70987465b675dbf7dbaf9bc5b71f66daac3fa7618f9691c4a13"},
+    ("verify", "t3", "2", "5"): {
+        "json": "35377a7147e2a5c44585ddf382601830e0a30793e686b09d18ab8645395886e4",
+        "csv": "9e28a76f592d0649412b115ecc3d023319dd3d297d178d2e1c87dcb6eaf0cf9f",
+        "text": "ae6d319bf856c6bf42fb735118e132fd73e0340ec0af0cc6e55b249135f9155c"},
+    ("scan", "T3", "40"): {
+        "json": "dec586f8d8cb987794dc6e01e6d2dbb7c7baa865e24b823305ddb257d849b100",
+        "csv": "053f66ea63ab9a1aaa5ec5ac7a3f68a712ae1e11a45bdbbe0529400d696897fb",
+        "text": "73b5eaa45ab427c819179984a4747eff65787a402d6cb314ef4ad9203c7c6283"},
     ("table",): {
         "json": "ea57ca963dd78fb6106f8e19d682d4f8410131fcc6561a498ba5b69b9424355a",
         "csv": "9d5b778aead9bef71fdb9b08c31172cd2bcd1ca7266463c39581ff0466629176",

@@ -22,7 +22,8 @@ from polya.quadratic import (FundamentalUnit, NormEquationSolution, UnitSplit, c
                              fundamental_unit, norm_equation, period_invariants,
                              zantema_classify)
 from polya.sqclass import SquareClass, class_of
-from polya.verify import ContrastReport, contrast_rajaei, hypotheses_t3, verify_theorem
+from polya.verify import (T3, ContrastReport, check_hypotheses, contrast_rajaei,
+                          verify_theorem)
 
 # One record of each result type, built by the function that returns it.
 SAMPLES = {
@@ -39,7 +40,7 @@ SAMPLES = {
     "RamificationProfile": lambda: ramification(biquadratic_field(2, 85)),
     "PolyaReport": lambda: polya_report(biquadratic_field(2, 85)),
     "LericheVerdict": lambda: leriche_classify(2, 5),
-    "HypothesisReport": lambda: hypotheses_t3(5, 17),
+    "HypothesisReport": lambda: check_hypotheses(T3, (5, 17)),
     "TheoremReport": lambda: verify_theorem("T3", (5, 17)),
     "ContrastReport": lambda: contrast_rajaei(3, 7, 5),
 }

@@ -83,3 +83,12 @@ def test_span_examples():
 
 def test_sign_is_an_independent_coordinate():
     assert span([class_of(-1), class_of(2), class_of(-2)]) == 4
+
+
+@pytest.mark.parametrize(("kernel", "square"), [(289, 17), (578, 17), (3 * 1009 ** 2, 1009)])
+def test_constructor_rejects_every_kernel_that_is_not_squarefree(kernel, square):
+    # a class carries a squarefree kernel: [289] would be the identity, yet
+    # span([SquareClass(1, 289)]) would read order 2 where it is 1; squares
+    # of primes past trial division are caught too
+    with pytest.raises(ValueError, match=rf"^kernel {kernel} is divisible by {square}\^2$"):
+        SquareClass(1, kernel)

@@ -15,33 +15,33 @@ from polya.biquad import biquadratic_field, polya_report
 from polya.cli import _witness_payload
 from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
                              fundamental_unit)
-from polya.verify import (TABLE_ROWS, THEOREMS, _theorem_field, admissible_triples,
-                          check_hypotheses, contrast_rajaei, hypotheses_t1,
-                          hypotheses_t2, hypotheses_t3, pollack_search, scan,
-                          smallest_admissible, verify_table, verify_theorem)
+from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, _theorem_field,
+                          admissible_triples, check_hypotheses, contrast_rajaei,
+                          pollack_search, scan, smallest_admissible, verify_table,
+                          verify_theorem)
 
 
 def test_hypotheses_t1_examples():
-    assert hypotheses_t1(3, 17, 41)
-    assert not hypotheses_t1(3, 17, 29)   # (17/29) = +1
-    assert not hypotheses_t1(3, 17, 17)   # repeated prime
+    assert check_hypotheses(T1, (3, 17, 41))
+    assert not check_hypotheses(T1, (3, 17, 29))   # (17/29) = +1
+    assert not check_hypotheses(T1, (3, 17, 17))   # repeated prime
 
 
 def test_hypotheses_t2_examples():
-    assert hypotheses_t2(19, 3, 17)
-    assert not hypotheses_t2(3, 7, 13)    # r = 13 is 5 mod 8
-    assert not hypotheses_t2(19, 3, 2)
+    assert check_hypotheses(T2, (19, 3, 17))
+    assert not check_hypotheses(T2, (3, 7, 13))    # r = 13 is 5 mod 8
+    assert not check_hypotheses(T2, (19, 3, 2))
 
 
 def test_hypotheses_t3_examples():
-    assert hypotheses_t3(5, 17)
-    assert hypotheses_t3(5, 13)           # (5/13) = -1
-    assert not hypotheses_t3(5, 5)
-    assert not hypotheses_t3(2, 5)
+    assert check_hypotheses(T3, (5, 17))
+    assert check_hypotheses(T3, (5, 13))           # (5/13) = -1
+    assert not check_hypotheses(T3, (5, 5))
+    assert not check_hypotheses(T3, (2, 5))
 
 
 def test_hypothesis_reports_carry_labeled_checks():
-    rep = hypotheses_t1(3, 17, 29)
+    rep = check_hypotheses(T1, (3, 17, 29))
     failed = [label for label, ok in rep.checks if not ok]
     assert failed and all(isinstance(label, str) for label, _ in rep.checks)
     assert rep.ok is False and bool(rep) is False
@@ -55,7 +55,34 @@ def test_hypotheses_t1_oracle_against_direct_congruences():
                 expected = (len({p, q, r}) == 3 and p % 4 == 3
                             and q % 8 == 1 and r % 8 == 1
                             and q != 2 and r != 2 and jacobi(q, r) == -1)
-                assert hypotheses_t1(p, q, r).ok == expected, (p, q, r)
+                assert check_hypotheses(T1, (p, q, r)).ok == expected, (p, q, r)
+
+
+def _euler(a, n):
+    # Legendre symbol (a/n) for an odd prime n by Euler's criterion
+    value = pow(a, (n - 1) // 2, n)
+    return -1 if value == n - 1 else value
+
+
+# T2's and T3's hypotheses written out literally, apart from the
+# declarations that drive check_hypotheses and admissible_triples (T1 has its
+# own such test above)
+STATEMENTS = {
+    "T2": lambda p, q, r: (len({p, q, r}) == 3 and p % 4 == 3 and q % 4 == 3
+                           and r % 8 == 1 and _euler(p, r) == 1 and _euler(q, r) == -1),
+    "T3": lambda p, q: (p != q and p % 4 == 1 and q % 4 == 1 and _euler(p, q) == -1),
+}
+
+
+@pytest.mark.parametrize("theorem", STATEMENTS)
+def test_hypotheses_match_the_literal_statement(theorem):
+    statement = STATEMENTS[theorem]
+    arity = statement.__code__.co_argcount
+    held = 0
+    for t in itertools.product(sieve_primes(60), repeat=arity):
+        assert check_hypotheses(theorem, t).ok == statement(*t), t
+        held += statement(*t)
+    assert held > 0
 
 
 def test_epsilon_witness_examples():
