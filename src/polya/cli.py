@@ -151,10 +151,14 @@ def _theorem_text(report: TheoremReport) -> list[str]:
 
 
 def _emit(fmt: str, output: str | None, payloads: list[dict[str, Any]],
-          columns: tuple[str, ...], text_lines: list[str]) -> None:
+          columns: tuple[str, ...] | None, text_lines: list[str]) -> None:
+    """Write the report in `fmt`; a CSV header of None is the first
+    payload's keys."""
     if fmt == "json":
         body = "\n".join(json.dumps(p) for p in payloads) + "\n"
     elif fmt == "csv":
+        if columns is None:
+            columns = tuple(payloads[0])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -269,8 +273,7 @@ def cmd_classify_quadratic(ctx: click.Context, d: int, fmt: str,
             "unit": _unit_payload(d),
         }]
         lines = []
-    columns = ("d", "zantema", "case", "oracle", "agreement", "unit")
-    _emit(fmt, output, payloads, columns, lines)
+    _emit(fmt, output, payloads, None, lines)
     if verdict.verdict != oracle:
         ctx.exit(3)
 
@@ -285,14 +288,11 @@ def cmd_analyze(ctx: click.Context, m: int, n: int, fmt: str, output: str | None
         report = polya_report(field)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    columns = ("m", "n", "deltas", "ramification", "product_e", "h_generators",
-               "h_order", "index_factor", "h1_order", "po_order", "po_structure",
-               "unit_norms", "polya")
     if fmt == "text":
         payloads, lines = [], _field_text(report)
     else:
         payloads, lines = [_field_payload(report)], []
-    _emit(fmt, output, payloads, columns, lines)
+    _emit(fmt, output, payloads, None, lines)
 
 
 def _finish_reports(ctx: click.Context, fmt: str, output: str | None,
@@ -361,7 +361,7 @@ def cmd_pollack(ctx: click.Context, r: int, fmt: str, output: str | None) -> Non
         click.echo(str(exc), err=True)
         ctx.exit(3)
     payload = {"r": r, "p": p, "q": q}
-    _emit(fmt, output, [payload], ("r", "p", "q"), [f"r = {r}: p = {p}, q = {q}"])
+    _emit(fmt, output, [payload], None, [f"r = {r}: p = {p}, q = {q}"])
 
 
 @_command("contrast", batch=True)

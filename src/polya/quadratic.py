@@ -33,7 +33,9 @@ along the cycle, the walk doubles whenever a phase of them has cost more
 than it, and a hit's exact offset puts a rebuilt form a few steps from the
 middle.  A half period of h steps then costs O(sqrt(h)) steps and
 compositions, and `_midpoint` walks on to the recurrence's own stop.  The
-answer is that stop, so it is exact and equal to the linear walk's.
+answer is that stop, so it is exact and equal to the linear walk's.  Each
+phase's walk goes on from where the last one ended, so the walk alone
+reaches the middle when no landing does: it ends every search.
 
 The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
 the period) serves classify-quadratic, the theorem witnesses and the norm
@@ -150,8 +152,8 @@ def _half_period(d: int) -> tuple[list[int], list[int], bool]:
 
 
 def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
-              steps: int | None = None, marks: list[int] | None = None,
-              every: int = 2) -> tuple[bool, int, bool] | None:
+              steps: int | None = None,
+              marks: list[int] | None = None) -> tuple[bool, int, bool] | None:
     """Where `_half_period` stops, without its lists: (h_odd, q_h, odd).
 
     h is the length of the half period, q_h = Q_h the last denominator
@@ -166,10 +168,10 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
     through m_k = m_{k+1} where k is a multiple of l, the one stop with
     Q_k = 1, so from any k it stops at the next index = h (mod l).
     Given steps, it returns None once it has taken that many (rounded up to
-    even) without stopping.  Given also marks, a list, and an even `every`
-    that divides steps, it appends the key Q_k << bits | m_k of the form
-    after every `every`-th step to marks, bits = bit length of isqrt(d); the
-    last one is that of the step where it ran out.  m_k < 2^bits, and
+    even) without stopping.  Given also marks, a list, and steps a multiple
+    of r = `_MARK_EVERY`, it appends the key Q_k << bits | m_k of the form
+    after every r-th step to marks, bits = bit length of isqrt(d); the last
+    one is that of the step where it ran out.  m_k < 2^bits, and
     Q_{k-1} = (d - m_k^2)/Q_k, so a key names the whole state.
     """
     a0 = math.isqrt(d)
@@ -180,7 +182,7 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
         stretches = repeat(None, 1)
         passes = repeat(None) if steps is None else repeat(None, (steps + 1) // 2)
     else:
-        stretches, passes = repeat(None, steps // every), range(every // 2)
+        stretches, passes = repeat(None, steps // _MARK_EVERY), range(_MARK_EVERY // 2)
         bits = a0.bit_length()
     for _ in stretches:
         for _ in passes:
@@ -208,7 +210,8 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
 # The midpoint search.  Each size below was measured on the 216 kernels of
 # large-fields seeds 401, 2718, 5003, 7919, 31337 and 777 and the 5,141 of
 # theorem-scan (Python 3.11, 2 vCPUs), where a composition costs about as
-# much as 35 walk steps and a probed form about 2.5.
+# much as 35 walk steps and a probed form about 2.5.  _MARK_EVERY must be
+# even and divide _PLAIN_STEPS.
 #
 # Steps walked from k = 0 before the first giant step.  185 of those
 # large-fields kernels and 89 of theorem-scan's have h > 1024.  Starting at
@@ -267,8 +270,7 @@ def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
     return a, b, c
 
 
-def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EVERY,
-                     cap: int | None = None) -> tuple[bool | None, int, bool]:
+def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     """(h_odd, q_h, odd) as `_midpoint(d)` gives them, by baby-step giant-step
     on the reduced forms of discriminant 4d; h_odd is None for odd periods.
 
@@ -279,17 +281,17 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EV
     j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, the inverse class, with
     key (Q_{k-1}, m_k).
 
-    First `_midpoint` walks `plain` steps from k = 0, and the keys of f_l
-    and of every r-th form f_r, ..., f_w of that walk (r = every, w the
-    steps walked) go into a table in that order.  Each giant step multiplies
-    S by G^2, G = f_{w-2r}, so S = J*J for J = G^n.  A probe walks r forms
-    from S; when one of them or of their mirrors is keyed, S lies within w
-    forms of the period's end, and the key's place gives S's exact offset e.
-    J, rebuilt by square-and-multiply, then lies about e/2 forms past the
-    middle, and J times the keyed form nearest |e|/2 forms, or its mirror
-    when e > 0, a few forms from it.  `_midpoint` walks 2r steps from that
-    form or from the mirror of its successor, and failing that w steps from
-    J or from the mirror of J's successor.  The stride of S, 2(w - 2r),
+    First `_midpoint` walks `_PLAIN_STEPS` steps from k = 0, and the keys of
+    f_l and of every r-th form f_r, ..., f_w of that walk (r = `_MARK_EVERY`,
+    w the steps walked) go into a table in that order.  Each giant step
+    multiplies S by G^2, G = f_{w-2r}, so S = J*J for J = G^n.  A probe walks
+    r forms from S; when one of them or of their mirrors is keyed, S lies
+    within w forms of the period's end, and the key's place gives S's exact
+    offset e.  J, rebuilt by square-and-multiply, then lies about e/2 forms
+    past the middle, and J times the keyed form nearest |e|/2 forms, or its
+    mirror when e > 0, a few forms from it.  `_midpoint` walks 2r steps from
+    that form or from the mirror of its successor, and failing that w steps
+    from J or from the mirror of J's successor.  The stride of S, 2(w - 2r),
     leaves a margin of about 4r forms below the window of 2w + r forms, so a
     composite that lands a few forms long cannot carry S over it.
 
@@ -298,17 +300,10 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EV
     doubles the table and the stride; J is then a product of each phase's G
     to the number of its steps, and the last S of a phase is probed against
     the longer table.  A half period of h steps costs O(sqrt(h)) steps and
-    compositions and O(sqrt(h)/r) keys.  The walk keeps the exact
-    recurrence's stops, so reaching the midpoint itself ends the search too.
-
-    After `cap` giant steps without a stop, `_midpoint(d)` walks from k = 0
-    to the end, so the search always ends.  J passes the middle once a lap,
-    and a hit is expected there (one with J near the period's end walks to
-    no stop).  By default the cap is a lap at the first stride for the bound
-    l < 0.72*sqrt(d)*ln(d) (d > 7; Stanton, Sudler and Williams, Pacific J.
-    Math. 67 (1976)), taken as (isqrt(d) + 1)*bits(d)/2, which is larger as
-    0.72*ln(2) < 1/2; strides only grow.  The keyword sizes are for tests:
-    every is even and divides plain.
+    compositions and O(sqrt(h)/r) keys.  The phase walk ends every search:
+    it keeps the exact recurrence's stops, and each phase walks on from the
+    last mark, so after about log2(h/w) phases with no landing the walks
+    alone have reached the middle.
 
     Every answer is the stop of `_midpoint`'s exact recurrence; the search
     only chooses where that walk starts.  With an odd period the form cycle
@@ -316,20 +311,21 @@ def _search_midpoint(d: int, *, plain: int = _PLAIN_STEPS, every: int = _MARK_EV
     parity of h, so h_odd is None there.
     """
     marks: list[int] = []
-    found = _midpoint(d, steps=plain, marks=marks, every=every)
+    found = _midpoint(d, steps=_PLAIN_STEPS, marks=marks)
     if found is None:
-        found = _giant_steps(d, plain, every, marks, cap)
+        found = _giant_steps(d, marks)
     h_odd, q_h, odd = found
     return (None if odd else h_odd), q_h, odd
 
 
-def _probe(s: tuple[int, int, int], table: dict[int, None], every: int, a0: int,
+def _probe(s: tuple[int, int, int], table: dict[int, None], a0: int,
            bits: int) -> int | None:
     """The offset s - l (mod l) of S = f_s from the period's end, read off the
-    first r forms f_{s+t} from S (r = every): k - t when f_{s+t} is the keyed
-    f_k, 1 - k - t when its mirror f_{l+1-s-t} is, None when neither is.
-    table holds the keys of f_l, f_r, f_2r, ... in that order, so the key
-    at place p is that of f_pr."""
+    first r forms f_{s+t} from S (r = `_MARK_EVERY`): k - t when f_{s+t} is
+    the keyed f_k, 1 - k - t when its mirror f_{l+1-s-t} is, None when
+    neither is.  table holds the keys of f_l, f_r, f_2r, ... in that order,
+    so the key at place p is that of f_pr."""
+    every = _MARK_EVERY
     s_a, s_b, s_c = s
     m, q_prev, q = s_b >> 1, abs(s_c), abs(s_a)
     for t in range(every):
@@ -351,10 +347,9 @@ def _state(d: int, key: int, bits: int) -> tuple[int, int, int]:
     return m, (d - m * m) // q, q
 
 
-def _giant_steps(d: int, walked: int, every: int, marks: list[int],
-                 cap: int | None) -> tuple[bool, int, bool]:
-    """The search of `_search_midpoint` past a walk of `walked` steps from
-    k = 0 that left these marks."""
+def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
+    """The search of `_search_midpoint` past the walk of `_PLAIN_STEPS` steps
+    from k = 0 that left these marks."""
     a0 = math.isqrt(d)
     bits = a0.bit_length()
     disc = 4 * d
@@ -362,28 +357,22 @@ def _giant_steps(d: int, walked: int, every: int, marks: list[int],
     # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
     table: dict[int, None] = {1 << bits | a0: None}
     powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
+    walked = _PLAIN_STEPS
     s = None
-    giants = 0
     while True:
         table.update(zip(marks, repeat(None)))
         # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
-        g = max(len(marks) - 3, 0)
-        m, q_prev, q = _state(d, marks[g], bits)
+        m, q_prev, q = _state(d, marks[max(len(marks) - 3, 0)], bits)
         giant = (q, 2 * m, -q_prev)
         square = _compose(giant, giant, disc, root)
-        if cap is None:
-            cap = (a0 + 1) * d.bit_length() // (2 * (g + 1) * every) + 1
         n = 0
         if s is None:
             s, n = square, 1
         # the last S of a phase is probed in the next, against its longer table
         for _ in range(max(walked // _PHASE_DIVISOR, 1)):
-            if giants == cap:
-                return _midpoint(d)
-            giants += 1
-            e = _probe(s, table, every, a0, bits)
+            e = _probe(s, table, a0, bits)
             if e is not None:
-                found = _land(d, (*powers, (giant, n)), e, table, walked, every)
+                found = _land(d, (*powers, (giant, n)), e, table, walked)
                 if found is not None:
                     return found
             s = _compose(s, square, disc, root)
@@ -393,17 +382,18 @@ def _giant_steps(d: int, walked: int, every: int, marks: list[int],
         # parity of the steps taken from there
         state = _state(d, marks[-1], bits)
         marks = []
-        found = _midpoint(d, *state, steps=walked, marks=marks, every=every)
+        found = _midpoint(d, *state, steps=walked, marks=marks)
         if found is not None:
             return found
         walked *= 2
 
 
 def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
-          table: dict[int, None], walked: int, every: int) -> tuple[bool, int, bool] | None:
+          table: dict[int, None], walked: int) -> tuple[bool, int, bool] | None:
     """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
     whose square lies e forms from the period's end, so that J lies about e/2
     forms past the middle; None when no walk from there stops."""
+    every = _MARK_EVERY
     a0 = math.isqrt(d)
     disc = 4 * d
     root = math.isqrt(disc)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya import arith, quadratic
+from polya import arith, quadratic, verify
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import main
 
@@ -167,6 +167,18 @@ def test_verify_strict_flags_failed_hypotheses(runner):
     payload = json.loads(result.output)
     assert payload["hypotheses_ok"] is False
     assert payload["claim_matches"] is None
+
+
+def test_scan_rejects_a_bound_past_its_sieve(runner, monkeypatch):
+    # the check comes before the sieve: a bound of 10**12 would ask for a
+    # terabyte, so the sieve here refuses to run at all
+    def refuse(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(verify, "sieve_primes", refuse)
+    result = runner.invoke(main, ["scan", "T3", "1000000000000"])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: bound must be at most 1000000"
 
 
 def test_scan_json_lines(runner):

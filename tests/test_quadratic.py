@@ -158,21 +158,36 @@ def test_period_invariants_walk_a_long_half_period_in_bounded_memory():
     assert peak < 64 * 1024
 
 
-def check_search(d: int, **sizes: int) -> None:
+def check_search(d: int) -> None:
     """_search_midpoint against the linear walk; h_odd is None for odd periods."""
     h_odd, q_h, odd = _midpoint(d)
-    assert _search_midpoint(d, **sizes) == (None if odd else h_odd, q_h, odd), (d, sizes)
+    assert _search_midpoint(d) == (None if odd else h_odd, q_h, odd), d
 
 
-def test_search_midpoint_stops_at_its_cap_and_walks(monkeypatch):
-    # a cap of 3 giant steps cannot reach the middle of a half period of
-    # 266,286 steps, so the plain walk from k = 0 gives the answer.  One
-    # composition squares the giant form G, and each giant step multiplies
-    # S by G^2 after its probe
-    compose = Mock(wraps=quadratic._compose)
-    monkeypatch.setattr(quadratic, "_compose", compose)
-    check_search(10 ** 12 + 39, cap=3)
-    assert compose.call_count == 1 + 3
+def set_sizes(monkeypatch, plain: int, every: int) -> None:
+    """Run the search with a first walk of `plain` steps keying every
+    `every`-th form."""
+    monkeypatch.setattr(quadratic, "_PLAIN_STEPS", plain)
+    monkeypatch.setattr(quadratic, "_MARK_EVERY", every)
+
+
+def test_search_midpoint_ends_by_its_walk_when_no_landing_stops(monkeypatch):
+    # with every landing refused, only the walk that each phase takes on
+    # from the last one's end can stop.  The walks from k = 0 cover 1024 *
+    # 2^i steps after i phases, so the ninth reaches the middle of the
+    # 266,286-step half period of 10**12 + 39; at the smallest sizes they
+    # reach the middle of every period below 3000
+    land = Mock(return_value=None)
+    walk = Mock(wraps=quadratic._midpoint)
+    monkeypatch.setattr(quadratic, "_land", land)
+    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    check_search(10 ** 12 + 39)
+    assert land.call_count > 0
+    assert walk.call_count == 1 + 9
+    set_sizes(monkeypatch, 2, 2)
+    for d in range(2, 3000):
+        if math.isqrt(d) ** 2 != d:
+            check_search(d)
 
 
 def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch):
@@ -222,10 +237,10 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     real_walk, real_probe = quadratic._midpoint, quadratic._probe
     events: list[tuple[str, bool]] = []
 
-    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
-        found = real_walk(d, m, q_prev, q, steps, marks, every)
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
+        found = real_walk(d, m, q_prev, q, steps, marks)
         kind = {(True, True): "first", (False, True): "doubled",
-                (False, False): "from a hit", (True, False): "fallback"}
+                (False, False): "from a hit"}
         events.append((kind[q_prev is None, marks is not None], found is not None))
         return found
 
@@ -240,13 +255,13 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
                           "corrected start stops", "uncorrected J stops",
                           "all starts fail"], 0)
-    for sizes in ({"plain": 2, "every": 2}, {"plain": 4, "every": 2},
-                  {"plain": 16, "every": 4}):
+    for plain, every in ((2, 2), (4, 2), (16, 4)):
+        set_sizes(monkeypatch, plain, every)
         for d in range(2, 8000):
             if math.isqrt(d) ** 2 != d:
                 h_odd, q_h, odd = real_walk(d)
                 events.clear()
-                assert _search_midpoint(d, **sizes) == (None if odd else h_odd, q_h, odd)
+                assert _search_midpoint(d) == (None if odd else h_odd, q_h, odd), d
                 seen["doubled walk stops"] += events[-1] == ("doubled", True)
                 # a hit walks from the two starts of the corrected J, then
                 # from the two of J itself, until one walk stops
@@ -291,10 +306,10 @@ def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
     walked = [0]
     squares: list[tuple[tuple[int, int], int]] = []
 
-    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
         if marks is not None:
             walked[0] += steps
-        return real_walk(d, m, q_prev, q, steps, marks, every)
+        return real_walk(d, m, q_prev, q, steps, marks)
 
     def probe(s, *args):
         squares.append(((abs(s[0]), s[1] // 2), walked[0]))
@@ -303,20 +318,20 @@ def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     monkeypatch.setattr(quadratic, "_probe", probe)
     steps = 0
-    for sizes, ds in (({"plain": 16, "every": 4}, range(2, 8000)),
-                      ({"plain": 64, "every": 8}, range(10 ** 6, 10 ** 6 + 300))):
-        r = sizes["every"]
+    for (plain, r), ds in (((16, 4), range(2, 8000)),
+                           ((64, 8), range(10 ** 6, 10 ** 6 + 300))):
+        set_sizes(monkeypatch, plain, r)
         for d in ds:
             if math.isqrt(d) ** 2 == d:
                 continue
             index, delta = period_distances(d)
             walked[0] = 0
             squares.clear()
-            check_search(d, **sizes)
+            check_search(d)
             # S's place mod l, as keys ignore the sign that odd periods flip
             for (before, w), (after, _) in zip(squares, squares[1:]):
                 step = (delta[index[after]] - delta[index[before]]) % delta[-1]
-                assert step < delta[w] + delta[w - 2 * r], (d, sizes)
+                assert step < delta[w] + delta[w - 2 * r], (d, plain, r)
                 steps += 1
     assert steps > 1000
 
@@ -351,8 +366,8 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
 
     taken = [0]
 
-    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None, every=2):
-        found = real_walk(d, m, q_prev, q, steps, marks, every)
+    def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
+        found = real_walk(d, m, q_prev, q, steps, marks)
         if q_prev is not None and marks is None:
             taken[0] += steps + steps % 2 if found is None else steps_to_stop(d, (m, q_prev, q))
         return found
@@ -363,7 +378,7 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
     assert 0 < taken[0] <= 1_000
 
 
-def test_probe_names_the_side_of_the_period_end():
+def test_probe_names_the_side_of_the_period_end(monkeypatch):
     # the table keys f_l, which closes the window at the period's end, then
     # every 16th form of the walk from k = 0, here f_16 to f_1024.  A probe
     # of 16 forms gives S's offset from the period's end: from f_{t-6} it
@@ -375,10 +390,12 @@ def test_probe_names_the_side_of_the_period_end():
     a0 = math.isqrt(d)
     bits = a0.bit_length()
     marks: list[int] = []
-    assert _midpoint(d, steps=1024, marks=marks, every=16) is None
+    assert _midpoint(d, steps=1024, marks=marks) is None
     table = dict.fromkeys([1 << bits | a0, *marks])
     states: list[int] = []                    # the keys of f_2, f_4, ...
-    assert _midpoint(d, steps=1056, marks=states, every=2) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(quadratic, "_MARK_EVERY", 2)
+        assert _midpoint(d, steps=1056, marks=states) is None
     assert states[7:512:8] == marks
 
     def form(k: int) -> tuple[int, int, int]:  # f_k for even k
@@ -390,11 +407,11 @@ def test_probe_names_the_side_of_the_period_end():
         return c, b, a
 
     t = 336
-    assert quadratic._probe(form(t - 6), table, 16, a0, bits) == t - 6
-    assert quadratic._probe(mirror(t + 6), table, 16, a0, bits) == -5 - t
-    assert quadratic._probe(mirror(6), table, 16, a0, bits) == -5
-    assert quadratic._probe(form(1026), table, 16, a0, bits) is None
-    assert quadratic._probe(mirror(1042), table, 16, a0, bits) is None
+    assert quadratic._probe(form(t - 6), table, a0, bits) == t - 6
+    assert quadratic._probe(mirror(t + 6), table, a0, bits) == -5 - t
+    assert quadratic._probe(mirror(6), table, a0, bits) == -5
+    assert quadratic._probe(form(1026), table, a0, bits) is None
+    assert quadratic._probe(mirror(1042), table, a0, bits) is None
 
 
 @given(st.integers(min_value=2 ** 30, max_value=10 ** 13))
