@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .record import Record, set_field
+from .record import Record
 
 DEFAULT_FACTOR_BUDGET = 500_000
 
@@ -39,18 +39,16 @@ class Factorization(Record):
 
     __slots__ = ("value", "factors")
 
-    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
-        set_field(self, "value", value)
-        set_field(self, "factors", factors)
+    def _check(self) -> None:
         prev = 1
         prod = 1
-        for p, e in factors:
+        for p, e in self.factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must have strictly increasing primes and exponents >= 1")
             prev = p
             prod *= p**e
-        if prod != value:
-            raise ValueError(f"factor list does not multiply back to {value}")
+        if prod != self.value:
+            raise ValueError(f"factor list does not multiply back to {self.value}")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -37,7 +37,7 @@ from .quadratic import (
     norm_equation,
     zantema_classify,
 )
-from .record import Record, set_field
+from .record import Record
 from .sqclass import SquareClass, span
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
@@ -57,10 +57,8 @@ class BiquadraticField(Record):
 
     __slots__ = ("m", "n", "primes")
 
-    def __init__(self, m: int, n: int, primes: tuple[int, ...]) -> None:
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "primes", primes)
+    def _check(self) -> None:
+        m, n, primes = self.m, self.n, self.primes
         # m and n are squarefree with exactly these primes iff each is the
         # product of the listed primes dividing it and every prime divides one.
         if m in (0, 1) or n in (0, 1):
@@ -93,9 +91,6 @@ class RamificationProfile(Record):
     """Ramification indices (prime, e) of the ramified rational primes, ascending."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
-        set_field(self, "entries", entries)
 
     @property
     def product(self) -> int:
@@ -158,22 +153,10 @@ class PolyaReport(Record):
     __slots__ = ("field", "profile", "h_generators", "h_order", "index_factor",
                  "h1_order", "po_order", "po_structure", "unit_norms")
 
-    def __init__(self, field: BiquadraticField, profile: RamificationProfile,
-                 h_generators: tuple[SquareClass, ...], h_order: int, index_factor: int,
-                 h1_order: int, po_order: int, po_structure: str,
-                 unit_norms: tuple[int, int, int]) -> None:
-        set_field(self, "field", field)
-        set_field(self, "profile", profile)
-        set_field(self, "h_generators", h_generators)
-        set_field(self, "h_order", h_order)
-        set_field(self, "index_factor", index_factor)
-        set_field(self, "h1_order", h1_order)
-        set_field(self, "po_order", po_order)
-        set_field(self, "po_structure", po_structure)
-        set_field(self, "unit_norms", unit_norms)
-        if h1_order != h_order * index_factor:
+    def _check(self) -> None:
+        if self.h1_order != self.h_order * self.index_factor:
             raise ValueError("index bookkeeping violated")
-        if po_order * h1_order != profile.product:
+        if self.po_order * self.h1_order != self.profile.product:
             raise ValueError("exact sequence arithmetic violated")
 
     @property
@@ -208,12 +191,6 @@ class LericheVerdict(Record):
     """Composite classification of Q(sqrt(m), sqrt(n)) with the rule that fired."""
 
     __slots__ = ("m", "n", "verdict", "rule")
-
-    def __init__(self, m: int, n: int, verdict: str, rule: str) -> None:
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "verdict", verdict)
-        set_field(self, "rule", rule)
 
 
 def _polya_kernels(deltas: tuple[int, int, int]) -> list[int]:

@@ -19,9 +19,9 @@ continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
 through the period by the same recurrence: `_midpoint` keeps nothing but the
 current denominators and returns the parity of its length, the last
 denominator and how it ended, in constant memory; `_half_period` keeps the
-partial quotients and denominators, which `cf_expand` mirrors into the full
-period.  Past the first step both work on integers below 2*sqrt(d), each a
-one-digit Python int (below 2^30) for every d below 2^58.
+partial quotients, which `cf_expand` mirrors into the full period.  Past
+the first step both work on integers below 2*sqrt(d), each a one-digit
+Python int (below 2^30) for every d below 2^58.
 
 `_midpoint` walks a half period of up to `_PLAIN_STEPS` steps from its
 start.  Past that, `_search_midpoint` finds a start near the middle by
@@ -61,7 +61,7 @@ from operator import indexOf
 
 from . import arith
 from .arith import factor, iroot, is_prime, is_square, jacobi
-from .record import Record, set_field
+from .record import Record
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
@@ -101,34 +101,24 @@ def ramified_primes(d: int) -> tuple[int, ...]:
 
 
 class ContinuedFraction(Record):
-    """Continued fraction of sqrt(d): preperiod (a0,) then the periodic part.
+    """Continued fraction of sqrt(d): preperiod (a0,) then the periodic part,
+    whose last partial quotient is always 2*a0."""
 
-    q_values holds the denominators of the complete quotients (m + sqrt(d))/q
-    over one full period; the last entry is always 1.
-    """
-
-    __slots__ = ("d", "preperiod", "period", "q_values")
-
-    def __init__(self, d: int, preperiod: tuple[int, ...], period: tuple[int, ...],
-                 q_values: tuple[int, ...]) -> None:
-        set_field(self, "d", d)
-        set_field(self, "preperiod", preperiod)
-        set_field(self, "period", period)
-        set_field(self, "q_values", q_values)
+    __slots__ = ("d", "preperiod", "period")
 
     @property
     def period_length(self) -> int:
         return len(self.period)
 
 
-def _half_period(d: int) -> tuple[list[int], list[int], bool]:
-    """First half of the period of sqrt(d), nonsquare d > 1: (head, q_head, odd).
+def _half_period(d: int) -> tuple[list[int], bool]:
+    """First half of the period of sqrt(d), nonsquare d > 1: (head, odd).
 
     With complete quotients (m_k + sqrt(d))/Q_k and partial quotients a_k, the
     period l is symmetric: a_k = a_{l-k}, Q_k = Q_{l-k} and m_k = m_{l+1-k}.
     Within a period Q_k = Q_{k+1} happens only at k = (l - 1)/2 for odd l, and
     m_k = m_{k+1} only at k = l/2 for even l, so the walk stops there.  head
-    is a_1..a_k and q_head is Q_1..Q_k at that k; odd says which case ended it.
+    is a_1..a_k at that k; odd says which case ended it.
 
     m_{k+1} = a_k*Q_k - m_k, and Q_{k+1} = (d - m_{k+1}^2)/Q_k is stepped as
     Q_{k+1} = Q_{k-1} + a_k*(m_k - m_{k+1}) from Q_{-1} = d.  Past the first
@@ -137,24 +127,22 @@ def _half_period(d: int) -> tuple[list[int], list[int], bool]:
     a0 = math.isqrt(d)
     m, q_prev, q, a = 0, d, 1, a0
     head: list[int] = []
-    q_head: list[int] = []
     while True:
         m_next = a * q - m
         q_next = q_prev + a * (m - m_next)
         if q_next == q:
-            return head, q_head, True
+            return head, True
         if m_next == m:
-            return head, q_head, False
+            return head, False
         m, q_prev, q = m_next, q, q_next
         a = (a0 + m) // q
         head.append(a)
-        q_head.append(q)
 
 
 def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
               steps: int | None = None,
               marks: list[int] | None = None) -> tuple[bool, int, bool] | None:
-    """Where `_half_period` stops, without its lists: (h_odd, q_h, odd).
+    """Where `_half_period` stops, without its list: (h_odd, q_h, odd).
 
     h is the length of the half period, q_h = Q_h the last denominator
     (Q_0 = 1 when h = 0) and odd says which symmetry ended the walk, as in
@@ -434,19 +422,14 @@ def cf_expand(d: int) -> ContinuedFraction:
     """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
 
     The period is the half walked by `_half_period` and its mirror, closed by
-    a_l = 2*a0 and Q_l = 1.
+    a_l = 2*a0.
     """
     if d < 2 or is_square(d):
         raise ValueError("cf_expand needs a nonsquare integer d > 1")
-    head, q_head, odd = _half_period(d)
-    if odd:
-        period = head + head[::-1]
-        q_values = q_head + q_head[::-1]
-    else:
-        period = head + head[-2::-1]
-        q_values = q_head + q_head[-2::-1]
+    head, odd = _half_period(d)
+    period = head + (head[::-1] if odd else head[-2::-1])
     a0 = math.isqrt(d)
-    return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]), tuple(q_values + [1]))
+    return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]))
 
 
 class FundamentalUnit(Record):
@@ -454,12 +437,8 @@ class FundamentalUnit(Record):
 
     __slots__ = ("d", "z", "t", "denom", "norm")
 
-    def __init__(self, d: int, z: int, t: int, denom: int, norm: int) -> None:
-        set_field(self, "d", d)
-        set_field(self, "z", z)
-        set_field(self, "t", t)
-        set_field(self, "denom", denom)
-        set_field(self, "norm", norm)
+    def _check(self) -> None:
+        d, z, t, denom, norm = self.d, self.z, self.t, self.denom, self.norm
         if z < 1 or t < 1 or denom not in (1, 2) or norm not in (-1, 1):
             raise ValueError("malformed unit")
         if z * z - d * t * t != norm * denom * denom:
@@ -518,22 +497,15 @@ class UnitSplit(Record):
 
     __slots__ = ("d", "unit", "g", "m", "n", "epsilon", "eta")
 
-    def __init__(self, d: int, unit: FundamentalUnit, g: int, m: int, n: int,
-                 epsilon: int, eta: int) -> None:
-        set_field(self, "d", d)
-        set_field(self, "unit", unit)
-        set_field(self, "g", g)
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "eta", eta)
+    def _check(self) -> None:
+        unit, g, m, n = self.unit, self.g, self.m, self.n
         if unit.norm != 1:
             raise ValueError("unit split needs norm +1")
-        if epsilon * eta != d:
+        if self.epsilon * self.eta != self.d:
             raise ValueError("epsilon * eta must equal d")
-        if g * m * m * epsilon != unit.z + unit.denom:
+        if g * m * m * self.epsilon != unit.z + unit.denom:
             raise ValueError("epsilon side fails")
-        if g * n * n * eta != unit.z - unit.denom:
+        if g * n * n * self.eta != unit.z - unit.denom:
             raise ValueError("eta side fails")
 
 
@@ -569,12 +541,6 @@ class PeriodInvariants(Record):
     """
 
     __slots__ = ("d", "norm", "a_class", "two_is_norm")
-
-    def __init__(self, d: int, norm: int, a_class: SquareClass, two_is_norm: bool) -> None:
-        set_field(self, "d", d)
-        set_field(self, "norm", norm)
-        set_field(self, "a_class", a_class)
-        set_field(self, "two_is_norm", two_is_norm)
 
 
 def period_invariants(d: int) -> PeriodInvariants:
@@ -658,15 +624,11 @@ class NormEquationSolution(Record):
 
     __slots__ = ("d", "c", "x", "y", "denom")
 
-    def __init__(self, d: int, c: int, x: int, y: int, denom: int) -> None:
-        set_field(self, "d", d)
-        set_field(self, "c", c)
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "denom", denom)
+    def _check(self) -> None:
+        d, x, y, denom = self.d, self.x, self.y, self.denom
         if denom not in (1, 2):
             raise ValueError("denom must be 1 or 2")
-        if x * x - d * y * y != c * denom * denom:
+        if x * x - d * y * y != self.c * denom * denom:
             raise ValueError("claimed solution fails the norm equation")
         if denom == 2 and (d % 4 != 1 or x % 2 != y % 2):
             raise ValueError("half-integral solution outside the ring of integers")
@@ -773,11 +735,6 @@ class ZantemaVerdict(Record):
 
     __slots__ = ("d", "polya", "case")
 
-    def __init__(self, d: int, polya: bool, case: str | None) -> None:
-        set_field(self, "d", d)
-        set_field(self, "polya", polya)
-        set_field(self, "case", case)
-
     @property
     def verdict(self) -> str:
         return POLYA if self.polya else NOT_POLYA
@@ -832,13 +789,6 @@ class DirichletReport(Record):
     """Audit of the norm -1 criterion for Q(sqrt(rs)), r and s distinct primes."""
 
     __slots__ = ("r", "s", "applies", "norm", "consistent")
-
-    def __init__(self, r: int, s: int, applies: bool, norm: int, consistent: bool) -> None:
-        set_field(self, "r", r)
-        set_field(self, "s", s)
-        set_field(self, "applies", applies)
-        set_field(self, "norm", norm)
-        set_field(self, "consistent", consistent)
 
 
 def dirichlet_norm_criterion(r: int, s: int) -> DirichletReport:

@@ -21,16 +21,14 @@ class SquareClass(Record):
 
     __slots__ = ("sign", "kernel")
 
-    def __init__(self, sign: int, kernel: int) -> None:
-        set_field(self, "sign", sign)
-        set_field(self, "kernel", kernel)
-        if sign not in (1, -1):
+    def _check(self) -> None:
+        if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if kernel < 1:
+        if self.kernel < 1:
             raise ValueError("kernel must be a positive integer")
-        for p, e in factor(kernel).factors:
+        for p, e in factor(self.kernel).factors:
             if e > 1:
-                raise ValueError(f"kernel {kernel} is divisible by {p}^2")
+                raise ValueError(f"kernel {self.kernel} is divisible by {p}^2")
 
     @classmethod
     def _known(cls, sign: int, kernel: int) -> "SquareClass":

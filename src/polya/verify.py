@@ -22,12 +22,11 @@ an epsilon witness builds a fundamental unit.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable
 
 from .arith import is_prime, jacobi, sieve_primes
-from .biquad import BiquadraticField, PolyaReport, biquadratic_field, polya_report
-from .quadratic import UnitSplit, epsilon_decomposition
-from .record import Record, set_field
+from .biquad import BiquadraticField, biquadratic_field, polya_report
+from .quadratic import epsilon_decomposition
+from .record import Record
 
 T1 = "T1"
 T2 = "T2"
@@ -52,14 +51,6 @@ class Family(Record):
 
     __slots__ = ("primes", "symbols", "field", "m_norm")
 
-    def __init__(self, primes: tuple[tuple[str, int, int], ...],
-                 symbols: tuple[tuple[str, str, int], ...],
-                 field: Callable[..., tuple[int, int]], m_norm: int) -> None:
-        set_field(self, "primes", primes)
-        set_field(self, "symbols", symbols)
-        set_field(self, "field", field)
-        set_field(self, "m_norm", m_norm)
-
     @property
     def conditions(self) -> tuple[str, tuple[tuple[str, int, int], ...],
                                   tuple[tuple[str, int, int, int], ...]]:
@@ -72,14 +63,24 @@ class Family(Record):
                       for a, b, v in self.symbols))
 
 
-# The statements in the module docstring, one declaration each.
+def _p_and_qr(p: int, q: int, r: int) -> tuple[int, int]:
+    """The field (m, n) = (p, q*r) of T1 and T2."""
+    return p, q * r
+
+
+def _two_and_pq(p: int, q: int) -> tuple[int, int]:
+    """The field (m, n) = (2, p*q) of T3."""
+    return 2, p * q
+
+
+# The statements in the module docstring, one declaration each, as (primes,
+# symbols, field, m_norm).  The field functions are module-level, so a Family
+# pickles, and every field is positional, so importing loads no inspect.
 FAMILIES = {
-    T1: Family((("p", 4, 3), ("q", 8, 1), ("r", 8, 1)), (("q", "r", -1),),
-               lambda p, q, r: (p, q * r), m_norm=1),
+    T1: Family((("p", 4, 3), ("q", 8, 1), ("r", 8, 1)), (("q", "r", -1),), _p_and_qr, 1),
     T2: Family((("p", 4, 3), ("q", 4, 3), ("r", 8, 1)), (("p", "r", 1), ("q", "r", -1)),
-               lambda p, q, r: (p, q * r), m_norm=1),
-    T3: Family((("p", 4, 1), ("q", 4, 1)), (("p", "q", -1),),
-               lambda p, q: (2, p * q), m_norm=-1),
+               _p_and_qr, 1),
+    T3: Family((("p", 4, 1), ("q", 4, 1)), (("p", "q", -1),), _two_and_pq, -1),
 }
 
 THEOREMS = tuple(FAMILIES)
@@ -104,12 +105,6 @@ class HypothesisReport(Record):
     """
 
     __slots__ = ("theorem", "triple", "checks")
-
-    def __init__(self, theorem: str, triple: tuple[int, ...],
-                 checks: tuple[tuple[str, bool], ...]) -> None:
-        set_field(self, "theorem", theorem)
-        set_field(self, "triple", triple)
-        set_field(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -154,22 +149,11 @@ class TheoremReport(Record):
     __slots__ = ("theorem", "triple", "hypotheses", "field_report", "epsilon_witness",
                  "epsilon_in_allowed_set", "claim_matches", "anomalies")
 
-    def __init__(self, theorem: str, triple: tuple[int, ...], hypotheses: HypothesisReport,
-                 field_report: PolyaReport | None, epsilon_witness: UnitSplit | None,
-                 epsilon_in_allowed_set: bool | None, claim_matches: bool | None,
-                 anomalies: tuple[str, ...]) -> None:
-        set_field(self, "theorem", theorem)
-        set_field(self, "triple", triple)
-        set_field(self, "hypotheses", hypotheses)
-        set_field(self, "field_report", field_report)
-        set_field(self, "epsilon_witness", epsilon_witness)
-        set_field(self, "epsilon_in_allowed_set", epsilon_in_allowed_set)
-        set_field(self, "claim_matches", claim_matches)
-        set_field(self, "anomalies", anomalies)
-        if field_report is not None:
-            if claim_matches != (field_report.po_order == 2):
+    def _check(self) -> None:
+        if self.field_report is not None:
+            if self.claim_matches != (self.field_report.po_order == 2):
                 raise ValueError("claim_matches must mirror po_order == 2")
-        elif claim_matches is not None:
+        elif self.claim_matches is not None:
             raise ValueError("claim_matches requires a field report")
 
 
@@ -274,13 +258,6 @@ class ContrastReport(Record):
     mod 4 and r = 5 mod 8, expected to be Polya (order 1)."""
 
     __slots__ = ("triple", "field_report", "matches", "anomalies")
-
-    def __init__(self, triple: tuple[int, int, int], field_report: PolyaReport,
-                 matches: bool, anomalies: tuple[str, ...]) -> None:
-        set_field(self, "triple", triple)
-        set_field(self, "field_report", field_report)
-        set_field(self, "matches", matches)
-        set_field(self, "anomalies", anomalies)
 
 
 def contrast_rajaei(p: int, q: int, r: int) -> ContrastReport:

@@ -43,7 +43,6 @@ def test_cf_expand_examples():
     assert (two.preperiod, two.period) == ((1,), (2,))
     seven = cf_expand(7)
     assert (seven.preperiod, seven.period) == ((2,), (1, 1, 1, 4))
-    assert seven.q_values == (3, 2, 3, 1)
     fifteen = cf_expand(15)
     assert (fifteen.preperiod, fifteen.period) == ((3,), (1, 6))
 
@@ -62,13 +61,9 @@ def test_cf_period_structure(d):
     a0 = math.isqrt(d)
     assert cf.preperiod == (a0,)
     assert cf.period[-1] == 2 * a0
-    # the period head is a palindrome, and every complete-quotient denominator
-    # is positive with the final one equal to 1
+    # the period head is a palindrome
     head = cf.period[:-1]
     assert head == head[::-1]
-    assert len(cf.q_values) == len(cf.period)
-    assert all(q >= 1 for q in cf.q_values)
-    assert cf.q_values[-1] == 1
 
 
 def division_period(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -92,7 +87,7 @@ def test_cf_expand_matches_division_walk():
     for d in range(2, 30000):
         if math.isqrt(d) ** 2 != d:
             cf = cf_expand(d)
-            assert (cf.preperiod, cf.period, cf.q_values) == division_period(d), d
+            assert (cf.preperiod, cf.period) == division_period(d)[:2], d
 
 
 @given(st.integers(min_value=2 ** 30, max_value=10 ** 12))
@@ -103,7 +98,7 @@ def test_cf_expand_and_period_invariants_beyond_one_digit(d):
     assume(math.isqrt(d) ** 2 != d)
     preperiod, period, q_values = division_period(d)
     cf = cf_expand(d)
-    assert (cf.preperiod, cf.period, cf.q_values) == (preperiod, period, q_values), d
+    assert (cf.preperiod, cf.period) == (preperiod, period), d
     if squarefree_part(d) != d:
         return
     inv = period_invariants(d)
@@ -119,13 +114,14 @@ def test_cf_expand_and_period_invariants_beyond_one_digit(d):
 
 
 def check_midpoint(d: int) -> None:
-    """_midpoint against the half period of cf_expand's full period."""
-    cf = cf_expand(d)
-    h, odd = divmod(cf.period_length, 2)
-    q_h = cf.q_values[h - 1] if h else 1
+    """_midpoint against the half period of cf_expand's full period, with
+    the denominators Q_k of the textbook walk."""
+    q_values = division_period(d)[2]
+    h, odd = divmod(cf_expand(d).period_length, 2)
+    q_h = q_values[h - 1] if h else 1
     assert _midpoint(d) == (h % 2 == 1, q_h, odd == 1), d
     # the ideal of norm 2 is its own conjugate, so it sits at k = l/2
-    assert (2 in cf.q_values) == (not odd and q_h == 2), d
+    assert (2 in q_values) == (not odd and q_h == 2), d
 
 
 def test_midpoint_matches_cf_expand():
@@ -472,6 +468,62 @@ def test_fundamental_unit_norm_law_from_period():
         assert u.norm == (-1) ** cf_expand(d).period_length, d
 
 
+def half_period_convergents(d: int) -> tuple[int, int, int, int, int, int]:
+    """(l, p_{h-1}, q_{h-1}, p_h, q_h, Q_h) for the period length l of sqrt(d)
+    and h = floor(l/2): the convergents p_k/q_k walked from p_{-1}/q_{-1} =
+    1/0 to the middle of the textbook period, and its denominator there."""
+    preperiod, period, q_values = division_period(d)
+    h = len(period) // 2
+    p_prev, p, q_prev, q = 1, preperiod[0], 0, 1
+    for a in period[:h]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return len(period), p_prev, q_prev, p, q, q_values[h - 1] if h else 1
+
+
+def test_least_pell_solution_from_the_half_period():
+    # with alpha = p_{h-1} + q_{h-1}*sqrt(d) and beta = p_h + q_h*sqrt(d),
+    # the least solution of x^2 - d*y^2 = +-1 is alpha^2/|N(alpha)| for an
+    # even period and alpha*beta/Q_h for an odd one
+    for d in range(2, 3000):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        length, p0, q0, p1, q1, q_h = half_period_convergents(d)
+        if length % 2 == 0:
+            n = abs(p0 * p0 - d * q0 * q0)
+            assert n == q_h, d
+            x, y, nu = p0 * p0 + d * q0 * q0, 2 * p0 * q0, 1
+        else:
+            n = q_h
+            x, y, nu = p0 * p1 + d * q0 * q1, p0 * q1 + p1 * q0, -1
+        assert x % n == 0 and y % n == 0, d
+        assert quadratic._pell_min(d) == (x // n, y // n, nu), d
+
+
+def test_epsilon_split_from_the_half_period():
+    # for an integral unit u = z + t*sqrt(d) = alpha^2/|n| of norm +1, n =
+    # N(alpha): z + 1 = 2p^2/n and z - 1 = 2dq^2/n when n > 0, and the two
+    # swap when n < 0, with p = p_{h-1} and q = q_{h-1}
+    splits = 0
+    for d in range(2, 3000):
+        if squarefree_part(d) != d:
+            continue
+        u = fundamental_unit(d)
+        if u.denom != 1 or u.norm != 1:
+            continue
+        _, p, q, _, _, _ = half_period_convergents(d)
+        n = p * p - d * q * q
+        plus, minus = 2 * p * p, 2 * d * q * q
+        if n < 0:
+            plus, minus = minus, plus
+        assert plus % abs(n) == 0 and minus % abs(n) == 0, d
+        s = epsilon_decomposition(d)
+        assert s.g * s.m * s.m * s.epsilon == plus // abs(n), d
+        assert s.g * s.n * s.n * s.eta == minus // abs(n), d
+        splits += 1
+    assert splits == 1297
+
+
 def test_fundamental_unit_rejects_bad_radicands():
     for d in (-3, 0, 1, 12):
         with pytest.raises(ValueError):
@@ -525,7 +577,7 @@ def test_a_value_examples():
                             (10, -1, IDENTITY, False), (15, 1, class_of(10), False)):
         inv = period_invariants(d)
         assert (inv.norm, inv.a_class, inv.two_is_norm) == (norm, a, two), d
-    assert cf_expand(2).q_values == (1,)
+    assert division_period(2)[2] == (1,)
     for d in (-5, 0, 1, 12):
         with pytest.raises(ValueError):
             period_invariants(d)

@@ -1,12 +1,15 @@
 """The result records: their construction checks, their contract as
-immutable values, and an import of the CLI that loads no dataclasses."""
+immutable values, the binding of arguments to fields, and imports of the
+package and the CLI that load no dataclasses."""
 
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,11 +24,13 @@ from polya.quadratic import (FundamentalUnit, NormEquationSolution, UnitSplit, c
                              dirichlet_norm_criterion, epsilon_decomposition,
                              fundamental_unit, norm_equation, period_invariants,
                              zantema_classify)
+from polya.record import Record
 from polya.sqclass import SquareClass, class_of
-from polya.verify import (T3, ContrastReport, check_hypotheses, contrast_rajaei,
+from polya.verify import (FAMILIES, T3, ContrastReport, check_hypotheses, contrast_rajaei,
                           verify_theorem)
 
-# One record of each result type, built by the function that returns it.
+# One record of each result type, built by the function that returns it, or
+# for a Family, declared in FAMILIES.
 SAMPLES = {
     "Factorization": lambda: factor(360),
     "SquareClass": lambda: class_of(-12),
@@ -43,6 +48,7 @@ SAMPLES = {
     "HypothesisReport": lambda: check_hypotheses(T3, (5, 17)),
     "TheoremReport": lambda: verify_theorem("T3", (5, 17)),
     "ContrastReport": lambda: contrast_rajaei(3, 7, 5),
+    "Family": lambda: FAMILIES["T1"],
 }
 
 
@@ -209,17 +215,104 @@ def test_records_differ_in_one_field_or_in_their_type():
     assert LericheVerdict(2, 5, "Polya", "r") != ContrastReport(2, 5, "Polya", "r")
 
 
-def test_cli_import_loads_no_dataclasses():
-    # modules that click itself loads are taken before the snapshot, so a
-    # click that imports dataclasses does not fail this test
-    code = ("import sys, click\n"
+def _record_classes() -> set[type]:
+    """Every Record subclass defined in the package, each module imported."""
+    for module in pkgutil.iter_modules(polya.__path__, "polya."):
+        importlib.import_module(module.name)
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("polya."):
+                found.add(cls)
+    return found
+
+
+def test_samples_cover_every_record_type():
+    assert sorted(SAMPLES) == sorted(cls.__name__ for cls in _record_classes())
+
+
+def test_no_record_type_writes_its_own_init():
+    assert all("__init__" not in vars(cls) for cls in _record_classes())
+
+
+def _written(name):
+    """A function with a written signature of the fields of SAMPLES[name],
+    the reference for how a record binds its arguments."""
+    scope: dict = {}
+    exec(f"def written({', '.join(type(SAMPLES[name]()).__slots__)}): pass", scope)
+    return scope["written"]
+
+
+# Each call breaks the binding of a sample's fields, given as the tuple
+# args and the dict kw, once: a field missing, given twice or not a field,
+# with all the fields passed by position or by keyword.
+BAD_CALLS = [
+    pytest.param(lambda args, kw: (args[:-1], {}), id="missing-by-position"),
+    pytest.param(lambda args, kw: ((), dict(list(kw.items())[1:])), id="missing-by-keyword"),
+    pytest.param(lambda args, kw: (args, dict(list(kw.items())[-1:])),
+                 id="repeated-by-position"),
+    pytest.param(lambda args, kw: (args[:1], kw), id="repeated-by-keyword"),
+    pytest.param(lambda args, kw: ((*args, None), {}), id="unknown-by-position"),
+    pytest.param(lambda args, kw: ((), {**kw, "extra": None}), id="unknown-by-keyword"),
+]
+
+
+@pytest.mark.parametrize("bad_call", BAD_CALLS)
+def test_a_bad_binding_raises_type_error_as_a_written_signature_does(bad_call):
+    for name in SAMPLES:
+        record = SAMPLES[name]()
+        kw = _fields(record)
+        args, kwargs = bad_call(tuple(kw.values()), kw)
+        with pytest.raises(TypeError):
+            _written(name)(*args, **kwargs)
+        with pytest.raises(TypeError):
+            type(record)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_positional_and_keyword_fields_bind_in_slot_order(name):
+    record = SAMPLES[name]()
+    values = list(_fields(record).items())
+    for split in range(len(values) + 1):
+        head, tail = values[:split], dict(values[split:])
+        assert type(record)(*(v for _, v in head), **tail) == record
+
+
+def test_copy_and_pickle_rerun_the_checks_that_known_skips():
+    # _known builds a class without factoring its kernel, so it takes 289 =
+    # 17^2; rebuilding it through __init__ runs the check again
+    unchecked = SquareClass._known(1, 289)
+    assert unchecked.kernel == 289
+    for rebuild in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        with pytest.raises(ValueError, match="^kernel 289 is divisible by 17\\^2$"):
+            rebuild(unchecked)
+
+
+def _new_modules(setup: str, statement: str) -> list[str]:
+    """The modules a fresh interpreter loads for `statement` after `setup`."""
+    code = (f"import sys\n{setup}\n"
             "before = set(sys.modules)\n"
-            "import polya.cli\n"
+            f"{statement}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
     src = os.path.dirname(os.path.dirname(polya.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # modules that click itself loads are taken before the snapshot, so a
+    # click that imports dataclasses does not fail this test
+    out = _new_modules("import click", "import polya.cli")
     assert "polya.cli" in out
     assert "dataclasses" not in out
+
+
+def test_package_import_loads_neither_dataclasses_nor_inspect():
+    # a record's signature is built when asked for, so inspect stays unloaded
+    out = _new_modules("", "import polya")
+    assert "polya.record" in out
+    assert "click" not in out
+    assert "dataclasses" not in out and "inspect" not in out
