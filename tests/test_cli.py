@@ -8,13 +8,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya import arith, quadratic, verify
+from polya import arith, cli, quadratic, verify
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import main
 
@@ -504,6 +507,141 @@ def test_budget_env_variable_is_read(runner):
     assert result.exit_code == 2
 
 
+# The command-line grammar, as click 8.4 parsed it: each usage error's argv,
+# the usage line it prints (None: the error alone) and its message.
+USAGE_ERRORS = [
+    (["nosuch"], "main [OPTIONS] COMMAND [ARGS]...", "No such command 'nosuch'."),
+    (["analyze", "2"], "main analyze [OPTIONS] M N", "Missing argument 'N'."),
+    (["analyze", "2", "x"], "main analyze [OPTIONS] M N",
+     "Invalid value for 'N': 'x' is not a valid integer."),
+    (["analyze", "2", "85", "7"], "main analyze [OPTIONS] M N",
+     "Got unexpected extra argument (7)"),
+    (["analyze", "--", "2", "85", "--format", "json"], "main analyze [OPTIONS] M N",
+     "Got unexpected extra arguments (--format json)"),
+    (["analyze", "--format", "xml", "2", "85"], "main analyze [OPTIONS] M N",
+     "Invalid value for '--format': 'xml' is not one of 'text', 'json', 'csv'."),
+    (["analyze", "--fromat", "json", "2", "85"], "main analyze [OPTIONS] M N",
+     "No such option '--fromat'. Did you mean '--format'?"),
+    (["analyze", "-5", "85"], "main analyze [OPTIONS] M N", "No such option '-5'."),
+    (["analyze", "2", "85", "--jobs", "2"], "main analyze [OPTIONS] M N",
+     "No such option '--jobs'."),
+    (["analyze", "2", "85", "--strict"], "main analyze [OPTIONS] M N",
+     "No such option '--strict'."),
+    (["analyze", "2", "85", "--format"], None, "Option '--format' requires an argument."),
+    (["table", "--strict=1"], None, "Option '--strict' does not take a value."),
+    (["analyze", "2", "85", "--budget-factor", "x"], "main analyze [OPTIONS] M N",
+     "Invalid value for '--budget-factor': 'x' is not a valid integer."),
+    (["table", "--jobs", "x"], "main table [OPTIONS]",
+     "Invalid value for '--jobs': 'x' is not a valid integer."),
+    (["verify", "t1", "x"], "main verify [OPTIONS] THEOREM [PRIMES]...",
+     "Invalid value for '[PRIMES]...': 'x' is not a valid integer."),
+]
+
+
+@pytest.mark.parametrize(("argv", "usage", "message"), USAGE_ERRORS,
+                         ids=[" ".join(case[0]) for case in USAGE_ERRORS])
+def test_usage_errors_keep_their_layout_and_wording(runner, argv, usage, message):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    if usage is None:
+        assert result.stderr == f"Error: {message}\n"
+    else:
+        path = usage.split(" [OPTIONS]")[0]
+        assert result.stderr == (f"Usage: {usage}\nTry '{path} --help' for help.\n\n"
+                                 f"Error: {message}\n")
+
+
+def test_budget_env_variable_is_checked_as_an_integer(runner):
+    result = runner.invoke(main, ["analyze", "2", "85"], env={"POLYA_FACTOR_BUDGET": "x"})
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        "Error: Invalid value for '--budget-factor': 'x' is not a valid integer.")
+
+
+def test_output_directory_is_refused_before_any_work(runner, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("the table was computed")
+
+    monkeypatch.setattr(cli, "verify_table", refuse)
+    result = runner.invoke(main, ["table", "--output", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        f"Error: Invalid value for '--output': File '{tmp_path}' is a directory.")
+
+
+def test_bare_command_prints_help_on_stderr(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: main [OPTIONS] COMMAND [ARGS]...\n")
+    for name in ("analyze", "classify-quadratic", "contrast", "pollack", "scan", "table",
+                 "verify"):
+        assert f"  {name} " in result.stderr
+
+
+@pytest.mark.parametrize(("argv", "usage", "summary", "options"), [
+    (["--help"], "main [OPTIONS] COMMAND [ARGS]...",
+     "Polya groups of real quadratic and totally real bi-quadratic fields.", ["--help"]),
+    (["analyze", "--help"], "main analyze [OPTIONS] M N",
+     "Full Polya report for the bi-quadratic field Q(sqrt(M), sqrt(N)).",
+     ["--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER", "--help"]),
+    (["scan", "--help"], "main scan [OPTIONS] THEOREM BOUND",
+     "Verify every admissible triple with max prime <= BOUND.",
+     ["--strict", "--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER",
+      "--help"]),
+])
+def test_help_shows_usage_summary_and_visible_options(runner, argv, usage, summary, options):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert result.output.startswith(f"Usage: {usage}\n\n")
+    assert summary in result.output
+    for option in options:
+        assert f"\n  {option}  " in result.output
+    assert "--jobs" not in result.output
+
+
+@pytest.mark.parametrize("spellings", [
+    [["analyze", "--format=json", "2", "85"], ["analyze", "--format", "json", "2", "85"],
+     ["analyze", "2", "85", "--format", "json"]],
+    [["classify-quadratic", "-7"], ["classify-quadratic", "--", "-7"]],
+    [["scan", "T3", "60", "--jobs", "2"], ["scan", "T3", "60"]],
+], ids=["format", "negative", "jobs"])
+def test_equivalent_spellings_give_equal_stdout(runner, spellings):
+    results = [runner.invoke(main, argv) for argv in spellings]
+    assert [r.exit_code for r in results] == [0] * len(spellings)
+    assert results[0].stdout_bytes
+    assert len({r.stdout_bytes for r in results}) == 1
+
+
+def test_verify_takes_a_bare_negative_prime(runner):
+    result = runner.invoke(main, ["verify", "t1", "3", "-17", "41"])
+    assert result.exit_code == 0
+    assert result.output.startswith("T1 (3, -17, 41): hypotheses FAIL\n")
+
+
+def test_runtime_needs_no_click():
+    # a fresh interpreter in which `import click` fails runs one command
+    code = ("import sys\n"
+            "sys.modules['click'] = None\n"
+            "from polya.cli import main\n"
+            "rv = main.main(['analyze', '2', '85', '--format', 'json'], standalone_mode=False)\n"
+            "sys.stdout.flush()\n"
+            "print(repr(rv), file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("POLYA_FACTOR_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=60)
+    assert proc.stderr == b"0\n"
+    assert proc.stdout == (
+        b'{"m": 2, "n": 85, "deltas": [2, 85, 170], "ramification": [[2, 2], [5, 2], '
+        b'[17, 2]], "product_e": 8, "h_generators": ["[2]", "[85]", "[170]", "[1]", "[1]", '
+        b'"[1]"], "h_order": 4, "index_factor": 1, "h1_order": 4, "po_order": 2, '
+        b'"po_structure": "Z/2", "unit_norms": [-1, -1, -1], "polya": false}\n')
+
+
 EXIT_CODES = {0, 2, 3, 4}
 ints = st.integers(min_value=-10 ** 4, max_value=10 ** 4)
 scan_bounds = st.integers(min_value=-5, max_value=60)
@@ -514,7 +652,7 @@ def _argv(name: str, *parts: st.SearchStrategy) -> st.SearchStrategy:
     return st.tuples(*parts).map(lambda values: [name, *(str(v) for v in values)])
 
 
-cli_argv = st.one_of(
+commands = st.one_of(
     _argv("classify-quadratic", ints),
     _argv("analyze", ints, ints),
     st.tuples(theorem_names, st.lists(ints, max_size=4)).map(
@@ -525,14 +663,40 @@ cli_argv = st.one_of(
     _argv("contrast", ints, ints, ints),
 )
 
+# --output only under a directory that does not exist, so nothing is written
+MISSING_OUTPUT = os.path.join(os.path.dirname(__file__), "no-such-directory", "out.txt")
+OPTION_VALUES = {"--format": ["text", "json", "csv", "xml", ""],
+                 "--budget-factor": ["-1", "0", "5", "x"],
+                 "--jobs": ["1", "2", "x"],
+                 "--output": [MISSING_OUTPUT]}
+valued_option = st.sampled_from(sorted(OPTION_VALUES)).flatmap(
+    lambda name: st.tuples(st.sampled_from(OPTION_VALUES[name]), st.booleans()).map(
+        lambda t: [f"{name}={t[0]}"] if t[1] else [name, t[0]]))
+option_tokens = st.lists(
+    st.one_of(valued_option, st.sampled_from([["--strict"], ["--help"], ["--fo"], ["-x"]])),
+    max_size=2).map(lambda groups: [token for group in groups for token in group])
+# an option whose value is missing at the end of the line
+dangling_option = st.sampled_from([[], [], ["--format"], ["--budget-factor"], ["--jobs"],
+                                   ["--output"]])
 
-@given(cli_argv, st.sampled_from(["text", "json", "csv"]))
-@settings(max_examples=150, deadline=None)
-def test_every_cli_input_ends_with_a_documented_exit_code(argv, fmt):
-    # options go before `--` so that negative integers reach the command
-    name, *args = argv
-    result = CliRunner().invoke(main, [name, "--format", fmt, "--", *args])
-    assert result.exit_code in EXIT_CODES, (argv, fmt, result.exception)
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A command line: options before and after the positionals, or options
+    and then `--`, so that negative integers reach every command."""
+    name, *args = draw(commands)
+    before = draw(option_tokens)
+    if draw(st.booleans()):
+        return [name, *before, "--", *args]
+    return [name, *before, *args, *draw(option_tokens), *draw(dangling_option)]
+
+
+@given(cli_argv())
+@settings(max_examples=250, deadline=None)
+def test_every_cli_input_ends_with_a_documented_exit_code(argv):
+    assert not os.path.exists(os.path.dirname(MISSING_OUTPUT))
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in EXIT_CODES, (argv, result.exception)
 
 
 # squarefree parts of draws from [-10^8, 10^8]: distinct positive ones other
