@@ -16,7 +16,7 @@ kernel (m/g)*(n/g) with g = gcd(m, n).  `biquadratic_field` finds the
 primes by factoring m and n once each, never mn, and a caller that already
 knows them (a theorem instance knows its triple) builds the field from them
 directly, with no factoring.  The ramified primes are those primes, and the
-span of the six classes is taken over a coprime base of the kernels, with no
+span of the six classes is {1} closed under multiplication by each, with no
 factoring either.
 
 leriche_classify is the independent route: it never touches H^1 and decides

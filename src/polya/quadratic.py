@@ -56,8 +56,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice, repeat
-from operator import indexOf
+from itertools import count, repeat
 
 from . import arith
 from .arith import factor, iroot, is_prime, is_square, jacobi
@@ -306,23 +305,23 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     return (None if odd else h_odd), q_h, odd
 
 
-def _probe(s: tuple[int, int, int], table: dict[int, None], a0: int,
+def _probe(s: tuple[int, int, int], table: dict[int, int], a0: int,
            bits: int) -> int | None:
     """The offset s - l (mod l) of S = f_s from the period's end, read off the
     first r forms f_{s+t} from S (r = `_MARK_EVERY`): k - t when f_{s+t} is
     the keyed f_k, 1 - k - t when its mirror f_{l+1-s-t} is, None when
-    neither is.  table holds the keys of f_l, f_r, f_2r, ... in that order,
-    so the key at place p is that of f_pr."""
+    neither is.  table maps the keys of f_l, f_r, f_2r, ... to their places
+    0, 1, 2, ..., so the key at place p is that of f_pr."""
     every = _MARK_EVERY
     s_a, s_b, s_c = s
     m, q_prev, q = s_b >> 1, abs(s_c), abs(s_a)
     for t in range(every):
-        key = q << bits | m
-        if key in table:
-            return indexOf(table, key) * every - t
-        key = q_prev << bits | m
-        if key in table:
-            return 1 - indexOf(table, key) * every - t
+        place = table.get(q << bits | m)
+        if place is not None:
+            return place * every - t
+        place = table.get(q_prev << bits | m)
+        if place is not None:
+            return 1 - place * every - t
         a = (a0 + m) // q
         m_next = a * q - m
         m, q_prev, q = m_next, q, q_prev + a * (m - m_next)
@@ -343,12 +342,14 @@ def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
     disc = 4 * d
     root = math.isqrt(disc)
     # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
-    table: dict[int, None] = {1 << bits | a0: None}
+    keys = [1 << bits | a0]
+    table = {keys[0]: 0}  # each key's place in keys
     powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
     walked = _PLAIN_STEPS
     s = None
     while True:
-        table.update(zip(marks, repeat(None)))
+        table.update(zip(marks, count(len(keys))))
+        keys += marks
         # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
         m, q_prev, q = _state(d, marks[max(len(marks) - 3, 0)], bits)
         giant = (q, 2 * m, -q_prev)
@@ -360,7 +361,7 @@ def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
         for _ in range(max(walked // _PHASE_DIVISOR, 1)):
             e = _probe(s, table, a0, bits)
             if e is not None:
-                found = _land(d, (*powers, (giant, n)), e, table, walked)
+                found = _land(d, (*powers, (giant, n)), e, keys, walked)
                 if found is not None:
                     return found
             s = _compose(s, square, disc, root)
@@ -377,10 +378,11 @@ def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
 
 
 def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
-          table: dict[int, None], walked: int) -> tuple[bool, int, bool] | None:
+          keys: list[int], walked: int) -> tuple[bool, int, bool] | None:
     """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
     whose square lies e forms from the period's end, so that J lies about e/2
-    forms past the middle; None when no walk from there stops."""
+    forms past the middle; None when no walk from there stops.  keys holds
+    the table's keys, each at its place."""
     every = _MARK_EVERY
     a0 = math.isqrt(d)
     disc = 4 * d
@@ -396,7 +398,7 @@ def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
     # J times f_nr, the key nearest |e|/2 forms (f_l for n = 0), or times its
     # mirror, the inverse, lies about e/2 -+ nr forms past the middle
     n = (abs(e) + every) // (2 * every)
-    m, q_prev, q = _state(d, next(islice(table, n, None)), a0.bit_length())
+    m, q_prev, q = _state(d, keys[n], a0.bit_length())
     near = _compose(j, (q, 2 * m, -q_prev) if e < 0 else (-q_prev, 2 * m, q), disc, root)
     # 2r steps from near, the side it lies on first; failing that, w from J
     for form, steps, past in ((near, 2 * every, (abs(e) > 2 * n * every) == (e > 0)),

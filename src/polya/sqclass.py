@@ -2,9 +2,8 @@
 
 A class is a sign together with a positive squarefree kernel; multiplication
 cancels the shared part of the kernels.  `span` returns the order of the
-subgroup generated by finitely many classes: 2 to the GF(2) rank of their
-coordinates over {-1} and a coprime base of the kernels involved, so the
-order is an exact power of two and nothing is factored.
+subgroup generated by finitely many classes by closing {1} under them, with
+that same product on signed values, so nothing is factored.
 """
 
 from __future__ import annotations
@@ -13,6 +12,13 @@ import math
 
 from .arith import factor, squarefree_part
 from .record import Record, set_field
+
+
+def _times(x: int, y: int) -> int:
+    """The squarefree product of squarefree x and y: their shared part is a
+    square, so it cancels."""
+    c = math.gcd(x, y)
+    return x // c * (y // c)
 
 
 class SquareClass(Record):
@@ -48,8 +54,7 @@ class SquareClass(Record):
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if not isinstance(other, SquareClass):
             return NotImplemented
-        g = math.gcd(self.kernel, other.kernel)
-        return SquareClass._known(self.sign * other.sign, self.kernel // g * (other.kernel // g))
+        return SquareClass._known(self.sign * other.sign, _times(self.kernel, other.kernel))
 
 
 IDENTITY = SquareClass._known(1, 1)
@@ -63,64 +68,14 @@ def class_of(n: int) -> SquareClass:
     return SquareClass._known(1 if s > 0 else -1, abs(s))
 
 
-def _coprime_base(kernels: list[int]) -> tuple[int, ...]:
-    """Pairwise coprime integers > 1, ascending, such that each of the given
-    squarefree kernels is the product of the base elements dividing it.
-
-    The base elements have disjoint prime sets and every kernel's primes are a
-    union of them, so the coordinates over the base determine the primes and
-    the GF(2) rank over the base equals the rank over the primes.
-    """
-    base: list[int] = []
-    for k in kernels:
-        refined = []
-        for b in base:
-            g = math.gcd(k, b)
-            if g == 1:
-                refined.append(b)
-                continue
-            # squarefree: b // g, g and k // g are pairwise coprime
-            refined.extend(x for x in (g, b // g) if x > 1)
-            k //= g
-        if k > 1:
-            refined.append(k)
-        base = refined
-    return tuple(sorted(base))
-
-
-def _encode(c: SquareClass, base: tuple[int, ...]) -> int:
-    """GF(2) coordinate mask of c; ArithmeticError if c is no product of base
-    elements."""
-    mask = 1 if c.sign < 0 else 0
-    rest = c.kernel
-    for i, b in enumerate(base):
-        g = math.gcd(rest, b)
-        if g == b:
-            mask |= 1 << (i + 1)
-            rest //= b
-        elif g != 1:
-            break
-    if rest != 1:
-        raise ArithmeticError(f"{c} is no product of the coprime base {base}")
-    return mask
-
-
-def _reduce(mask: int, echelon: list[int]) -> int:
-    for row in echelon:
-        lead = 1 << (row.bit_length() - 1)
-        if mask & lead:
-            mask ^= row
-    return mask
-
-
 def span(generators: list[SquareClass] | tuple[SquareClass, ...]) -> int:
-    """Order of the subgroup generated by the given classes: 2 to the GF(2)
-    rank of their coordinate masks."""
-    base = _coprime_base([g.kernel for g in generators])
-    echelon: list[int] = []
+    """Order of the subgroup generated by the given classes, by its definition:
+    {1} closed under multiplication by each generator.  The set holds 2^rank
+    signed values, and each new generator costs one gcd per value.  Every
+    caller passes a field's six classes, whose rank is at most 5 since
+    [delta_3] = [delta_1][delta_2], so the set holds at most 32 values."""
+    group = {1}
     for g in generators:
-        residue = _reduce(_encode(g, base), echelon)
-        if residue:
-            echelon.append(residue)
-            echelon.sort(key=int.bit_length, reverse=True)
-    return 1 << len(echelon)
+        if (v := g.value) not in group:
+            group |= {_times(v, h) for h in group}
+    return len(group)

@@ -296,6 +296,12 @@ COMMAND_DIGESTS = {
         "json": "b49738568c1db44afe4d41f5150bc0977772c677104dcacc645886e1fbd315ed",
         "csv": "f2ed7154cc3eb504679494a44cab25d9003044565b7075019c609e5f29428014",
         "text": "81f687e7536bcd5930d11995ba94ba68d7bb1ee0f246b44f9a900853a85e94d1"},
+    # |H| = 32 over five ramified primes, the highest order among the fields
+    # with squarefree 1 < m < n <= 300
+    ("analyze", "11", "105"): {
+        "json": "0909ec64bc68d304789634a7fba5eb06b44f928c6d1bf83ce30a418f6575f8bc",
+        "csv": "a93ab82db6952c5441affedcf2b531704020c0f3658f731eef2fc2af761cb7d9",
+        "text": "4eeaf6b1c484c3ee12c7c6ce72821f8e6642e9d01713ebf0f8be81a3b3dbbbef"},
     # the longest half periods: third kernels 1000001970000133 (about 2e7
     # steps) and 999999943999999559 (about 1.2e8)
     ("analyze", "10000019", "100000007"): {

@@ -387,7 +387,7 @@ def test_probe_names_the_side_of_the_period_end(monkeypatch):
     bits = a0.bit_length()
     marks: list[int] = []
     assert _midpoint(d, steps=1024, marks=marks) is None
-    table = dict.fromkeys([1 << bits | a0, *marks])
+    table = {key: place for place, key in enumerate([1 << bits | a0, *marks])}
     states: list[int] = []                    # the keys of f_2, f_4, ...
     with monkeypatch.context() as patch:
         patch.setattr(quadratic, "_MARK_EVERY", 2)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polya import sqclass
 from polya.sqclass import IDENTITY, SquareClass, class_of, span
 
 nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(lambda n: n != 0)
@@ -65,20 +64,14 @@ def test_span_matches_brute_force_subgroup(values):
     assert span(gens) == len(brute_span(gens))
 
 
-def test_span_raises_when_a_generator_is_off_its_base(monkeypatch):
-    # every generator is a product of the coprime base of the generators'
-    # kernels; a base that misses one must raise under python -O too
-    monkeypatch.setattr(sqclass, "_coprime_base", lambda kernels: (3,))
-    with pytest.raises(ArithmeticError):
-        span([class_of(15)])
-
-
 def test_span_examples():
     assert span([]) == 1
     assert span([class_of(2), class_of(3), class_of(6)]) == 4
     assert span([class_of(2), class_of(3), class_of(51)]) == 8
-    # the coprime base of 15, 3 and 5 is (3, 5), over which 15 is 3 * 5
+    # [15] = [3][5]
     assert span([class_of(15), class_of(3), class_of(5)]) == 4
+    # the six generators of Q(sqrt(11), sqrt(105)), over five ramified primes
+    assert span([class_of(v) for v in (11, 105, 1155, 22, 21, 70)]) == 32
 
 
 def test_sign_is_an_independent_coordinate():
