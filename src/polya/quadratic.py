@@ -19,7 +19,8 @@ continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
 through the period by the same recurrence: `_midpoint` keeps nothing but the
 current denominators and returns the parity of its length, the last
 denominator and how it ended, in constant memory; `_half_period` keeps the
-partial quotients, which `cf_expand` mirrors into the full period.  Past
+partial quotients, which `cf_expand` mirrors into the full period.  (It
+also walks the period of (1 + sqrt(d))/2 for `fundamental_unit`.)  Past
 the first step both work on integers below 2*sqrt(d), each a one-digit
 Python int (below 2^30) for every d below 2^58.
 
@@ -37,11 +38,18 @@ answer is that stop, so it is exact and equal to the linear walk's.  Each
 phase's walk goes on from where the last one ended, so the walk alone
 reaches the middle when no landing does: it ends every search.
 
-The fundamental unit itself (`fundamental_unit`, a big-integer recurrence over
-the period) serves classify-quadratic, the theorem witnesses and the norm
-equation deciders.  For a fundamental unit u = (z + t*sqrt(d))/denom of norm
-+1, the integers z - denom and z + denom split, up to their gcd, as
-eta * square and epsilon * square with epsilon * eta = d.  That factorization
+The fundamental unit itself serves classify-quadratic, the theorem witnesses
+and the norm equation deciders.  `fundamental_unit` walks `_half_period` from
+the generator of the ring of integers, (1 + sqrt(d))/2 when d = 1 (mod 4)
+and sqrt(d) otherwise, mirrors it into the period and runs the big-integer
+convergent recurrence over it; the unit, half-integral or not, is read off
+the last convergent.  When that unit is half-integral, Z[sqrt(d)] holds
+only its cube, so the period of sqrt(d) would be about three times as long
+and its unit would need a cube root.
+
+For a fundamental unit u = (z + t*sqrt(d))/denom of norm +1, the integers
+z - denom and z + denom split, up to their gcd, as eta * square and
+epsilon * square with epsilon * eta = d.  That factorization
 decides every norm equation N(alpha) = +-l at ramified primes l without ever
 factoring a large integer.
 
@@ -59,14 +67,15 @@ from functools import lru_cache
 from itertools import count, repeat
 
 from . import arith
-from .arith import factor, iroot, is_prime, is_square, jacobi
+from .arith import factor, is_prime, is_square, jacobi
 from .record import Record
 from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
 # T3 and the table) asks `_kernel_invariants` for 5,141 distinct kernels and
-# `fundamental_unit` for 4,236.  The radicand memo `_primes_under_budget` has
-# the same bound; its key holds the factoring budget as well as d.
+# `fundamental_unit` and `epsilon_decomposition` for 4,236.  The radicand memo
+# `_primes_under_budget` has the same bound; its key holds the factoring budget
+# as well as d.
 _KERNEL_CACHE_SIZE = 8192
 
 
@@ -110,8 +119,10 @@ class ContinuedFraction(Record):
         return len(self.period)
 
 
-def _half_period(d: int) -> tuple[list[int], bool]:
-    """First half of the period of sqrt(d), nonsquare d > 1: (head, odd).
+def _half_period(d: int, p0: int = 0, q0: int = 1) -> tuple[list[int], bool]:
+    """First half of the period of (p0 + sqrt(d))/q0, nonsquare d > 1:
+    (head, odd).  The start is (0, 1), sqrt(d), or (1, 2), (1 + sqrt(d))/2
+    for d = 1 (mod 4); either way the period closes with a_l = 2*a_0 - p0.
 
     With complete quotients (m_k + sqrt(d))/Q_k and partial quotients a_k, the
     period l is symmetric: a_k = a_{l-k}, Q_k = Q_{l-k} and m_k = m_{l+1-k}.
@@ -120,11 +131,13 @@ def _half_period(d: int) -> tuple[list[int], bool]:
     is a_1..a_k at that k; odd says which case ended it.
 
     m_{k+1} = a_k*Q_k - m_k, and Q_{k+1} = (d - m_{k+1}^2)/Q_k is stepped as
-    Q_{k+1} = Q_{k-1} + a_k*(m_k - m_{k+1}) from Q_{-1} = d.  Past the first
-    step every operand is below 2*sqrt(d): nothing squares or divides d.
+    Q_{k+1} = Q_{k-1} + a_k*(m_k - m_{k+1}) from Q_{-1} = (d - p0^2)/q0.  Past
+    the first step every operand is below 2*sqrt(d): nothing squares or
+    divides d.
     """
-    a0 = math.isqrt(d)
-    m, q_prev, q, a = 0, d, 1, a0
+    root = math.isqrt(d)
+    m, q_prev, q = p0, (d - p0 * p0) // q0, q0
+    a = (p0 + root) // q0
     head: list[int] = []
     while True:
         m_next = a * q - m
@@ -134,7 +147,7 @@ def _half_period(d: int) -> tuple[list[int], bool]:
         if m_next == m:
             return head, False
         m, q_prev, q = m_next, q, q_next
-        a = (a0 + m) // q
+        a = (root + m) // q
         head.append(a)
 
 
@@ -449,43 +462,44 @@ class FundamentalUnit(Record):
             raise ValueError("half-integral unit outside the ring of integers")
 
 
-def _pell_min(d: int) -> tuple[int, int, int]:
-    """Least (x, y, nu) with x, y >= 1 and x^2 - d*y^2 = nu in {+1, -1}."""
-    cf = cf_expand(d)
-    a0 = cf.preperiod[0]
-    p_prev, p = 1, a0
+def _pell_min(d: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
+    """Least (x, y, nu) with x, y >= 1, x = p0*y (mod q0) and
+    x^2 - d*y^2 = nu*q0^2, nu in {+1, -1}, from the period of
+    (p0 + sqrt(d))/q0 as `_half_period` walks it: the least unit
+    (x + y*sqrt(d))/q0 > 1 of Z[(p0 + sqrt(d))/q0].
+
+    With A/B the convergent of a_0 and the period without its last partial
+    quotient, the unit is A - B*w' for the conjugate w' = (p0 - sqrt(d))/q0
+    of the start, and its norm is (-1)^l.
+    """
+    head, odd = _half_period(d, p0, q0)
+    p_prev, p = 1, (p0 + math.isqrt(d)) // q0
     q_prev, q = 0, 1
-    for a in cf.period[:-1]:
+    for a in head + (head[::-1] if odd else head[-2::-1]):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    nu = -1 if cf.period_length % 2 else 1
-    return p, q, nu
+    return q0 * p - p0 * q, q, -1 if odd else 1
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def fundamental_unit(d: int) -> FundamentalUnit:
     """Fundamental unit of Q(sqrt(d)), d squarefree > 1.
 
-    Computed from the continued fraction of sqrt(d); when d = 5 (mod 8) the
-    minimal solution over Z[sqrt(d)] may be the cube of a half-integral unit,
-    which is recovered by an exact cube root.  (d = 1 mod 8 admits no
-    half-integral unit: a^2 - d*b^2 = 0 mod 8 can never be +-4.)
+    The least unit > 1 of the ring of integers, from the continued fraction
+    of its generator: (1 + sqrt(d))/2 when d = 1 (mod 4), sqrt(d) otherwise
+    (`_pell_min`).  For d = 1 (mod 4) the unit comes as (x + y*sqrt(d))/2
+    with x = y (mod 2); when both are even it is integral and is halved.
+    (For d = 1 mod 8 they always are: odd x and y give x^2 - d*y^2 = 0
+    mod 8, never +-4.)
     """
     _radicand_primes(d)
     if d < 2:
         raise ValueError("fundamental units require a real field, d > 1")
-    x, y, nu = _pell_min(d)
-    if d % 8 == 5:
-        # (a + b*sqrt(d))/2 cubed equals x + y*sqrt(d) iff a^3 - 3*nu*a = 2*x.
-        target = 2 * x
-        guess = iroot(target, 3)
-        for a in range(max(1, guess - 2), guess + 3):
-            if a * a * a - 3 * nu * a == target and a % 2 == 1:
-                if 2 * y % (a * a - nu) == 0:
-                    b = 2 * y // (a * a - nu)
-                    if b >= 1 and b % 2 == 1 and a * a - d * b * b == 4 * nu:
-                        return FundamentalUnit(d, a, b, 2, nu)
-    return FundamentalUnit(d, x, y, 1, nu)
+    p0, denom = (1, 2) if d % 4 == 1 else (0, 1)
+    x, y, nu = _pell_min(d, p0, denom)
+    if denom == 2 and x % 2 == 0 and y % 2 == 0:
+        x, y, denom = x // 2, y // 2, 1
+    return FundamentalUnit(d, x, y, denom, nu)
 
 
 class UnitSplit(Record):
@@ -511,10 +525,13 @@ class UnitSplit(Record):
             raise ValueError("eta side fails")
 
 
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def epsilon_decomposition(d: int) -> UnitSplit:
     """Split the norm +1 fundamental unit of Q(sqrt(d)) as documented on UnitSplit.
 
     Raises ValueError when the fundamental unit has norm -1 (no split exists).
+    Cached per kernel like `fundamental_unit`: a theorem scan asks for the
+    split of one witness kernel in several triples.
     """
     u = fundamental_unit(d)
     if u.norm != 1:
@@ -572,8 +589,10 @@ def period_invariants(d: int) -> PeriodInvariants:
     so the class is the same.  Q_h divides 2d; that is checked here, in
     place of the norm check FundamentalUnit makes.
 
-    Nothing is factored: d is squarefree and Q_h divides 2d, so [Q_h] is
-    [Q_h/4] when 4 divides Q_h and [Q_h] otherwise.
+    Nothing is factored: d is squarefree and Q_h divides 2d, so Q_h is
+    squarefree unless 4 divides it, and 4 never does.  If it did, 4 | 2d
+    would make d = 2 (mod 4), while m_h^2 + Q_h*Q_{h-1} = d would make
+    d = m_h^2 = 0 or 1 (mod 4).  So [Q_h] is read off Q_h itself.
 
     two_is_norm: for |c| < sqrt(d), c = x^2 - d*y^2 with gcd(x, y) = 1 iff
     c = (-1)^k Q_k for some k.  When 2 ramifies every solution of norm +-2 is
@@ -603,8 +622,8 @@ def _kernel_invariants(d: int) -> PeriodInvariants:
     if (2 * d) % q_h:
         raise ArithmeticError(
             f"half-period denominator {q_h} of sqrt({d}) does not divide {2 * d}")
-    # Q_h divides 2d with d squarefree, so 4 is the only square it can have
-    a_class = SquareClass._known(1, q_h // 4 if q_h % 4 == 0 else q_h)
+    # Q_h divides 2d and is never a multiple of 4, so it is squarefree
+    a_class = SquareClass._known(1, q_h)
     if h_odd:
         a_class = SquareClass._known(1, d) * a_class
     return PeriodInvariants(d, 1, a_class, q_h == 2)

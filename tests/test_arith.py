@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polya.arith import (FactorBudgetError, factor, iroot, is_prime, is_square,
-                         jacobi, sieve_primes, squarefree_part)
+from polya.arith import (_MR_DETERMINISTIC_BOUND, FactorBudgetError, factor, iroot,
+                         is_prime, is_square, jacobi, sieve_primes, squarefree_part)
 
 
 def naive_is_prime(n: int) -> bool:
@@ -50,6 +50,16 @@ def test_is_prime_rejects_strong_pseudoprimes():
         assert not is_prime(n), n
     for n in (2 ** 61 - 1, 10 ** 18 + 9, 2 ** 89 - 1):
         assert is_prime(n), n
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # the bound itself, 1287836182261 * 2575672364521, is a strong
+    # pseudoprime to every base 2..37, so only the strong Lucas test rejects
+    # it; the primes make the Lucas loop run over the odd part of n + 1
+    assert _MR_DETERMINISTIC_BOUND == 1287836182261 * 2575672364521
+    assert not is_prime(_MR_DETERMINISTIC_BOUND)
+    for n in (10 ** 25 + 13, 10 ** 30 + 57):
+        assert n > _MR_DETERMINISTIC_BOUND and is_prime(n), n
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6))

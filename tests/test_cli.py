@@ -106,7 +106,7 @@ def test_analyze_large_kernels_json(runner):
 
 
 def test_analyze_builds_no_fundamental_unit(runner, monkeypatch):
-    def refuse(d):
+    def refuse(d, *start):
         raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
 
     quadratic.fundamental_unit.cache_clear()
@@ -728,6 +728,17 @@ def test_analyze_of_long_periods_ends_with_a_documented_exit_code(m, n):
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_classify_quadratic_of_a_long_unit_keeps_the_exit_code_contract(runner, fmt):
     result = runner.invoke(main, ["classify-quadratic", "1000000007", "--format", fmt])
+    if not isinstance(result.exception, (SystemExit, type(None))):
+        raise result.exception
+    assert result.exit_code in EXIT_CODES
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="the epsilon split of the witness kernel 643*587*641 has an m "
+                          "of more than 4300 digits, over Python's int-to-str limit")
+def test_verify_of_a_long_witness_split_keeps_the_exit_code_contract(runner):
+    # text prints no split and exits 0; json prints m and n as decimal strings
+    result = runner.invoke(main, ["verify", "t2", "643", "587", "641", "--format", "json"])
     if not isinstance(result.exception, (SystemExit, type(None))):
         raise result.exception
     assert result.exit_code in EXIT_CODES

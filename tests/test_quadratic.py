@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polya import quadratic
-from polya.arith import squarefree_part
+from polya.arith import iroot, squarefree_part
 from polya.biquad import _has_norm_pm2
 from polya.quadratic import (NOT_POLYA, POLYA, _kernel_invariants,
                              _midpoint, _search_midpoint, a_value,
@@ -66,20 +66,23 @@ def test_cf_period_structure(d):
     assert head == head[::-1]
 
 
-def division_period(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(preperiod, period, q_values) of sqrt(d) by the textbook full-period walk,
-    Q_{k+1} = (d - m_{k+1}^2)/Q_k until Q = 1: the reference for cf_expand."""
-    a0 = math.isqrt(d)
-    m, q, a = 0, 1, a0
+def division_period(d: int, p0: int = 0, q0: int = 1
+                    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(preperiod, period, q_values) of (p0 + sqrt(d))/q0 by the textbook
+    full-period walk, Q_{k+1} = (d - m_{k+1}^2)/Q_k until Q = q0: the
+    reference for cf_expand and, from (1 + sqrt(d))/2, for the unit walk."""
+    root = math.isqrt(d)
+    m, q = p0, q0
+    a0 = a = (p0 + root) // q0
     period: list[int] = []
     q_values: list[int] = []
     while True:
         m = q * a - m
         q = (d - m * m) // q
-        a = (a0 + m) // q
+        a = (root + m) // q
         period.append(a)
         q_values.append(q)
-        if q == 1:
+        if q == q0:
             return (a0,), tuple(period), tuple(q_values)
 
 
@@ -481,6 +484,63 @@ def half_period_convergents(d: int) -> tuple[int, int, int, int, int, int]:
     return len(period), p_prev, q_prev, p, q, q_values[h - 1] if h else 1
 
 
+def unit_by_cube_root(d: int) -> tuple[int, int, int, int]:
+    """(z, t, denom, norm) of the fundamental unit by the older route: the
+    least solution over Z[sqrt(d)] from the period of sqrt(d), and for d = 5
+    (mod 8) the half-integral unit whose cube it may be, by an exact cube
+    root: (a + b*sqrt(d))/2 cubed is x + y*sqrt(d) iff a^3 - 3*nu*a = 2x."""
+    x, y, nu = quadratic._pell_min(d)
+    if d % 8 == 5:
+        target = 2 * x
+        guess = iroot(target, 3)
+        for a in range(max(1, guess - 2), guess + 3):
+            if a * a * a - 3 * nu * a == target and a % 2 == 1:
+                if 2 * y % (a * a - nu) == 0:
+                    b = 2 * y // (a * a - nu)
+                    if b >= 1 and b % 2 == 1 and a * a - d * b * b == 4 * nu:
+                        return a, b, 2, nu
+    return x, y, 1, nu
+
+
+def test_fundamental_unit_from_the_period_of_the_ring_generator():
+    # for d = 1 (mod 4) the walk of (1 + sqrt(d))/2 gives the unit the walk
+    # of sqrt(d) and a cube root give, for every squarefree d below 20,000:
+    # 4,048 radicands, 1,487 of them with a half-integral unit
+    radicands = halves = 0
+    for d in range(5, 20000, 4):
+        if squarefree_part(d) != d:
+            continue
+        u = fundamental_unit(d)
+        assert (u.z, u.t, u.denom, u.norm) == unit_by_cube_root(d), d
+        radicands += 1
+        halves += u.denom == 2
+    assert (radicands, halves) == (4048, 1487)
+
+
+def test_half_period_of_the_ring_generator_mirrors_into_its_period():
+    # from (1 + sqrt(d))/2 the half walk, its mirror and a_l = 2*a_0 - 1 make
+    # up the period, as from sqrt(d) in cf_expand
+    for d in range(5, 10000, 4):
+        if squarefree_part(d) != d:
+            continue
+        (a0,), period, _ = division_period(d, 1, 2)
+        head, odd = quadratic._half_period(d, 1, 2)
+        assert head + (head[::-1] if odd else head[-2::-1]) + [2 * a0 - 1] == list(period), d
+
+
+def test_half_period_denominator_is_never_a_multiple_of_4():
+    # so [Q_h] needs no division by 4 (see period_invariants)
+    even = 0
+    for d in range(2, 20000):
+        if squarefree_part(d) != d:
+            continue
+        _, q_h, odd = _midpoint(d)
+        if not odd:
+            assert q_h % 4 != 0, d
+            even += 1
+    assert even == 9777
+
+
 def test_least_pell_solution_from_the_half_period():
     # with alpha = p_{h-1} + q_{h-1}*sqrt(d) and beta = p_h + q_h*sqrt(d),
     # the least solution of x^2 - d*y^2 = +-1 is alpha^2/|N(alpha)| for an
@@ -545,8 +605,17 @@ def test_epsilon_decomposition_raises_when_the_split_misses_t(monkeypatch):
     # python -O, so it is no assert
     forged = SimpleNamespace(d=3, z=2, t=2, denom=1, norm=1)
     monkeypatch.setattr(quadratic, "fundamental_unit", lambda d: forged)
+    epsilon_decomposition.cache_clear()  # else a cached split of 3 answers
     with pytest.raises(ArithmeticError):
         epsilon_decomposition(3)
+
+
+def test_epsilon_decomposition_is_cached_per_kernel():
+    epsilon_decomposition.cache_clear()
+    first = epsilon_decomposition(105)
+    assert epsilon_decomposition(105) is first
+    info = epsilon_decomposition.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 @given(squarefree_real)
@@ -614,7 +683,7 @@ def test_period_invariants_match_unit_route_large(d):
 
 
 def test_kernel_caches_are_bounded():
-    for cached in (fundamental_unit, _kernel_invariants):
+    for cached in (fundamental_unit, epsilon_decomposition, _kernel_invariants):
         assert cached.cache_parameters()["maxsize"] is not None
 
 

@@ -143,12 +143,13 @@ def test_verify_theorem_t1_example_with_witness():
 @pytest.fixture()
 def empty_kernel_caches():
     quadratic.fundamental_unit.cache_clear()
+    quadratic.epsilon_decomposition.cache_clear()
     quadratic._kernel_invariants.cache_clear()
 
 
 def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches,
                                                           monkeypatch):
-    def refuse(d):
+    def refuse(d, *start):
         raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
 
     monkeypatch.setattr(quadratic, "_pell_min", refuse)
@@ -161,9 +162,9 @@ def test_verify_theorem_builds_only_the_witness_unit(empty_kernel_caches, monkey
     built = []
     pell_min = quadratic._pell_min
 
-    def record(d):
+    def record(d, *start):
         built.append(d)
-        return pell_min(d)
+        return pell_min(d, *start)
 
     monkeypatch.setattr(quadratic, "_pell_min", record)
     misses = quadratic.fundamental_unit.cache_info().misses
