@@ -14,8 +14,8 @@ a blank line and `Error: ...` to stderr (only the last when an option lacks
 its value or has one it takes none) and exits 2, as bare `polya` does after
 writing the help there, whatever click version is installed.
 
-Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, table
-row or strict-mode claim failing), 4 undecided: the factoring budget
+Exit codes: 0 ok, 2 usage error, 3 disagreement (classifier vs oracle, or a
+theorem, table or contrast claim failing), 4 undecided: the factoring budget
 (--budget-factor / POLYA_FACTOR_BUDGET) ran out.  The primes of a radicand
 are memoised per (radicand, budget) for the life of the process, so a later
 command with a smaller budget factors it again and can still exit 4.
@@ -144,11 +144,10 @@ def _theorem_text(report: TheoremReport) -> list[str]:
 
 def _emit(fmt: str, output: str | None, payloads: list[dict[str, Any]],
           columns: tuple[str, ...] | None, text_lines: list[str]) -> None:
-    """Write the report in `fmt`; a CSV header of None is the first
-    payload's keys."""
-    if fmt == "json":
-        body = "\n".join(json.dumps(p) for p in payloads) + "\n"
-    elif fmt == "csv":
+    """Write the report in `fmt`: one line per JSON payload or text line, and
+    nothing when there are none; a CSV header of None is the first payload's
+    keys."""
+    if fmt == "csv":
         if columns is None:
             columns = tuple(payloads[0])
         buf = io.StringIO()
@@ -160,7 +159,8 @@ def _emit(fmt: str, output: str | None, payloads: list[dict[str, Any]],
                              for v in map(p.get, columns)])
         body = buf.getvalue()
     else:
-        body = "\n".join(text_lines) + "\n"
+        lines = map(json.dumps, payloads) if fmt == "json" else text_lines
+        body = "".join(f"{line}\n" for line in lines)
     if output is None:
         sys.stdout.write(body)
         sys.stdout.flush()
@@ -182,16 +182,15 @@ class UsageError(Exception):
 
 
 # the shared options in click's listing order: metavar ("" for a flag) and
-# help (None: hidden); only the batch commands take the first two
+# help (None: hidden); only the batch commands take the first
 _OPTIONS: dict[str, tuple[str, str | None]] = {
-    "--strict": ("", "Exit 3 when any computed claim does not match."),
     "--jobs": ("INTEGER", None),
     "--format": ("[text|json|csv]", "Report format.  [default: text]"),
     "--output": ("FILE", "Write the report here instead of stdout."),
     "--budget-factor": ("INTEGER", "Factoring budget (default from env or built-in)."),
     "--help": ("", "Show this message and exit."),
 }
-_PLAIN_OPTIONS, _MAIN_OPTIONS = dict(list(_OPTIONS.items())[2:]), {"--help": _OPTIONS["--help"]}
+_PLAIN_OPTIONS, _MAIN_OPTIONS = dict(list(_OPTIONS.items())[1:]), {"--help": _OPTIONS["--help"]}
 # name -> (body, positional arguments, their usage, batch, negatives)
 _COMMANDS: dict[str, tuple[Callable[..., Any], dict[str, Any], str, bool, bool]] = {}
 
@@ -203,12 +202,12 @@ def _command(name: str, *, batch: bool = False, negatives: bool = False,
     `arguments` are its positionals in order, each `int`, `str` or `[int]`
     (any number of integers); with `negatives`, a token like `-7` that names
     no option is a positional.  Every command takes --format, --output and
-    --budget-factor; a `batch` command also takes --strict, and --jobs, which
-    must be an integer and is ignored (batch commands run serially).  The
-    function gets its arguments, `fmt`, `output` and, when `batch`, `strict`,
-    and returns its exit code (None for 0) or raises `UsageError`.  The
-    factoring budget is set for this one call and restored however it ends,
-    so it never reaches the next command; an exhausted budget exits 4.
+    --budget-factor; a `batch` command also takes --jobs, which must be an
+    integer and is ignored (batch commands run serially).  The function gets
+    its arguments, `fmt` and `output`, and returns its exit code (None for 0)
+    or raises `UsageError`.  The factoring budget is set for this one call
+    and restored however it ends, so it never reaches the next command; an
+    exhausted budget exits 4.
     """
     usage = "".join(f" [{arg.upper()}]..." if kind == [int] else f" {arg.upper()}"
                     for arg, kind in arguments.items())
@@ -334,8 +333,6 @@ def _dispatch(prog: str, tokens: list[str]) -> int:
             raise UsageError(f"Got unexpected extra argument{'s' if positionals[1:] else ''} "
                              f"({' '.join(positionals)})")
         params.update(fmt=values.get("--format", "text"), output=values.get("--output"))
-        if batch:
-            params["strict"] = "--strict" in given
         saved = arith.DEFAULT_FACTOR_BUDGET
         if budget is not None:
             if budget <= 0:
@@ -415,8 +412,7 @@ def cmd_analyze(m: int, n: int, fmt: str, output: str | None) -> None:
     _emit(fmt, output, payloads, None, lines)
 
 
-def _finish_reports(fmt: str, output: str | None, reports: tuple[TheoremReport, ...],
-                    strict: bool) -> int:
+def _finish_reports(fmt: str, output: str | None, reports: tuple[TheoremReport, ...]) -> int:
     if fmt == "json":
         payloads, lines = [_theorem_payload(r) for r in reports], []
     elif fmt == "csv":
@@ -424,7 +420,7 @@ def _finish_reports(fmt: str, output: str | None, reports: tuple[TheoremReport, 
     else:
         payloads, lines = [], [line for r in reports for line in _theorem_text(r)]
     _emit(fmt, output, payloads, _THEOREM_COLUMNS, lines)
-    return 3 if strict and any(r.claim_matches is False for r in reports) else 0
+    return 3 if any(r.claim_matches is False for r in reports) else 0
 
 
 def _theorem_id(value: str) -> str:
@@ -434,32 +430,31 @@ def _theorem_id(value: str) -> str:
     return theorem
 
 
-@_command("verify", theorem=str, primes=[int], batch=True, negatives=True)
-def cmd_verify(theorem: str, primes: tuple[int, ...], fmt: str, output: str | None,
-               strict: bool) -> int:
+@_command("verify", theorem=str, primes=[int], negatives=True)
+def cmd_verify(theorem: str, primes: tuple[int, ...], fmt: str, output: str | None) -> int:
     """Verify one theorem instance, e.g. `verify t1 3 17 41` or `verify t3 5 17`."""
     theorem = _theorem_id(theorem)
     arity = len(FAMILIES[theorem].primes)
     if len(primes) != arity:
         raise UsageError(f"{theorem.lower()} takes {arity} primes, got {len(primes)}")
-    return _finish_reports(fmt, output, (verify_theorem(theorem, primes),), strict)
+    return _finish_reports(fmt, output, (verify_theorem(theorem, primes),))
 
 
 @_command("scan", theorem=str, bound=int, batch=True)
-def cmd_scan(theorem: str, bound: int, fmt: str, output: str | None, strict: bool) -> int:
+def cmd_scan(theorem: str, bound: int, fmt: str, output: str | None) -> int:
     """Verify every admissible triple with max prime <= BOUND."""
     theorem = _theorem_id(theorem)
     try:
         reports = scan(theorem, bound)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return _finish_reports(fmt, output, reports, strict)
+    return _finish_reports(fmt, output, reports)
 
 
 @_command("table", batch=True)
-def cmd_table(fmt: str, output: str | None, strict: bool) -> int:
+def cmd_table(fmt: str, output: str | None) -> int:
     """Reproduce the published 20-row table; exit 0 iff every row has po order 2."""
-    return _finish_reports(fmt, output, verify_table(), strict=True)
+    return _finish_reports(fmt, output, verify_table())
 
 
 @_command("pollack", r=int)
@@ -476,8 +471,8 @@ def cmd_pollack(r: int, fmt: str, output: str | None) -> int | None:
     _emit(fmt, output, [{"r": r, "p": p, "q": q}], None, [f"r = {r}: p = {p}, q = {q}"])
 
 
-@_command("contrast", p=int, q=int, r=int, batch=True)
-def cmd_contrast(p: int, q: int, r: int, fmt: str, output: str | None, strict: bool) -> int:
+@_command("contrast", p=int, q=int, r=int)
+def cmd_contrast(p: int, q: int, r: int, fmt: str, output: str | None) -> int:
     """Check the contrasting family Q(sqrt(P), sqrt(Q*R)) with P = Q = 3 mod 4,
     R = 5 mod 8: expected Polya."""
     try:
@@ -493,7 +488,7 @@ def cmd_contrast(p: int, q: int, r: int, fmt: str, output: str | None, strict: b
              f"expected 1, matches: {'yes' if report.matches else 'no'}"]
     lines.extend(f"  anomaly: {note}" for note in report.anomalies)
     _emit(fmt, output, [_lift(payload) if fmt == "csv" else payload], columns, lines)
-    return 3 if report.anomalies and strict else 0
+    return 0 if report.matches else 3
 
 
 if __name__ == "__main__":

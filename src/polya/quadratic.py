@@ -290,10 +290,10 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     offset e.  J, rebuilt by square-and-multiply, then lies about e/2 forms
     past the middle, and J times the keyed form nearest |e|/2 forms, or its
     mirror when e > 0, a few forms from it.  `_midpoint` walks 2r steps from
-    that form or from the mirror of its successor, and failing that w steps
-    from J or from the mirror of J's successor.  The stride of S, 2(w - 2r),
-    leaves a margin of about 4r forms below the window of 2w + r forms, so a
-    composite that lands a few forms long cannot carry S over it.
+    that form or from the mirror of its successor; when neither stops, the
+    giant steps go on.  The stride of S, 2(w - 2r), leaves a margin of about
+    4r forms below the window of 2w + r forms, so a composite that lands a
+    few forms long cannot carry S over it.
 
     After w/32 giant steps without a stop, which cost a few times as much as
     the walk so far, the walk goes on from f_w to twice its length, which
@@ -374,7 +374,7 @@ def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
         for _ in range(max(walked // _PHASE_DIVISOR, 1)):
             e = _probe(s, table, a0, bits)
             if e is not None:
-                found = _land(d, (*powers, (giant, n)), e, keys, walked)
+                found = _land(d, (*powers, (giant, n)), e, keys)
                 if found is not None:
                     return found
             s = _compose(s, square, disc, root)
@@ -391,11 +391,13 @@ def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
 
 
 def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
-          keys: list[int], walked: int) -> tuple[bool, int, bool] | None:
+          keys: list[int]) -> tuple[bool, int, bool] | None:
     """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
     whose square lies e forms from the period's end, so that J lies about e/2
-    forms past the middle; None when no walk from there stops.  keys holds
-    the table's keys, each at its place."""
+    forms past the middle: 2r steps from J times the keyed form nearest |e|/2
+    forms, or from the mirror of its successor (r = `_MARK_EVERY`).  None
+    when neither walk stops; the giant steps then go on.  keys holds the
+    table's keys, each at its place."""
     every = _MARK_EVERY
     a0 = math.isqrt(d)
     disc = 4 * d
@@ -412,24 +414,22 @@ def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
     # mirror, the inverse, lies about e/2 -+ nr forms past the middle
     n = (abs(e) + every) // (2 * every)
     m, q_prev, q = _state(d, keys[n], a0.bit_length())
-    near = _compose(j, (q, 2 * m, -q_prev) if e < 0 else (-q_prev, 2 * m, q), disc, root)
-    # 2r steps from near, the side it lies on first; failing that, w from J
-    for form, steps, past in ((near, 2 * every, (abs(e) > 2 * n * every) == (e > 0)),
-                              (j, walked, e > 0)):
-        f_a, f_b, f_c = form
-        m, q_prev, q = f_b >> 1, abs(f_c), abs(f_a)
-        a = (a0 + m) // q
-        m_next = a * q - m
-        # f_j and f_{l-j}, which has the state of f_{j+1} mirrored; for an
-        # even period both have the parity of j
-        starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
-        if past:
-            starts.reverse()
-        for start in starts:
-            found = _midpoint(d, *start, steps=steps)
-            if found is not None:
-                h_odd, q_h, odd = found
-                return h_odd != (f_a < 0), q_h, odd
+    f_a, f_b, f_c = _compose(j, (q, 2 * m, -q_prev) if e < 0 else (-q_prev, 2 * m, q),
+                             disc, root)
+    m, q_prev, q = f_b >> 1, abs(f_c), abs(f_a)
+    a = (a0 + m) // q
+    m_next = a * q - m
+    # the composite f_j and f_{l-j}, which has the state of f_{j+1} mirrored;
+    # for an even period both have the parity of j.  The one on the side of
+    # the middle that f_j lies on goes first
+    starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
+    if (abs(e) > 2 * n * every) == (e > 0):
+        starts.reverse()
+    for start in starts:
+        found = _midpoint(d, *start, steps=2 * every)
+        if found is not None:
+            h_odd, q_h, odd = found
+            return h_odd != (f_a < 0), q_h, odd
     return None
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polya import arith, cli, quadratic, verify
-from polya.biquad import biquadratic_field, polya_report
+from polya.biquad import PolyaReport, biquadratic_field, polya_report
 from polya.cli import main
 
 
@@ -163,8 +163,9 @@ def test_verify_arity_usage_error_is_pinned(runner):
                              "Error: t1 takes 3 primes, got 2\n")
 
 
-def test_verify_strict_flags_failed_hypotheses(runner):
-    # hypotheses fail, so claim_matches is unset; strict only trips on False
+def test_verify_with_failed_hypotheses_leaves_the_claim_unset(runner):
+    # hypotheses fail, so claim_matches is unset, and only a claim that is
+    # False exits 3
     result = runner.invoke(main, ["verify", "T1", "3", "17", "29", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -210,6 +211,50 @@ def test_table_all_rows_agree(runner):
     lines = result.output.strip().splitlines()
     assert len(lines) == 20
     assert all(json.loads(line)["field_report"]["po_order"] == 2 for line in lines)
+
+
+def _order_4(report: PolyaReport) -> PolyaReport:
+    """`report` with Polya order 4: consistent, but not the order that T1-T3
+    (2) or the contrast family (1) claims."""
+    h1 = report.profile.product // 4
+    return PolyaReport(report.field, report.profile, report.h_generators, h1, 1, h1, 4,
+                       "(Z/2)^2", report.unit_norms)
+
+
+@pytest.mark.parametrize("argv", [["scan", "T3", "20"], ["verify", "t3", "5", "13"],
+                                  ["table"], ["contrast", "3", "7", "13"]],
+                         ids=["scan", "verify", "table", "contrast"])
+def test_a_failed_claim_exits_3_after_the_whole_report(runner, monkeypatch, argv):
+    # the first field's report is forged to order 4, so its claim fails;
+    # every row is still written, and the others are unchanged
+    argv = [*argv, "--format", "json"]
+    honest = runner.invoke(main, argv)
+    real, fields = verify.polya_report, []
+
+    def forge(field):
+        fields.append(field)
+        report = real(field)
+        return _order_4(report) if len(fields) == 1 else report
+
+    monkeypatch.setattr(verify, "polya_report", forge)
+    result = runner.invoke(main, argv)
+    assert (honest.exit_code, result.exit_code) == (0, 3)
+    first, *rest = result.stdout.splitlines()
+    assert rest == honest.stdout.splitlines()[1:]
+    row = json.loads(first)
+    assert row["field_report"]["po_order"] == 4
+    assert row.get("claim_matches", row.get("matches")) is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize(("theorem", "bound"), [("T1", "40"), ("T2", "18"), ("T3", "12")])
+def test_a_scan_with_no_triple_writes_no_row(runner, theorem, bound, fmt):
+    # no empty line, which no JSON Lines reader accepts; CSV keeps its header
+    result = runner.invoke(main, ["scan", theorem, bound, "--format", fmt])
+    assert result.exit_code == 0
+    assert result.stdout == ("theorem,triple,hypotheses_ok,po_order,h1_order,product_e,"
+                             "claim_matches,epsilon,epsilon_in_allowed_set,epsilon_witness,"
+                             "unit_norms,anomalies\n" if fmt == "csv" else "")
 
 
 def test_table_deterministic_across_jobs(runner):
@@ -534,13 +579,30 @@ USAGE_ERRORS = [
     (["analyze", "2", "85", "--strict"], "main analyze [OPTIONS] M N",
      "No such option '--strict'."),
     (["analyze", "2", "85", "--format"], None, "Option '--format' requires an argument."),
-    (["table", "--strict=1"], None, "Option '--strict' does not take a value."),
+    (["table", "--help=1"], None, "Option '--help' does not take a value."),
     (["analyze", "2", "85", "--budget-factor", "x"], "main analyze [OPTIONS] M N",
      "Invalid value for '--budget-factor': 'x' is not a valid integer."),
     (["table", "--jobs", "x"], "main table [OPTIONS]",
      "Invalid value for '--jobs': 'x' is not a valid integer."),
     (["verify", "t1", "x"], "main verify [OPTIONS] THEOREM [PRIMES]...",
      "Invalid value for '[PRIMES]...': 'x' is not a valid integer."),
+    # no command takes --strict; the two that take bare negatives read it
+    # as a positional integer
+    (["classify-quadratic", "--strict", "79"], "main classify-quadratic [OPTIONS] D",
+     "Invalid value for 'D': '--strict' is not a valid integer."),
+    (["verify", "t3", "5", "17", "--strict"], "main verify [OPTIONS] THEOREM [PRIMES]...",
+     "Invalid value for '[PRIMES]...': '--strict' is not a valid integer."),
+    (["scan", "T3", "60", "--strict"], "main scan [OPTIONS] THEOREM BOUND",
+     "No such option '--strict'."),
+    (["table", "--strict"], "main table [OPTIONS]", "No such option '--strict'."),
+    (["pollack", "13", "--strict"], "main pollack [OPTIONS] R", "No such option '--strict'."),
+    (["contrast", "3", "7", "13", "--strict"], "main contrast [OPTIONS] P Q R",
+     "No such option '--strict'."),
+    # only scan and table take the ignored --jobs
+    (["verify", "t3", "5", "17", "--jobs", "2"], "main verify [OPTIONS] THEOREM [PRIMES]...",
+     "Invalid value for '[PRIMES]...': '--jobs' is not a valid integer."),
+    (["contrast", "3", "7", "13", "--jobs", "2"], "main contrast [OPTIONS] P Q R",
+     "No such option '--jobs'."),
 ]
 
 
@@ -594,8 +656,7 @@ def test_bare_command_prints_help_on_stderr(runner):
      ["--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER", "--help"]),
     (["scan", "--help"], "main scan [OPTIONS] THEOREM BOUND",
      "Verify every admissible triple with max prime <= BOUND.",
-     ["--strict", "--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER",
-      "--help"]),
+     ["--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER", "--help"]),
 ])
 def test_help_shows_usage_summary_and_visible_options(runner, argv, usage, summary, options):
     result = runner.invoke(main, argv)
@@ -604,7 +665,7 @@ def test_help_shows_usage_summary_and_visible_options(runner, argv, usage, summa
     assert summary in result.output
     for option in options:
         assert f"\n  {option}  " in result.output
-    assert "--jobs" not in result.output
+    assert "--jobs" not in result.output and "--strict" not in result.output
 
 
 @pytest.mark.parametrize("spellings", [

@@ -231,8 +231,9 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     # sizes this small put most of these periods past the first walk, so
     # that the walk doubles and reaches the middle itself, squares land on
     # either side of the period's end, J corrected by the hit's offset lands
-    # too far from the middle, or J lies near the period's end, after which
-    # S runs on round the cycle; every answer must still be the linear walk's
+    # too far from the middle, after which the giant steps go on, or J lies
+    # near the period's end, after which S runs on round the cycle; every
+    # answer must still be the linear walk's
     real_walk, real_probe = quadratic._midpoint, quadratic._probe
     events: list[tuple[str, bool]] = []
 
@@ -252,8 +253,7 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     monkeypatch.setattr(quadratic, "_probe", probe)
     seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
-                          "corrected start stops", "uncorrected J stops",
-                          "all starts fail"], 0)
+                          "corrected start stops", "both starts fail"], 0)
     for plain, every in ((2, 2), (4, 2), (16, 4)):
         set_sizes(monkeypatch, plain, every)
         for d in range(2, 8000):
@@ -262,18 +262,16 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
                 events.clear()
                 assert _search_midpoint(d) == (None if odd else h_odd, q_h, odd), d
                 seen["doubled walk stops"] += events[-1] == ("doubled", True)
-                # a hit walks from the two starts of the corrected J, then
-                # from the two of J itself, until one walk stops
+                # a hit walks from the two starts of the corrected J until
+                # one walk stops
                 hits = [i for i, (kind, _) in enumerate(events) if kind.startswith("hit")]
                 for i in hits:
                     seen[events[i][0]] += 1
-                    after = [stopped for kind, stopped in events[i + 1:i + 5]
+                    after = [stopped for kind, stopped in events[i + 1:i + 3]
                              if kind == "from a hit"]
-                    assert after in ([True], [False, True], [False, False, True],
-                                     [False, False, False, True], [False] * 4), (d, after)
-                    seen["corrected start stops"] += True in after[:2]
-                    seen["uncorrected J stops"] += True in after[2:]
-                    seen["all starts fail"] += after == [False] * 4
+                    assert after in ([True], [False, True], [False, False]), (d, after)
+                    seen["corrected start stops"] += True in after
+                    seen["both starts fail"] += after == [False, False]
     assert all(seen.values()), seen
 
 
