@@ -34,8 +34,9 @@ along the cycle, the walk doubles whenever a phase of them has cost more
 than it, and a hit's exact offset puts a rebuilt form a few steps from the
 middle.  A half period of h steps then costs O(sqrt(h)) steps and
 compositions, and `_midpoint` walks on to the recurrence's own stop.  The
-answer is that stop, so it is exact and equal to the linear walk's.  Each
-phase's walk goes on from where the last one ended, so the walk alone
+answer is that stop, so it is exact and equal to the linear walk's.  The
+search is one loop of phases, each a walk, its keys and its giant steps,
+and each walk goes on from where the last one ended, so the walk alone
 reaches the middle when no landing does: it ends every search.
 
 The fundamental unit itself serves classify-quadratic, the theorem witnesses
@@ -281,39 +282,75 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, the inverse class, with
     key (Q_{k-1}, m_k).
 
-    First `_midpoint` walks `_PLAIN_STEPS` steps from k = 0, and the keys of
-    f_l and of every r-th form f_r, ..., f_w of that walk (r = `_MARK_EVERY`,
-    w the steps walked) go into a table in that order.  Each giant step
-    multiplies S by G^2, G = f_{w-2r}, so S = J*J for J = G^n.  A probe walks
-    r forms from S; when one of them or of their mirrors is keyed, S lies
-    within w forms of the period's end, and the key's place gives S's exact
-    offset e.  J, rebuilt by square-and-multiply, then lies about e/2 forms
-    past the middle, and J times the keyed form nearest |e|/2 forms, or its
-    mirror when e > 0, a few forms from it.  `_midpoint` walks 2r steps from
-    that form or from the mirror of its successor; when neither stops, the
-    giant steps go on.  The stride of S, 2(w - 2r), leaves a margin of about
-    4r forms below the window of 2w + r forms, so a composite that lands a
-    few forms long cannot carry S over it.
+    Each pass of the search's loop is a phase.  `_midpoint` walks on from
+    k = 0 for `_PLAIN_STEPS` steps, then from its last mark to twice its
+    length, and the keys of f_l and of every r-th form f_r, ..., f_w walked
+    (r = `_MARK_EVERY`, w the steps walked) make up a table in that order.
+    Then come w/32 giant steps.  Each multiplies S by G^2, G = f_{w-2r}, so
+    S = J*J for J = G^n.  A probe walks r forms from S; when one of them or
+    of their mirrors is keyed, S lies within w forms of the period's end,
+    and the key's place gives S's exact offset e.  J, rebuilt by
+    square-and-multiply, then lies about e/2 forms past the middle, and J
+    times the keyed form nearest |e|/2 forms, or its mirror when e > 0, a
+    few forms from it.  `_land` walks on from there; when it does not stop,
+    the giant steps go on.  The stride of S, 2(w - 2r), leaves a margin of
+    about 4r forms below the window of 2w + r forms, so a composite that
+    lands a few forms long cannot carry S over it.
 
-    After w/32 giant steps without a stop, which cost a few times as much as
-    the walk so far, the walk goes on from f_w to twice its length, which
-    doubles the table and the stride; J is then a product of each phase's G
-    to the number of its steps, and the last S of a phase is probed against
-    the longer table.  A half period of h steps costs O(sqrt(h)) steps and
-    compositions and O(sqrt(h)/r) keys.  The phase walk ends every search:
-    it keeps the exact recurrence's stops, and each phase walks on from the
-    last mark, so after about log2(h/w) phases with no landing the walks
-    alone have reached the middle.
+    A phase's giant steps cost a few times as much as the walk so far, and
+    the next walk doubles the table and the stride; J is then a product of
+    each phase's G to the number of its steps, and the last S of a phase is
+    probed against the longer table.  A half period of h steps costs
+    O(sqrt(h)) steps and compositions and O(sqrt(h)/r) keys.  The walk ends
+    every search that no landing ends: it keeps the exact recurrence's
+    stops, and each walk goes on from the last mark, so after about
+    log2(h/w) phases the walks alone have reached the middle.
 
     Every answer is the stop of `_midpoint`'s exact recurrence; the search
     only chooses where that walk starts.  With an odd period the form cycle
     has length 2l, and a walk that starts one lap further round flips the
     parity of h, so h_odd is None there.
     """
-    marks: list[int] = []
-    found = _midpoint(d, steps=_PLAIN_STEPS, marks=marks)
-    if found is None:
-        found = _giant_steps(d, marks)
+    a0 = math.isqrt(d)
+    bits = a0.bit_length()
+    disc = 4 * d
+    root = math.isqrt(disc)
+    # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
+    keys = [1 << bits | a0]
+    table = {keys[0]: 0}  # each key's place in keys
+    powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
+    state, steps, walked = (0, None, 1), _PLAIN_STEPS, 0  # `_midpoint`'s k = 0
+    s = None
+    while True:
+        # a later walk goes on from a mark, at an even k, so the parity of h
+        # is the parity of the steps taken from there
+        marks: list[int] = []
+        found = _midpoint(d, *state, steps=steps, marks=marks)
+        if found is not None:
+            break
+        table.update(zip(marks, count(len(keys))))
+        keys += marks
+        walked += steps
+        # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
+        m, q_prev, q = _state(d, marks[max(len(marks) - 3, 0)], bits)
+        giant = (q, 2 * m, -q_prev)
+        square = _compose(giant, giant, disc, root)
+        n = 0
+        if s is None:
+            s, n = square, 1
+        # the last S of a phase is probed in the next, against its longer table
+        for _ in range(max(walked // _PHASE_DIVISOR, 1)):
+            e = _probe(s, table, a0, bits)
+            if e is not None:
+                found = _land(d, (*powers, (giant, n)), e, keys)
+                if found is not None:
+                    break
+            s = _compose(s, square, disc, root)
+            n += 1
+        if found is not None:
+            break
+        powers.append((giant, n))
+        state, steps = _state(d, marks[-1], bits), walked
     h_odd, q_h, odd = found
     return (None if odd else h_odd), q_h, odd
 
@@ -347,55 +384,12 @@ def _state(d: int, key: int, bits: int) -> tuple[int, int, int]:
     return m, (d - m * m) // q, q
 
 
-def _giant_steps(d: int, marks: list[int]) -> tuple[bool, int, bool]:
-    """The search of `_search_midpoint` past the walk of `_PLAIN_STEPS` steps
-    from k = 0 that left these marks."""
-    a0 = math.isqrt(d)
-    bits = a0.bit_length()
-    disc = 4 * d
-    root = math.isqrt(disc)
-    # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
-    keys = [1 << bits | a0]
-    table = {keys[0]: 0}  # each key's place in keys
-    powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
-    walked = _PLAIN_STEPS
-    s = None
-    while True:
-        table.update(zip(marks, count(len(keys))))
-        keys += marks
-        # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
-        m, q_prev, q = _state(d, marks[max(len(marks) - 3, 0)], bits)
-        giant = (q, 2 * m, -q_prev)
-        square = _compose(giant, giant, disc, root)
-        n = 0
-        if s is None:
-            s, n = square, 1
-        # the last S of a phase is probed in the next, against its longer table
-        for _ in range(max(walked // _PHASE_DIVISOR, 1)):
-            e = _probe(s, table, a0, bits)
-            if e is not None:
-                found = _land(d, (*powers, (giant, n)), e, keys)
-                if found is not None:
-                    return found
-            s = _compose(s, square, disc, root)
-            n += 1
-        powers.append((giant, n))
-        # the walk so far ended at an even k, so the parity of h is the
-        # parity of the steps taken from there
-        state = _state(d, marks[-1], bits)
-        marks = []
-        found = _midpoint(d, *state, steps=walked, marks=marks)
-        if found is not None:
-            return found
-        walked *= 2
-
-
 def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
           keys: list[int]) -> tuple[bool, int, bool] | None:
     """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
     whose square lies e forms from the period's end, so that J lies about e/2
     forms past the middle: 2r steps from J times the keyed form nearest |e|/2
-    forms, or from the mirror of its successor (r = `_MARK_EVERY`).  None
+    forms, then from the mirror of its successor (r = `_MARK_EVERY`).  None
     when neither walk stops; the giant steps then go on.  keys holds the
     table's keys, each at its place."""
     every = _MARK_EVERY
@@ -420,12 +414,9 @@ def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
     a = (a0 + m) // q
     m_next = a * q - m
     # the composite f_j and f_{l-j}, which has the state of f_{j+1} mirrored;
-    # for an even period both have the parity of j.  The one on the side of
-    # the middle that f_j lies on goes first
-    starts = [(m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)]
-    if (abs(e) > 2 * n * every) == (e > 0):
-        starts.reverse()
-    for start in starts:
+    # for an even period both have the parity of j.  Only the one before the
+    # middle reaches it, so a fixed order wastes at most one walk of 2r steps
+    for start in ((m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)):
         found = _midpoint(d, *start, steps=2 * every)
         if found is not None:
             h_odd, q_h, odd = found
@@ -655,13 +646,6 @@ class NormEquationSolution(Record):
             raise ValueError("half-integral solution outside the ring of integers")
 
 
-def _solution(d: int, c: int, x: int, y: int, denom: int) -> NormEquationSolution:
-    x, y = abs(x), abs(y)
-    if denom == 2 and x % 2 == 0 and y % 2 == 0:
-        x, y, denom = x // 2, y // 2, 1
-    return NormEquationSolution(d, c, x, y, denom)
-
-
 def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
     """Decide N(alpha) = c for real d and prime |c| dividing disc(Q(sqrt(d))).
 
@@ -671,10 +655,10 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
     tau = 1 if c > 0 else -1
     if ell == d:
         if tau == -1:
-            return _solution(d, c, 0, 1, 1)
+            return NormEquationSolution(d, c, 0, 1, 1)
         u = fundamental_unit(d)
         if u.norm == -1:
-            return _solution(d, c, d * u.t, u.z, u.denom)
+            return NormEquationSolution(d, c, d * u.t, u.z, u.denom)
         return None
     u = fundamental_unit(d)
     if u.norm == -1:
@@ -688,11 +672,11 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
     if num % den == 0 and is_square(num // den):
         x = math.isqrt(num // den)
         y = ell * u.t // (2 * delta * x)
-        return _solution(d, c, x, y, 1)
+        return NormEquationSolution(d, c, x, y, 1)
     big = 4 * num // den
     x = math.isqrt(big)
     y = 2 * ell * u.t // (delta * x)
-    return _solution(d, c, x, y, 2)
+    return NormEquationSolution(d, c, x, y, 2)
 
 
 def _scan_imaginary(d: int, c: int) -> NormEquationSolution | None:
@@ -707,7 +691,7 @@ def _scan_imaginary(d: int, c: int) -> NormEquationSolution | None:
             if is_square(rest):
                 x = math.isqrt(rest)
                 if denom == 1 or x % 2 == y % 2:
-                    return _solution(d, c, x, y, denom)
+                    return NormEquationSolution(d, c, x, y, denom)
             y += 1
     return None
 
@@ -728,10 +712,10 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     if d < 0:
         return _scan_imaginary(d, c)
     if c == 1:
-        return _solution(d, c, 1, 0, 1)
+        return NormEquationSolution(d, c, 1, 0, 1)
     u = fundamental_unit(d)
     if c == -1:
-        return _solution(d, c, u.z, u.t, u.denom) if u.norm == -1 else None
+        return NormEquationSolution(d, c, u.z, u.t, u.denom) if u.norm == -1 else None
     ell = abs(c)
     if not is_prime(ell):
         raise ValueError(f"norm_equation decides only c = +-1 and c = +-l, l prime, "

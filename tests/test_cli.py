@@ -562,6 +562,7 @@ def test_budget_env_variable_is_read(runner):
 # the usage line it prints (None: the error alone) and its message.
 USAGE_ERRORS = [
     (["nosuch"], "main [OPTIONS] COMMAND [ARGS]...", "No such command 'nosuch'."),
+    (["--", "--bogus"], "main [OPTIONS] COMMAND [ARGS]...", "No such option '--bogus'."),
     (["analyze", "2"], "main analyze [OPTIONS] M N", "Missing argument 'N'."),
     (["analyze", "2", "x"], "main analyze [OPTIONS] M N",
      "Invalid value for 'N': 'x' is not a valid integer."),
@@ -657,14 +658,17 @@ def test_bare_command_prints_help_on_stderr(runner):
     (["scan", "--help"], "main scan [OPTIONS] THEOREM BOUND",
      "Verify every admissible triple with max prime <= BOUND.",
      ["--format [text|json|csv]", "--output FILE", "--budget-factor INTEGER", "--help"]),
+    # a command name that looks like an option is parsed once more, as click does
+    (["--", "--help"], "main [OPTIONS] COMMAND [ARGS]...",
+     "Polya groups of real quadratic and totally real bi-quadratic fields.", ["--help"]),
 ])
 def test_help_shows_usage_summary_and_visible_options(runner, argv, usage, summary, options):
     result = runner.invoke(main, argv)
     assert result.exit_code == 0
-    assert result.output.startswith(f"Usage: {usage}\n\n")
-    assert summary in result.output
+    assert result.stdout.startswith(f"Usage: {usage}\n\n")
+    assert summary in result.stdout
     for option in options:
-        assert f"\n  {option}  " in result.output
+        assert f"\n  {option}  " in result.stdout
     assert "--jobs" not in result.output and "--strict" not in result.output
 
 

@@ -469,17 +469,20 @@ def test_fundamental_unit_norm_law_from_period():
         assert u.norm == (-1) ** cf_expand(d).period_length, d
 
 
-def half_period_convergents(d: int) -> tuple[int, int, int, int, int, int]:
-    """(l, p_{h-1}, q_{h-1}, p_h, q_h, Q_h) for the period length l of sqrt(d)
-    and h = floor(l/2): the convergents p_k/q_k walked from p_{-1}/q_{-1} =
-    1/0 to the middle of the textbook period, and its denominator there."""
-    preperiod, period, q_values = division_period(d)
+def half_period_convergents(d: int, p0: int = 0, q0: int = 1
+                            ) -> tuple[int, int, int, int, int, int]:
+    """(l, p_{h-1}, q_{h-1}, p_h, q_h, Q_h) for the period length l of
+    (p0 + sqrt(d))/q0 and h = floor(l/2): the convergents p_k/q_k walked from
+    p_{-1}/q_{-1} = 1/0 to the middle of the textbook period, and its
+    denominator there (Q_0 = q0).  The period's first h partial quotients
+    are the head that `_half_period(d, p0, q0)` walks."""
+    preperiod, period, q_values = division_period(d, p0, q0)
     h = len(period) // 2
     p_prev, p, q_prev, q = 1, preperiod[0], 0, 1
     for a in period[:h]:
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    return len(period), p_prev, q_prev, p, q, q_values[h - 1] if h else 1
+    return len(period), p_prev, q_prev, p, q, q_values[h - 1] if h else q0
 
 
 def unit_by_cube_root(d: int) -> tuple[int, int, int, int]:
@@ -540,22 +543,30 @@ def test_half_period_denominator_is_never_a_multiple_of_4():
 
 
 def test_least_pell_solution_from_the_half_period():
-    # with alpha = p_{h-1} + q_{h-1}*sqrt(d) and beta = p_h + q_h*sqrt(d),
-    # the least solution of x^2 - d*y^2 = +-1 is alpha^2/|N(alpha)| for an
-    # even period and alpha*beta/Q_h for an odd one
+    # with convergents p_k/q_k of w = (p0 + sqrt(d))/q0 and theta_k = p_k -
+    # q_k*w' = (q0*p_k - p0*q_k + q_k*sqrt(d))/q0, alpha = theta_{h-1} and
+    # beta = theta_h: N(alpha) = (-1)^h Q_h/q0, and the least unit
+    # (x + y*sqrt(d))/q0 > 1 of Z[w] is alpha^2/|N(alpha)| for an even period
+    # and alpha*beta/|N(alpha)| for an odd one.  From sqrt(d) for every d,
+    # and from (1 + sqrt(d))/2 for d = 1 (mod 4)
+    walks = 0
     for d in range(2, 3000):
         if math.isqrt(d) ** 2 == d:
             continue
-        length, p0, q0, p1, q1, q_h = half_period_convergents(d)
-        if length % 2 == 0:
-            n = abs(p0 * p0 - d * q0 * q0)
-            assert n == q_h, d
-            x, y, nu = p0 * p0 + d * q0 * q0, 2 * p0 * q0, 1
-        else:
-            n = q_h
-            x, y, nu = p0 * p1 + d * q0 * q1, p0 * q1 + p1 * q0, -1
-        assert x % n == 0 and y % n == 0, d
-        assert quadratic._pell_min(d) == (x // n, y // n, nu), d
+        for p0, q0 in ((0, 1), (1, 2)) if d % 4 == 1 else ((0, 1),):
+            length, p_prev, q_prev, p, q, q_h = half_period_convergents(d, p0, q0)
+            # q0*alpha = s + q_prev*sqrt(d) and q0*beta = t + q*sqrt(d)
+            s, t = q0 * p_prev - p0 * q_prev, q0 * p - p0 * q
+            n = s * s - d * q_prev * q_prev  # q0^2 * N(alpha)
+            assert n == (-1) ** (length // 2) * q_h * q0, (d, q0)
+            # q0*alpha times q0*alpha or q0*beta, over q0^2*|N(alpha)|, is the
+            # unit; times q0 it is read as (x + y*sqrt(d))/q0
+            u, v, nu = (s, q_prev, 1) if length % 2 == 0 else (t, q, -1)
+            x, y = q0 * (s * u + d * q_prev * v), q0 * (s * v + u * q_prev)
+            assert x % n == 0 and y % n == 0, (d, q0)
+            assert quadratic._pell_min(d, p0, q0) == (x // abs(n), y // abs(n), nu), (d, q0)
+            walks += 1
+    assert walks == 2945 + 723
 
 
 def test_epsilon_split_from_the_half_period():
