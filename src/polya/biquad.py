@@ -129,24 +129,6 @@ def _has_norm_pm2(d: int) -> bool:
     return any(norm_equation(d, c) is not None for c in (2, -2))
 
 
-def _h1(field: BiquadraticField, profile: RamificationProfile,
-        gens: tuple[SquareClass, ...]) -> tuple[int, int, int]:
-    h = span(gens)
-    index = 1
-    if profile.e2 == 4 and all(_kernel_invariants(d).two_is_norm for d in field.deltas):
-        index = 2
-    return h, index, h * index
-
-
-def h1_order(field: BiquadraticField) -> tuple[int, int, int]:
-    """(|H|, index factor, |H^1|) for a totally real bi-quadratic field.
-
-    The index factor is 2 exactly when 2 is totally ramified and each of the
-    three subfields contains an element of norm 2 or -2.
-    """
-    return _h1(field, ramification(field), h_generators(field))
-
-
 class PolyaReport(Record):
     """Every quantity of the Polya group computation, with exactness enforced."""
 
@@ -176,7 +158,13 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
         raise ValueError("Polya reports cover totally real fields only")
     profile = ramification(field)
     gens = h_generators(field)
-    h, index, h1 = _h1(field, profile, gens)
+    h = span(gens)
+    # the index factor is 2 exactly when 2 is totally ramified and each of
+    # the three subfields contains an element of norm 2 or -2
+    index = 1
+    if profile.e2 == 4 and all(_kernel_invariants(d).two_is_norm for d in field.deltas):
+        index = 2
+    h1 = h * index
     po = profile.product // h1
     if profile.e2 <= 2:
         rank = po.bit_length() - 1
@@ -185,6 +173,12 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
         structure = "order-only"
     norms = tuple(_kernel_invariants(d).norm for d in field.deltas)
     return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
+
+
+def h1_order(field: BiquadraticField) -> tuple[int, int, int]:
+    """(|H|, index factor, |H^1|) of the field's Polya report."""
+    report = polya_report(field)
+    return report.h_order, report.index_factor, report.h1_order
 
 
 class LericheVerdict(Record):

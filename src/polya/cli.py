@@ -35,8 +35,8 @@ from .arith import FactorBudgetError
 from .biquad import PolyaReport, biquadratic_field, polya_report
 from .quadratic import (UnitSplit, _radicand_primes, fundamental_unit,
                         quadratic_polya_oracle, zantema_classify)
-from .verify import (FAMILIES, THEOREMS, TheoremReport, contrast_rajaei, pollack_search,
-                     scan, verify_table, verify_theorem)
+from .verify import (THEOREMS, TheoremReport, contrast_rajaei, pollack_search, scan,
+                     verify_table, verify_theorem)
 
 
 def _unit_payload(d: int) -> dict[str, Any] | None:
@@ -434,10 +434,11 @@ def _theorem_id(value: str) -> str:
 def cmd_verify(theorem: str, primes: tuple[int, ...], fmt: str, output: str | None) -> int:
     """Verify one theorem instance, e.g. `verify t1 3 17 41` or `verify t3 5 17`."""
     theorem = _theorem_id(theorem)
-    arity = len(FAMILIES[theorem].primes)
-    if len(primes) != arity:
-        raise UsageError(f"{theorem.lower()} takes {arity} primes, got {len(primes)}")
-    return _finish_reports(fmt, output, (verify_theorem(theorem, primes),))
+    try:
+        report = verify_theorem(theorem, primes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    return _finish_reports(fmt, output, (report,))
 
 
 @_command("scan", theorem=str, bound=int, batch=True)

@@ -168,24 +168,19 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
     h_odd is then the parity of the number of steps it took.  It walks on
     through m_k = m_{k+1} where k is a multiple of l, the one stop with
     Q_k = 1, so from any k it stops at the next index = h (mod l).
-    Given steps, it returns None once it has taken that many (rounded up to
-    even) without stopping.  Given also marks, a list, and steps a multiple
-    of r = `_MARK_EVERY`, it appends the key Q_k << bits | m_k of the form
-    after every r-th step to marks, bits = bit length of isqrt(d); the last
-    one is that of the step where it ran out.  m_k < 2^bits, and
+    The walk goes in stretches of r = `_MARK_EVERY` steps.  Given steps, a
+    multiple of r, it returns None once it has taken that many without
+    stopping.  Given also marks, a list, it appends the key Q_k << bits | m_k
+    of the form after every stretch to marks, bits = bit length of isqrt(d);
+    the last one is that of the step where it ran out.  m_k < 2^bits, and
     Q_{k-1} = (d - m_k^2)/Q_k, so a key names the whole state.
     """
     a0 = math.isqrt(d)
     if q_prev is None:
         q_prev = d
     a = (a0 + m) // q
-    if marks is None:
-        stretches = repeat(None, 1)
-        passes = repeat(None) if steps is None else repeat(None, (steps + 1) // 2)
-    else:
-        stretches, passes = repeat(None, steps // _MARK_EVERY), range(_MARK_EVERY // 2)
-        bits = a0.bit_length()
-    for _ in stretches:
+    bits, passes = a0.bit_length(), range(_MARK_EVERY // 2)
+    for _ in repeat(None) if steps is None else repeat(None, steps // _MARK_EVERY):
         for _ in passes:
             # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
             m_next = a * q - m

@@ -21,6 +21,7 @@ an epsilon witness builds a fundamental unit.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from .arith import is_prime, jacobi, sieve_primes
@@ -45,11 +46,11 @@ TABLE_ROWS: tuple[tuple[int, int, int], ...] = (
 class Family(Record):
     """One theorem's statement: distinct `primes`, each (letter, modulus,
     residue), with a Jacobi symbol (a/b) = value for each (a, b, value) in
-    `symbols`; its field's (m, n) = `field(*primes)`, products of the primes
-    and 2; and `m_norm`, the unit norm its proof asserts for Q(sqrt(m)) (each
-    asserts -1 for Q(sqrt(n)))."""
+    `symbols`; its field Q(sqrt(m), sqrt(n)), with `field` the two words that
+    spell m and n in the letters and 2, ("p", "qr") for m = p and n = q*r; and
+    `norms`, the unit norms its proof asserts for Q(sqrt(m)) and Q(sqrt(n))."""
 
-    __slots__ = ("primes", "symbols", "field", "m_norm")
+    __slots__ = ("primes", "symbols", "field", "norms")
 
     @property
     def conditions(self) -> tuple[str, tuple[tuple[str, int, int], ...],
@@ -63,24 +64,15 @@ class Family(Record):
                       for a, b, v in self.symbols))
 
 
-def _p_and_qr(p: int, q: int, r: int) -> tuple[int, int]:
-    """The field (m, n) = (p, q*r) of T1 and T2."""
-    return p, q * r
-
-
-def _two_and_pq(p: int, q: int) -> tuple[int, int]:
-    """The field (m, n) = (2, p*q) of T3."""
-    return 2, p * q
-
-
 # The statements in the module docstring, one declaration each, as (primes,
-# symbols, field, m_norm).  The field functions are module-level, so a Family
-# pickles, and every field is positional, so importing loads no inspect.
+# symbols, field, norms).  Every field is positional, so importing loads no
+# inspect.
 FAMILIES = {
-    T1: Family((("p", 4, 3), ("q", 8, 1), ("r", 8, 1)), (("q", "r", -1),), _p_and_qr, 1),
+    T1: Family((("p", 4, 3), ("q", 8, 1), ("r", 8, 1)), (("q", "r", -1),), ("p", "qr"),
+               (1, -1)),
     T2: Family((("p", 4, 3), ("q", 4, 3), ("r", 8, 1)), (("p", "r", 1), ("q", "r", -1)),
-               _p_and_qr, 1),
-    T3: Family((("p", 4, 1), ("q", 4, 1)), (("p", "q", -1),), _two_and_pq, -1),
+               ("p", "qr"), (1, -1)),
+    T3: Family((("p", 4, 1), ("q", 4, 1)), (("p", "q", -1),), ("2", "pq"), (-1, -1)),
 }
 
 THEOREMS = tuple(FAMILIES)
@@ -159,8 +151,10 @@ class TheoremReport(Record):
 
 def _theorem_field(theorem: str, triple: tuple[int, ...]) -> BiquadraticField:
     """The theorem's field, built from the primes of a triple that satisfies
-    its hypotheses, with no factoring."""
-    m, n = FAMILIES[theorem].field(*triple)
+    its hypotheses, with no factoring: m and n are its words multiplied out."""
+    family = FAMILIES[theorem]
+    value = dict(zip("2" + "".join(x for x, _, _ in family.primes), (2, *triple)))
+    m, n = (math.prod(value[x] for x in word) for word in family.field)
     primes = tuple(sorted(triple))
     return BiquadraticField(m, n, (2, *primes) if (m * n) % 2 == 0 else primes)
 
@@ -180,8 +174,8 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     report = polya_report(field)
     norms = dict(zip(field.deltas, report.unit_norms))
     anomalies: list[str] = []
-    for step, kernel, asserted in (("a1", field.m, FAMILIES[theorem].m_norm),
-                                   ("a2", field.n, -1)):
+    for step, kernel, asserted in zip(("a1", "a2"), (field.m, field.n),
+                                      FAMILIES[theorem].norms):
         if norms[kernel] != asserted:
             anomalies.append(f"unit norm of Q(sqrt({kernel})) behind the {step} step: "
                              f"asserted {asserted}, computed {norms[kernel]}")

@@ -349,16 +349,19 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
     real_walk = quadratic._midpoint
 
     def steps_to_stop(d, start):
-        # the least even budget with which the walk from start stops
+        # the least even budget with which the walk from start stops; the
+        # walk takes whole stretches of _MARK_EVERY steps, so that is 2 here
         fails, stops = 0, 2
-        while real_walk(d, *start, steps=stops) is None:
-            fails, stops = stops, 2 * stops
-        while stops - fails > 2:
-            mid = (fails + stops) // 4 * 2
-            if real_walk(d, *start, steps=mid) is None:
-                fails = mid
-            else:
-                stops = mid
+        with monkeypatch.context() as patch:
+            patch.setattr(quadratic, "_MARK_EVERY", 2)
+            while real_walk(d, *start, steps=stops) is None:
+                fails, stops = stops, 2 * stops
+            while stops - fails > 2:
+                mid = (fails + stops) // 4 * 2
+                if real_walk(d, *start, steps=mid) is None:
+                    fails = mid
+                else:
+                    stops = mid
         return stops
 
     taken = [0]
@@ -366,7 +369,7 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
     def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
         found = real_walk(d, m, q_prev, q, steps, marks)
         if q_prev is not None and marks is None:
-            taken[0] += steps + steps % 2 if found is None else steps_to_stop(d, (m, q_prev, q))
+            taken[0] += steps if found is None else steps_to_stop(d, (m, q_prev, q))
         return found
 
     monkeypatch.setattr(quadratic, "_midpoint", walk)

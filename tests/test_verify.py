@@ -4,18 +4,19 @@ the reported orders, scans, the published table, and the contrast families."""
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya import quadratic
+from polya import quadratic, verify
 from polya.arith import jacobi, sieve_primes, squarefree_part
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import _witness_payload
 from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
                              fundamental_unit)
-from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, _theorem_field,
+from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, Family, _theorem_field,
                           admissible_triples, check_hypotheses, contrast_rajaei,
                           pollack_search, scan, smallest_admissible, verify_table,
                           verify_theorem)
@@ -182,6 +183,29 @@ def test_verify_theorem_t2_proof_step_anomaly():
     assert "asserted -1, computed 1" in rep.anomalies[0]
 
 
+def test_verify_theorem_reports_both_asserted_norms_in_order(monkeypatch):
+    # the unit norms of Q(sqrt(3)) and Q(sqrt(697)) are 1 and -1; asserting
+    # the opposite of each must name each step, m's before n's
+    t1 = verify.FAMILIES["T1"]
+    monkeypatch.setitem(verify.FAMILIES, "T1",
+                        Family(t1.primes, t1.symbols, t1.field, (-1, 1)))
+    rep = verify_theorem("T1", (3, 17, 41))
+    assert rep.anomalies == (
+        "unit norm of Q(sqrt(3)) behind the a1 step: asserted -1, computed 1",
+        "unit norm of Q(sqrt(697)) behind the a2 step: asserted 1, computed -1")
+    assert rep.claim_matches is True
+
+
+def test_verify_theorem_reports_an_epsilon_outside_the_allowed_set(monkeypatch):
+    monkeypatch.setattr(verify, "epsilon_decomposition",
+                        lambda d: SimpleNamespace(epsilon=7))
+    rep = verify_theorem("T1", (3, 17, 41))
+    assert rep.anomalies == (
+        "epsilon 7 of kernel 2091 outside allowed set [1, 3, 697, 2091]",)
+    assert rep.epsilon_in_allowed_set is False
+    assert rep.claim_matches is True
+
+
 def test_verify_theorem_skips_field_work_when_hypotheses_fail():
     rep = verify_theorem("T1", (3, 17, 29))
     assert not rep.hypotheses.ok
@@ -270,6 +294,10 @@ def test_smallest_admissible_ordering():
     keys = [(max(t), t) for t in t2]
     assert keys == sorted(keys)
     assert len(smallest_admissible("T3", 7)) == 7
+    # 18 T1 triples have a largest prime up to 64, so the 19th needs 128
+    assert len(admissible_triples("T1", 64)) == 18
+    assert smallest_admissible("T1", 19) == tuple(
+        sorted(admissible_triples("T1", 128), key=lambda t: (max(t), t))[:19])
 
 
 def test_table_rows_are_fixed_and_verified():
