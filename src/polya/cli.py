@@ -57,7 +57,7 @@ def _unit_text(d: int) -> str:
 def _witness_payload(w: UnitSplit | None) -> dict[str, Any] | None:
     if w is None:
         return None
-    return {"d": w.d, "delta": w.unit.denom, "g": w.g, "m": str(w.m), "n": str(w.n),
+    return {"d": w.d, "delta": w.denom, "g": w.g, "m": str(w.m), "n": str(w.n),
             "epsilon": w.epsilon, "eta": w.eta, "case_label": f"gcd = {w.g}"}
 
 

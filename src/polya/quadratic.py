@@ -20,7 +20,8 @@ through the period by the same recurrence: `_midpoint` keeps nothing but the
 current denominators and returns the parity of its length, the last
 denominator and how it ended, in constant memory; `_half_period` keeps the
 partial quotients, which `cf_expand` mirrors into the full period.  (It
-also walks the period of (1 + sqrt(d))/2 for `fundamental_unit`.)  Past
+also walks the period of (1 + sqrt(d))/2 for `fundamental_unit` and
+`epsilon_decomposition`.)  Past
 the first step both work on integers below 2*sqrt(d), each a one-digit
 Python int (below 2^30) for every d below 2^58.
 
@@ -39,20 +40,23 @@ search is one loop of phases, each a walk, its keys and its giant steps,
 and each walk goes on from where the last one ended, so the walk alone
 reaches the middle when no landing does: it ends every search.
 
-The fundamental unit itself serves classify-quadratic, the theorem witnesses
-and the norm equation deciders.  `fundamental_unit` walks `_half_period` from
-the generator of the ring of integers, (1 + sqrt(d))/2 when d = 1 (mod 4)
-and sqrt(d) otherwise, mirrors it into the period and runs the big-integer
-convergent recurrence over it; the unit, half-integral or not, is read off
-the last convergent.  When that unit is half-integral, Z[sqrt(d)] holds
-only its cube, so the period of sqrt(d) would be about three times as long
-and its unit would need a cube root.
+The fundamental unit itself serves classify-quadratic and the norm equation
+deciders.  `fundamental_unit` walks `_half_period` from the generator of the
+ring of integers, (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise,
+mirrors it into the period and runs the big-integer convergent recurrence
+over it; the unit, half-integral or not, is read off the last convergent.
+When that unit is half-integral, Z[sqrt(d)] holds only its cube, so the
+period of sqrt(d) would be about three times as long and its unit would need
+a cube root.
 
 For a fundamental unit u = (z + t*sqrt(d))/denom of norm +1, the integers
-z - denom and z + denom split, up to their gcd, as eta * square and
-epsilon * square with epsilon * eta = d.  That factorization
-decides every norm equation N(alpha) = +-l at ramified primes l without ever
-factoring a large integer.
+z - denom and z + denom split, up to their gcd g, as eta * square and
+epsilon * square with epsilon * eta = d.  The theorem witnesses print that
+split, and `epsilon_decomposition` reads it off the convergent at h - 1 of
+the same half walk, at half the unit's bits, and builds no unit.  The
+deciders of N(alpha) = +-l at ramified primes l ask whether
+2*denom*l*(z +- denom), which is 2*denom*g*l*epsilon (or eta) times a
+square, is a square, so no large integer is ever factored.
 
 A quadratic field is Polya iff every ramified prime is principal (Zantema,
 1982), so for real d `norm_equation` decides only what the Polya tests ask:
@@ -74,7 +78,8 @@ from .sqclass import IDENTITY, SquareClass
 
 # Entries kept by each per-kernel cache: one theorem-scan pass (scan T1, T2 and
 # T3 and the table) asks `_kernel_invariants` for 5,141 distinct kernels and
-# `fundamental_unit` and `epsilon_decomposition` for 4,236.  The radicand memo
+# `epsilon_decomposition` for 4,236, and `fundamental_unit` for none; the
+# classify-quadratic command asks `fundamental_unit` for one.  The radicand memo
 # `_primes_under_budget` has the same bound; its key holds the factoring budget
 # as well as d.
 _KERNEL_CACHE_SIZE = 8192
@@ -489,52 +494,81 @@ def fundamental_unit(d: int) -> FundamentalUnit:
 
 
 class UnitSplit(Record):
-    """Split of a norm +1 fundamental unit u = (z + t*sqrt(d))/denom:
+    """Split of the norm +1 fundamental unit u = (z + t*sqrt(d))/denom:
 
         z + denom = g * m^2 * epsilon,   z - denom = g * n^2 * eta,
 
-    with g = gcd(z - denom, z + denom), epsilon * eta = d, m * n = t / g,
-    and m^2 * epsilon - n^2 * eta = 2 * denom / g.
+    with g = gcd(z - denom, z + denom), epsilon * eta = d, gcd(m, n) = 1 and
+    t = g * m * n.  The unit is not kept: g * (m^2 * epsilon - n^2 * eta) =
+    2 * denom holds exactly when z = g * m^2 * epsilon - denom and t = g * m * n
+    make (z + t*sqrt(d))/denom a unit of norm +1.
     """
 
-    __slots__ = ("d", "unit", "g", "m", "n", "epsilon", "eta")
+    __slots__ = ("d", "denom", "g", "m", "n", "epsilon", "eta")
 
     def _check(self) -> None:
-        unit, g, m, n = self.unit, self.g, self.m, self.n
-        if unit.norm != 1:
-            raise ValueError("unit split needs norm +1")
-        if self.epsilon * self.eta != self.d:
+        denom, g, m, n, epsilon, eta = (self.denom, self.g, self.m, self.n,
+                                        self.epsilon, self.eta)
+        if denom not in (1, 2):
+            raise ValueError("unit split denom must be 1 or 2")
+        if epsilon * eta != self.d:
             raise ValueError("epsilon * eta must equal d")
-        if g * m * m * self.epsilon != unit.z + unit.denom:
-            raise ValueError("epsilon side fails")
-        if g * n * n * self.eta != unit.z - unit.denom:
-            raise ValueError("eta side fails")
+        if g * (m * m * epsilon - n * n * eta) != 2 * denom:
+            raise ValueError("split fails g*(m^2*epsilon - n^2*eta) = 2*denom")
+        if math.gcd(m, n) != 1:
+            raise ValueError("m and n must be coprime")
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def epsilon_decomposition(d: int) -> UnitSplit:
-    """Split the norm +1 fundamental unit of Q(sqrt(d)) as documented on UnitSplit.
+    """Split the norm +1 fundamental unit of Q(sqrt(d)) as documented on
+    UnitSplit, d squarefree > 1, from half its period; no unit is built.
 
-    Raises ValueError when the fundamental unit has norm -1 (no split exists).
-    Cached per kernel like `fundamental_unit`: a theorem scan asks for the
-    split of one witness kernel in several triples.
+    The walk is `fundamental_unit`'s, from w = (p0 + sqrt(d))/q0 = (1 +
+    sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise.  For an even period
+    l = 2h the unit is alpha^2/|N(alpha)| with alpha = (X + Y*sqrt(d))/q0 =
+    A - B*w' from the convergent A/B of a_0..a_{h-1}, so with the small K =
+    |X^2 - d*Y^2| = q0^2*|N(alpha)|:
+
+        u = (X^2 + d*Y^2 + 2*X*Y*sqrt(d))/K,
+
+    and denom is 1 exactly when K divides X^2 + d*Y^2, or 2*d*Y^2, as K
+    divides X^2 - d*Y^2: then K^2 divides (X^2 + d*Y^2)^2 - K^2 =
+    d*(2*X*Y)^2, and K divides 2*X*Y as d is squarefree.  Then z +-
+    denom are 2*denom*X^2/K and 2*denom*d*Y^2/K, the first being z + denom
+    when N(alpha) > 0.  With c = gcd(X, Y), e = gcd(X/c, d) and g =
+    2*denom*c^2*e/K, they are g*e*(X/(c*e))^2 and g*(d/e)*(Y/c)^2.  Every
+    gcd and division is on at most half the unit's bits, and nothing is
+    factored.
+
+    Raises ValueError when the fundamental unit has norm -1 (an odd period;
+    no split exists).  Cached per kernel: a theorem scan asks for the split
+    of one witness kernel in several triples.
     """
-    u = fundamental_unit(d)
-    if u.norm != 1:
+    _radicand_primes(d)
+    if d < 2:
+        raise ValueError("epsilon splits require a real field, d > 1")
+    p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
+    head, odd = _half_period(d, p0, q0)
+    if odd:
         raise ValueError(f"fundamental unit of Q(sqrt({d})) has norm -1; no epsilon split")
-    z, delta = u.z, u.denom
-    g = math.gcd(z - delta, z + delta)
-    big, small = (z + delta) // g, (z - delta) // g
-    # big = m^2 * epsilon and small = n^2 * eta are coprime, so eta shares no
-    # prime with big and gcd(d, big) = epsilon.
-    epsilon = math.gcd(d, big)
-    eta = d // epsilon
-    m = math.isqrt(big // epsilon)
-    n = math.isqrt(small // eta)
-    split = UnitSplit(d, u, g, m, n, epsilon, eta)
-    if m * n * g != u.t or math.gcd(m, n) != 1:
-        raise ArithmeticError(f"split of the unit of Q(sqrt({d})) fails m*n*g = t")
-    return split
+    p_prev, p = 1, (p0 + math.isqrt(d)) // q0
+    q_prev, q = 0, 1
+    for a in head[:-1]:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    x, y = q0 * p - p0 * q, q
+    norm = x * x - d * y * y  # q0^2 * N(alpha)
+    k = abs(norm)
+    denom = 1 if 2 * d * (y % k) ** 2 % k == 0 else 2
+    c = math.gcd(x, y)
+    e = math.gcd(x // c, d)
+    g = 2 * denom * c * c * e // k
+    if norm > 0:
+        epsilon, m, n = e, x // (c * e), y // c
+    else:
+        epsilon, m, n = d // e, y // c, x // (c * e)
+    return UnitSplit(d, denom, g, m, n, epsilon, d // epsilon)
 
 
 class PeriodInvariants(Record):
@@ -658,20 +692,20 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
     u = fundamental_unit(d)
     if u.norm == -1:
         return None
-    s = epsilon_decomposition(d)
-    delta, g = u.denom, s.g
-    side = s.epsilon if tau == 1 else s.eta
-    if not is_square(2 * delta * g * side * ell):
+    delta = u.denom
+    # z + tau*delta is g*m^2*epsilon or g*n^2*eta (see UnitSplit), so this is
+    # 2*delta*g*ell*(epsilon or eta) times a square
+    s = 2 * delta * ell * (u.z + tau * delta)
+    root = math.isqrt(s)
+    if root * root != s:
         return None
-    num, den = ell * (u.z + tau * delta), 2 * delta
-    if num % den == 0 and is_square(num // den):
-        x = math.isqrt(num // den)
-        y = ell * u.t // (2 * delta * x)
-        return NormEquationSolution(d, c, x, y, 1)
-    big = 4 * num // den
-    x = math.isqrt(big)
-    y = 2 * ell * u.t // (delta * x)
-    return NormEquationSolution(d, c, x, y, 2)
+    # x^2 - d*y^2 = c: with denom 1, x^2 = ell*(z + tau*delta)/(2*delta), and
+    # with denom 2, x^2 = 2*ell*(z + tau*delta)/delta
+    if root % (2 * delta) == 0:
+        x = root // (2 * delta)
+        return NormEquationSolution(d, c, x, ell * u.t // (2 * delta * x), 1)
+    x = root // delta
+    return NormEquationSolution(d, c, x, 2 * ell * u.t // (delta * x), 2)
 
 
 def _scan_imaginary(d: int, c: int) -> NormEquationSolution | None:

@@ -15,8 +15,9 @@ anomalies instead of failing, so a wrong intermediate step is visible even
 when the headline Polya order still comes out as claimed.  A field is built
 only once its hypotheses hold, and then from the primes of its triple, so
 nothing about it is factored.  Unit norms are read from the field's Polya
-report, which takes them from the continued-fraction period parity, so only
-an epsilon witness builds a fundamental unit.
+report, which takes them from the continued-fraction period parity, and an
+epsilon witness is read off half the period of its kernel, so no fundamental
+unit is built.
 """
 
 from __future__ import annotations

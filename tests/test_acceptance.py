@@ -123,8 +123,8 @@ def test_criterion_05_second_family_smallest(criterion):
             w = rep.epsilon_witness
             if w is not None:
                 u = fundamental_unit(w.d)
-                assert w.g * w.m ** 2 * w.epsilon - w.unit.denom == u.z
-                assert w.g * w.n ** 2 * w.eta + w.unit.denom == u.z
+                assert w.g * w.m ** 2 * w.epsilon - w.denom == u.z
+                assert w.g * w.n ** 2 * w.eta + w.denom == u.z
                 assert w.g * w.m * w.n == u.t
 
     criterion(5, "twenty smallest T2 triples", 300.0, body)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 from unittest.mock import Mock
 
 import pytest
@@ -13,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polya import quadratic
-from polya.arith import iroot, squarefree_part
+from polya.arith import iroot, is_square, squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, _kernel_invariants,
+from polya.quadratic import (NOT_POLYA, POLYA, NormEquationSolution, _kernel_invariants,
                              _midpoint, _search_midpoint, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
@@ -596,6 +595,35 @@ def test_epsilon_split_from_the_half_period():
     assert splits == 1297
 
 
+def split_of_the_unit(d: int) -> tuple[int, ...]:
+    """(d, denom, g, m, n, epsilon, eta) read off the whole fundamental unit
+    (z + t*sqrt(d))/denom by one gcd and two isqrts: g = gcd(z - denom, z +
+    denom), and (z + denom)/g = m^2*epsilon and (z - denom)/g = n^2*eta are
+    coprime, so epsilon = gcd(d, (z + denom)/g)."""
+    u = fundamental_unit(d)
+    z, denom = u.z, u.denom
+    g = math.gcd(z - denom, z + denom)
+    big, small = (z + denom) // g, (z - denom) // g
+    epsilon = math.gcd(d, big)
+    eta = d // epsilon
+    return d, denom, g, math.isqrt(big // epsilon), math.isqrt(small // eta), epsilon, eta
+
+
+def test_epsilon_decomposition_equals_the_split_of_the_unit():
+    # the split read off the convergent at h - 1 equals the one read off the
+    # unit, for every squarefree d < 10^4 whose unit has norm +1: both cycles,
+    # sqrt(d) and (1 + sqrt(d))/2, and the half-integral units
+    splits = halves = 0
+    for d in range(2, 10000):
+        if squarefree_part(d) != d or fundamental_unit(d).norm != 1:
+            continue
+        s = epsilon_decomposition(d)
+        assert (s.d, s.denom, s.g, s.m, s.n, s.epsilon, s.eta) == split_of_the_unit(d), d
+        splits += 1
+        halves += s.denom == 2
+    assert (splits, halves) == (4838, 430)
+
+
 def test_fundamental_unit_rejects_bad_radicands():
     for d in (-3, 0, 1, 12):
         with pytest.raises(ValueError):
@@ -609,17 +637,6 @@ def test_epsilon_decomposition_examples():
     assert (s.g, s.m, s.n, s.epsilon, s.eta) == (1, 1, 1, 5, 3)
     with pytest.raises(ValueError):
         epsilon_decomposition(85)
-
-
-def test_epsilon_decomposition_raises_when_the_split_misses_t(monkeypatch):
-    # z = 2, denom = 1 split as 3 = 1^2 * 3 and 1 = 1^2 * 1, which UnitSplit
-    # accepts, but m*n*g = 1 is not the forged t = 2; the check must survive
-    # python -O, so it is no assert
-    forged = SimpleNamespace(d=3, z=2, t=2, denom=1, norm=1)
-    monkeypatch.setattr(quadratic, "fundamental_unit", lambda d: forged)
-    epsilon_decomposition.cache_clear()  # else a cached split of 3 answers
-    with pytest.raises(ArithmeticError):
-        epsilon_decomposition(3)
 
 
 def test_epsilon_decomposition_is_cached_per_kernel():
@@ -781,6 +798,47 @@ def test_norm_equation_ramified_primes_always_decided():
         for ell in ramified_primes(d):
             for c in (ell, -ell):
                 norm_equation(d, c)
+
+
+def decide_by_the_split(d: int, c: int) -> NormEquationSolution | None:
+    """N(alpha) = c for real d and a prime |c| = l that ramifies, by the
+    epsilon split of the unit u = (z + t*sqrt(d))/denom: for l != d a
+    solution exists iff 2*denom*g*l*epsilon (c > 0) or 2*denom*g*l*eta (c < 0)
+    is a square, and then x^2 = l*(z +- denom)/(2*denom) over denom 1, or
+    x^2 = 4*l*(z +- denom)/(2*denom) over denom 2."""
+    ell, tau = abs(c), 1 if c > 0 else -1
+    u = fundamental_unit(d)
+    if ell == d:
+        if tau == -1:
+            return NormEquationSolution(d, c, 0, 1, 1)
+        return NormEquationSolution(d, c, d * u.t, u.z, u.denom) if u.norm == -1 else None
+    if u.norm == -1:
+        return None
+    s = epsilon_decomposition(d)
+    if not is_square(2 * s.denom * s.g * (s.epsilon if tau == 1 else s.eta) * ell):
+        return None
+    num, den = ell * (u.z + tau * s.denom), 2 * s.denom
+    if num % den == 0 and is_square(num // den):
+        x = math.isqrt(num // den)
+        return NormEquationSolution(d, c, x, ell * u.t // (2 * s.denom * x), 1)
+    x = math.isqrt(4 * num // den)
+    return NormEquationSolution(d, c, x, 2 * ell * u.t // (s.denom * x), 2)
+
+
+def test_ramified_decider_agrees_with_the_epsilon_split():
+    # the decider's square test reads the unit and the reference's reads the
+    # split, which comes from the half period: the two tests share no step
+    queries = found = 0
+    for d in range(2, 3000):
+        if squarefree_part(d) != d:
+            continue
+        for ell in ramified_primes(d):
+            for c in (ell, -ell):
+                solution = norm_equation(d, c)
+                assert solution == decide_by_the_split(d, c), (d, c)
+                queries += 1
+                found += solution is not None
+    assert (queries, found) == (8960, 2335)
 
 
 def test_norm_equation_refuses_a_split_prime():

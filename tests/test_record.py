@@ -108,18 +108,27 @@ CONSTRUCTION_CHECKS = [
     pytest.param(lambda: FundamentalUnit(3, 4, 2, 2, 1),
                  "half-integral unit outside the ring of integers",
                  id="FundamentalUnit-ring"),
-    pytest.param(lambda: UnitSplit(2, fundamental_unit(2), 1, 1, 0, 2, 1),
-                 "unit split needs norm +1",
-                 id="UnitSplit-norm"),
+    pytest.param(lambda: UnitSplit(15, 3, 3, 1, 1, 5, 3),
+                 "unit split denom must be 1 or 2",
+                 id="UnitSplit-denom"),
     pytest.param(lambda: _with(epsilon_decomposition(15), d=30),
                  "epsilon * eta must equal d",
                  id="UnitSplit-d"),
+    # 4 + sqrt(15) splits as (denom, g, m, n) = (1, 1, 1, 1); each change
+    # below breaks the norm +1 equation of the unit the split spells
+    pytest.param(lambda: _with(epsilon_decomposition(15), g=2),
+                 "split fails g*(m^2*epsilon - n^2*eta) = 2*denom",
+                 id="UnitSplit-norm"),
     pytest.param(lambda: _with(epsilon_decomposition(15), m=2),
-                 "epsilon side fails",
+                 "split fails g*(m^2*epsilon - n^2*eta) = 2*denom",
                  id="UnitSplit-epsilon-side"),
     pytest.param(lambda: _with(epsilon_decomposition(15), n=2),
-                 "eta side fails",
+                 "split fails g*(m^2*epsilon - n^2*eta) = 2*denom",
                  id="UnitSplit-eta-side"),
+    # 8^2 - 15*2^2 = 4: (62 + 16*sqrt(15))/2 has norm +1 but is no fundamental split
+    pytest.param(lambda: UnitSplit(15, 2, 1, 8, 2, 1, 15),
+                 "m and n must be coprime",
+                 id="UnitSplit-coprime"),
     pytest.param(lambda: NormEquationSolution(3, 1, 8, 4, 4),
                  "denom must be 1 or 2",
                  id="NormEquationSolution-denom"),

@@ -14,8 +14,7 @@ from polya import quadratic, verify
 from polya.arith import jacobi, sieve_primes, squarefree_part
 from polya.biquad import biquadratic_field, polya_report
 from polya.cli import _witness_payload
-from polya.quadratic import (FundamentalUnit, UnitSplit, epsilon_decomposition,
-                             fundamental_unit)
+from polya.quadratic import UnitSplit, epsilon_decomposition, fundamental_unit
 from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, Family, _theorem_field,
                           admissible_triples, check_hypotheses, contrast_rajaei,
                           pollack_search, scan, smallest_admissible, verify_table,
@@ -88,11 +87,11 @@ def test_hypotheses_match_the_literal_statement(theorem):
 
 def test_epsilon_witness_examples():
     w = epsilon_decomposition(105)
-    assert (w.unit.denom, w.g, w.epsilon, w.eta) == (1, 2, 21, 5)
+    assert (w.denom, w.g, w.epsilon, w.eta) == (1, 2, 21, 5)
     assert (w.m, w.n) == (1, 2)
     assert _witness_payload(w)["case_label"] == "gcd = 2"
     w = epsilon_decomposition(15)
-    assert (w.unit.denom, w.g, w.epsilon, w.eta) == (1, 1, 5, 3)
+    assert (w.denom, w.g, w.epsilon, w.eta) == (1, 1, 5, 3)
     assert _witness_payload(w)["case_label"] == "gcd = 1"
     with pytest.raises(ValueError, match="norm -1"):
         epsilon_decomposition(85)   # norm -1, no positive-unit decomposition
@@ -107,18 +106,17 @@ def test_epsilon_witness_identities_and_unit_reconstruction():
         w = epsilon_decomposition(d)
         u = fundamental_unit(d)
         assert w.epsilon * w.eta == d
-        assert w.g * w.m**2 * w.epsilon - w.unit.denom == u.z
-        assert w.g * w.n**2 * w.eta + w.unit.denom == u.z
+        assert w.g * w.m**2 * w.epsilon - w.denom == u.z
+        assert w.g * w.n**2 * w.eta + w.denom == u.z
         assert w.g * w.m * w.n == u.t
-        assert w.unit == u
+        assert w.denom == u.denom
 
 
 def test_epsilon_witness_frozen_validation():
     with pytest.raises(ValueError):   # a unit denominator is 1 or 2
-        UnitSplit(d=15, unit=FundamentalUnit(15, 4, 1, 3, 1), g=1, m=1, n=1,
-                  epsilon=5, eta=3)
-    with pytest.raises(ValueError):
-        UnitSplit(d=15, unit=fundamental_unit(15), g=1, m=2, n=1, epsilon=5, eta=3)
+        UnitSplit(d=15, denom=3, g=3, m=1, n=1, epsilon=5, eta=3)
+    with pytest.raises(ValueError):   # 5*2^2 - 3*1^2 = 17, not 2
+        UnitSplit(d=15, denom=1, g=1, m=2, n=1, epsilon=5, eta=3)
 
 
 def test_verify_theorem_t3_worked_example():
@@ -159,19 +157,14 @@ def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches,
     assert rep.epsilon_witness is None
 
 
-def test_verify_theorem_builds_only_the_witness_unit(empty_kernel_caches, monkeypatch):
-    built = []
-    pell_min = quadratic._pell_min
+def test_verify_theorem_builds_no_unit(empty_kernel_caches, monkeypatch):
+    # the witness split of Q(sqrt(2091)) comes from half its period
+    def refuse(d, *start):
+        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
 
-    def record(d, *start):
-        built.append(d)
-        return pell_min(d, *start)
-
-    monkeypatch.setattr(quadratic, "_pell_min", record)
-    misses = quadratic.fundamental_unit.cache_info().misses
-    verify_theorem("T1", (3, 17, 41))
-    assert quadratic.fundamental_unit.cache_info().misses - misses == 1
-    assert built == [2091]
+    monkeypatch.setattr(quadratic, "_pell_min", refuse)
+    w = verify_theorem("T1", (3, 17, 41)).epsilon_witness
+    assert (w.d, w.g, w.m, w.n, w.epsilon) == (2091, 1, 11, 503, 2091)
 
 
 def test_verify_theorem_t2_proof_step_anomaly():
