@@ -36,9 +36,11 @@ than it, and a hit's exact offset puts a rebuilt form a few steps from the
 middle.  A half period of h steps then costs O(sqrt(h)) steps and
 compositions, and `_midpoint` walks on to the recurrence's own stop.  The
 answer is that stop, so it is exact and equal to the linear walk's.  The
-search is one loop of phases, each a walk, its keys and its giant steps,
-and each walk goes on from where the last one ended, so the walk alone
-reaches the middle when no landing does: it ends every search.
+search is one loop of phases, each a walk, its keys and its giant steps.
+A hit always lands: the walk from it runs in rounds that double until it
+stops, so the first hit ends the search.  Each walk of a phase goes on
+from where the last one ended, so the walk alone reaches the middle of a
+search that no probe hits.
 
 The fundamental unit itself serves classify-quadratic and the norm equation
 deciders.  `fundamental_unit` walks `_half_period` from the generator of the
@@ -292,8 +294,9 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     and the key's place gives S's exact offset e.  J, rebuilt by
     square-and-multiply, then lies about e/2 forms past the middle, and J
     times the keyed form nearest |e|/2 forms, or its mirror when e > 0, a
-    few forms from it.  `_land` walks on from there; when it does not stop,
-    the giant steps go on.  The stride of S, 2(w - 2r), leaves a margin of
+    few forms from it.  `_land` walks on from there, and from the mirror of
+    its successor, in rounds that double until one walk stops, so the first
+    hit ends the search.  The stride of S, 2(w - 2r), leaves a margin of
     about 4r forms below the window of 2w + r forms, so a composite that
     lands a few forms long cannot carry S over it.
 
@@ -302,9 +305,9 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
     each phase's G to the number of its steps, and the last S of a phase is
     probed against the longer table.  A half period of h steps costs
     O(sqrt(h)) steps and compositions and O(sqrt(h)/r) keys.  The walk ends
-    every search that no landing ends: it keeps the exact recurrence's
-    stops, and each walk goes on from the last mark, so after about
-    log2(h/w) phases the walks alone have reached the middle.
+    every search that no probe hits: it keeps the exact recurrence's stops,
+    and each walk goes on from the last mark, so after about log2(h/w)
+    phases the walks alone have reached the middle.
 
     Every answer is the stop of `_midpoint`'s exact recurrence; the search
     only chooses where that walk starts.  With an odd period the form cycle
@@ -343,8 +346,7 @@ def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
             e = _probe(s, table, a0, bits)
             if e is not None:
                 found = _land(d, (*powers, (giant, n)), e, keys)
-                if found is not None:
-                    break
+                break
             s = _compose(s, square, disc, root)
             n += 1
         if found is not None:
@@ -385,13 +387,13 @@ def _state(d: int, key: int, bits: int) -> tuple[int, int, int]:
 
 
 def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
-          keys: list[int]) -> tuple[bool, int, bool] | None:
+          keys: list[int]) -> tuple[bool, int, bool]:
     """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
     whose square lies e forms from the period's end, so that J lies about e/2
-    forms past the middle: 2r steps from J times the keyed form nearest |e|/2
-    forms, then from the mirror of its successor (r = `_MARK_EVERY`).  None
-    when neither walk stops; the giant steps then go on.  keys holds the
-    table's keys, each at its place."""
+    forms past the middle: from J times the keyed form nearest |e|/2 forms,
+    then from the mirror of its successor, in rounds of 2r, 4r, 8r, ... steps
+    until one walk stops (r = `_MARK_EVERY`).  keys holds the table's keys,
+    each at its place."""
     every = _MARK_EVERY
     a0 = math.isqrt(d)
     disc = 4 * d
@@ -414,14 +416,17 @@ def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
     a = (a0 + m) // q
     m_next = a * q - m
     # the composite f_j and f_{l-j}, which has the state of f_{j+1} mirrored;
-    # for an even period both have the parity of j.  Only the one before the
-    # middle reaches it, so a fixed order wastes at most one walk of 2r steps
-    for start in ((m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)):
-        found = _midpoint(d, *start, steps=2 * every)
-        if found is not None:
-            h_odd, q_h, odd = found
-            return h_odd != (f_a < 0), q_h, odd
-    return None
+    # for an even period both have the parity of j.  One of them lies t steps
+    # before the middle, and `_midpoint` from any state stops at the next
+    # index = h (mod l), so the first round of at least t steps ends the loop.
+    # Each round doubles the last, so the rounds walk fewer than 7t steps in
+    # all, or at most 2r + t when the first one ends it
+    for steps in (2 * every << i for i in count()):
+        for start in ((m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)):
+            found = _midpoint(d, *start, steps=steps)
+            if found is not None:
+                h_odd, q_h, odd = found
+                return h_odd != (f_a < 0), q_h, odd
 
 
 def cf_expand(d: int) -> ContinuedFraction:
@@ -592,7 +597,8 @@ def period_invariants(d: int) -> PeriodInvariants:
     steps is walked from its start.  A longer one is found by
     `_search_midpoint`'s baby-step giant-step search on reduced forms, whose
     walk and strides double with the period, in O(sqrt(h)) steps and
-    compositions; it lands a few steps from the middle and walks the rest.
+    compositions; its first hit lands a few steps from the middle and walks
+    the rest, in rounds that double until the walk stops.
     Either way the three facts are read off the exact recurrence where its
     symmetry stops it, so they are the linear walk's.
 

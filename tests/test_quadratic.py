@@ -170,17 +170,18 @@ def set_sizes(monkeypatch, plain: int, every: int) -> None:
 
 
 def test_search_midpoint_ends_by_its_walk_when_no_landing_stops(monkeypatch):
-    # with every landing refused, only the walk that each phase takes on
-    # from the last one's end can stop.  The walks from k = 0 cover 1024 *
-    # 2^i steps after i phases, so the ninth reaches the middle of the
-    # 266,286-step half period of 10**12 + 39; at the smallest sizes they
-    # reach the middle of every period below 3000
-    land = Mock(return_value=None)
+    # a hit always lands, so with every probe refused no landing starts, and
+    # only the walk that each phase takes on from the last one's end can
+    # stop.  The walks from k = 0 cover 1024 * 2^i steps after i phases, so
+    # the ninth reaches the middle of the 266,286-step half period of
+    # 10**12 + 39; at the smallest sizes they reach the middle of every
+    # period below 3000
+    probe = Mock(return_value=None)
     walk = Mock(wraps=quadratic._midpoint)
-    monkeypatch.setattr(quadratic, "_land", land)
+    monkeypatch.setattr(quadratic, "_probe", probe)
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     check_search(10 ** 12 + 39)
-    assert land.call_count > 0
+    assert probe.call_count > 0
     assert walk.call_count == 1 + 9
     set_sizes(monkeypatch, 2, 2)
     for d in range(2, 3000):
@@ -226,33 +227,64 @@ def test_search_midpoint_reaches_a_1e18_midpoint_in_few_compositions(monkeypatch
     assert compose.call_count <= 20_000
 
 
+def test_search_midpoint_lands_once_on_kernels_near_2e17(monkeypatch):
+    # two kernels whose first landing misses the middle by more than 2r = 32
+    # forms, as form counts drift from distances over long spans.  A search
+    # that refused such a landing and took more giant steps ran for minutes
+    # on each; its first hit must end it, so a second landing raises
+    compose = Mock(wraps=quadratic._compose)
+    real_land = quadratic._land
+    landings = [0]
+
+    def land(*args):
+        landings[0] += 1
+        assert landings[0] == 1, "a second landing"
+        return real_land(*args)
+
+    monkeypatch.setattr(quadratic, "_compose", compose)
+    monkeypatch.setattr(quadratic, "_land", land)
+    for d, found, most in ((226166524659073007, (False, 536541034, False), 2_790),
+                           (261025488844651519, (False, 2, False), 4_614)):
+        compose.reset_mock()
+        landings[0] = 0
+        assert _search_midpoint(d) == found
+        assert landings[0] == 1
+        assert compose.call_count <= most
+
+
 def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     # sizes this small put most of these periods past the first walk, so
     # that the walk doubles and reaches the middle itself, squares land on
     # either side of the period's end, J corrected by the hit's offset lands
-    # too far from the middle, after which the giant steps go on, or J lies
-    # near the period's end, after which S runs on round the cycle; every
-    # answer must still be the linear walk's
-    real_walk, real_probe = quadratic._midpoint, quadratic._probe
-    events: list[tuple[str, bool]] = []
+    # too far from the middle for the first round of 2r steps, after which
+    # the rounds double, or J lies near the period's end, after which S runs
+    # on round the cycle; every answer must still be the linear walk's, and
+    # the first hit must end the search with one landing
+    real_walk, real_probe, real_land = quadratic._midpoint, quadratic._probe, quadratic._land
+    events: list[tuple[str, bool, int | None]] = []
 
     def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
         found = real_walk(d, m, q_prev, q, steps, marks)
         kind = {(True, True): "first", (False, True): "doubled",
                 (False, False): "from a hit"}
-        events.append((kind[q_prev is None, marks is not None], found is not None))
+        events.append((kind[q_prev is None, marks is not None], found is not None, steps))
         return found
 
     def probe(*args):
         offset = real_probe(*args)
         if offset is not None:
-            events.append(("hit past" if offset > 0 else "hit before", True))
+            events.append(("hit past" if offset > 0 else "hit before", True, None))
         return offset
+
+    def land(*args):
+        events.append(("landing", True, None))
+        return real_land(*args)
 
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     monkeypatch.setattr(quadratic, "_probe", probe)
+    monkeypatch.setattr(quadratic, "_land", land)
     seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
-                          "corrected start stops", "both starts fail"], 0)
+                          "first round stops", "doubled round stops"], 0)
     for plain, every in ((2, 2), (4, 2), (16, 4)):
         set_sizes(monkeypatch, plain, every)
         for d in range(2, 8000):
@@ -260,17 +292,20 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
                 h_odd, q_h, odd = real_walk(d)
                 events.clear()
                 assert _search_midpoint(d) == (None if odd else h_odd, q_h, odd), d
-                seen["doubled walk stops"] += events[-1] == ("doubled", True)
-                # a hit walks from the two starts of the corrected J until
-                # one walk stops
-                hits = [i for i, (kind, _) in enumerate(events) if kind.startswith("hit")]
+                seen["doubled walk stops"] += events[-1][:2] == ("doubled", True)
+                assert [kind for kind, *_ in events].count("landing") <= 1, d
+                # a hit walks from the two starts of the corrected J in rounds
+                # of 2r, 4r, ... steps, each start in turn, until one walk stops
+                hits = [i for i, (kind, *_) in enumerate(events) if kind.startswith("hit")]
                 for i in hits:
                     seen[events[i][0]] += 1
-                    after = [stopped for kind, stopped in events[i + 1:i + 3]
+                    after = [(stopped, steps) for kind, stopped, steps in events[i + 1:]
                              if kind == "from a hit"]
-                    assert after in ([True], [False, True], [False, False]), (d, after)
-                    seen["corrected start stops"] += True in after
-                    seen["both starts fail"] += after == [False, False]
+                    stops, rounds = zip(*after)
+                    assert stops == (False,) * (len(after) - 1) + (True,), d
+                    assert rounds == tuple(2 * every << k // 2 for k in range(len(after))), d
+                    seen["first round stops"] += len(after) <= 2
+                    seen["doubled round stops"] += len(after) > 2
     assert all(seen.values()), seen
 
 
@@ -314,7 +349,7 @@ def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
     monkeypatch.setattr(quadratic, "_midpoint", walk)
     monkeypatch.setattr(quadratic, "_probe", probe)
     steps = 0
-    for (plain, r), ds in (((16, 4), range(2, 8000)),
+    for (plain, r), ds in (((16, 4), range(2, 12000)),
                            ((64, 8), range(10 ** 6, 10 ** 6 + 300))):
         set_sizes(monkeypatch, plain, r)
         for d in ds:
