@@ -7,10 +7,13 @@ fundamental units u.  H^1 equals that span H unless 2 is totally ramified and
 every subfield contains an element of norm 2 or -2, in which case the index
 doubles.  The Polya group order is then prod(e_l) / |H^1| by the exact
 sequence 1 -> H^1 -> sum Z/e_l -> Po -> 1.  Every per-kernel fact (a-value,
-+-2 norm, unit norm) comes from `period_invariants`, the middle of the
-continued-fraction period of sqrt(delta) on small integers; no fundamental
-unit is built.  The field validated its kernels when it was built, so they
-go to the unchecked `_kernel_invariants`, which factors nothing.
++-2 norm, unit norm) comes from `period_invariants`: by genus theory from
+the kernel's primes when the 4-rank of its narrow class group is 0, and
+otherwise from the middle of the continued-fraction period of sqrt(delta)
+on small integers; no fundamental unit is built.  The field validated its
+kernels when it was built, so they go to the unchecked `_kernel_invariants`
+with their primes, picked out of the field's, and nothing is factored.  A
+Polya report reads each kernel's invariants once.
 A field is m, n and the primes of mn; its kernels are m, n and the third
 kernel (m/g)*(n/g) with g = gcd(m, n).  `biquadratic_field` finds the
 primes by factoring m and n once each, never mn, and a caller that already
@@ -32,6 +35,7 @@ from .arith import is_prime
 from .quadratic import (
     NOT_POLYA,
     POLYA,
+    PeriodInvariants,
     _kernel_invariants,
     _radicand_primes,
     norm_equation,
@@ -116,13 +120,23 @@ def ramification(field: BiquadraticField) -> RamificationProfile:
     return RamificationProfile(tuple(entries))
 
 
+def _field_invariants(field: BiquadraticField) -> tuple[PeriodInvariants, ...]:
+    """The period invariants of the three kernels, ascending, each read once
+    from its primes, which the field already holds."""
+    return tuple(_kernel_invariants(d, tuple(p for p in field.primes if d % p == 0))
+                 for d in field.deltas)
+
+
+def _generators(kernels: tuple[PeriodInvariants, ...]) -> tuple[SquareClass, ...]:
+    return tuple([SquareClass._known(1, k.d) for k in kernels]
+                 + [k.a_class for k in kernels])
+
+
 def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     """The six generators of H: [delta_i] and [a_i] for the three kernels."""
     if not field.totally_real:
         raise ValueError("H generators require a totally real field")
-    deltas = field.deltas
-    return tuple([SquareClass._known(1, d) for d in deltas]
-                 + [_kernel_invariants(d).a_class for d in deltas])
+    return _generators(_field_invariants(field))
 
 
 def _has_norm_pm2(d: int) -> bool:
@@ -157,12 +171,13 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
     if not field.totally_real:
         raise ValueError("Polya reports cover totally real fields only")
     profile = ramification(field)
-    gens = h_generators(field)
+    kernels = _field_invariants(field)
+    gens = _generators(kernels)
     h = span(gens)
     # the index factor is 2 exactly when 2 is totally ramified and each of
     # the three subfields contains an element of norm 2 or -2
     index = 1
-    if profile.e2 == 4 and all(_kernel_invariants(d).two_is_norm for d in field.deltas):
+    if profile.e2 == 4 and all(k.two_is_norm for k in kernels):
         index = 2
     h1 = h * index
     po = profile.product // h1
@@ -171,7 +186,7 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
         structure = "trivial" if po == 1 else ("Z/2" if po == 2 else f"(Z/2)^{rank}")
     else:
         structure = "order-only"
-    norms = tuple(_kernel_invariants(d).norm for d in field.deltas)
+    norms = tuple(k.norm for k in kernels)
     return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
 
 

@@ -12,18 +12,23 @@ them in a memo keyed by d and the factoring budget, so a command factors
 |d| once however many steps ask; the budget is in the key because a smaller
 budget must be able to run out on a d that a larger one factored.
 
-The bi-quadratic pipeline needs three facts per kernel, and
-`period_invariants` reads all three off the middle of the period of the
-continued fraction of sqrt(d): the unit norm, the square class [N(u + 1)]
-(`a_value`) and whether 2 or -2 is a norm.  No unit is built.  Two walks step
-through the period by the same recurrence: `_midpoint` keeps nothing but the
-current denominators and returns the parity of its length, the last
-denominator and how it ended, in constant memory; `_half_period` keeps the
-partial quotients, which `cf_expand` mirrors into the full period.  (It
-also walks the period of (1 + sqrt(d))/2 for `fundamental_unit` and
-`epsilon_decomposition`.)  Past
-the first step both work on integers below 2*sqrt(d), each a one-digit
-Python int (below 2^30) for every d below 2^58.
+The bi-quadratic pipeline needs three facts per kernel from
+`period_invariants`: the unit norm, the square class [N(u + 1)] (`a_value`)
+and whether 2 or -2 is a norm.  No unit is built.  When the 4-rank of the
+narrow class group is 0, `_genus_invariants` reads all three off the local
+norm symbols of -1 and the ramified primes, Legendre symbols at the odd
+primes of d: then, and only then, every ambiguous ideal in the principal
+genus is principal in the narrow sense (Redei and Reichardt; Stevenhagen;
+see there).  Every other kernel, and every test of that route, reads them
+off the middle of the period of the continued fraction of sqrt(d).  Two
+walks step through the period by the same recurrence: `_midpoint` keeps
+nothing but the current denominators and returns the parity of its length,
+the last denominator and how it ended, in constant memory; `_half_period`
+keeps the partial quotients, which `cf_expand` mirrors into the full
+period.  (It also walks the period of (1 + sqrt(d))/2 for
+`fundamental_unit` and `epsilon_decomposition`.)  Past the first step both
+work on integers below 2*sqrt(d), each a one-digit Python int (below 2^30)
+for every d below 2^58.
 
 `_midpoint` walks a half period of up to `_PLAIN_STEPS` steps from its
 start.  Past that, `_search_midpoint` finds a start near the middle by
@@ -577,7 +582,9 @@ def epsilon_decomposition(d: int) -> UnitSplit:
 
 
 class PeriodInvariants(Record):
-    """The facts H^1 needs of Q(sqrt(d)), read off the continued fraction of sqrt(d).
+    """The facts H^1 needs of Q(sqrt(d)), by genus theory when the 4-rank of
+    its narrow class group is 0, else read off the continued fraction of
+    sqrt(d).
 
     norm is N(u) for the fundamental unit u, a_class is [N(u + 1)], and
     two_is_norm says whether 2 or -2 is the norm of an element of Z[sqrt(d)];
@@ -589,6 +596,11 @@ class PeriodInvariants(Record):
 
 def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
+
+    Two routes give the same three facts.  When the 4-rank of the narrow
+    class group is 0, `_genus_invariants` reads them off local norm symbols
+    at the ramified primes of d, with no walk (see there).  Every other
+    kernel takes the walk to the middle of the period, below.
 
     With period length l, convergents p_k/q_k and complete-quotient
     denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  The walk to the
@@ -629,19 +641,102 @@ def period_invariants(d: int) -> PeriodInvariants:
     can only be the one at k = l/2: 2 is a Q_k iff l is even and Q_h = 2.
     (When d = 1 mod 4 no Q_k is 2, as that form would have content 2.)
     """
-    _radicand_primes(d)
+    primes = _radicand_primes(d)
     if d < 2:
         raise ValueError("period invariants require a real field, d > 1")
-    return _kernel_invariants(d)
+    return _kernel_invariants(d, primes)
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _kernel_invariants(d: int) -> PeriodInvariants:
-    """`period_invariants` without the check that d is squarefree and > 1.
+def _kernel_invariants(d: int, primes: tuple[int, ...]) -> PeriodInvariants:
+    """`period_invariants` without the check that d is squarefree and > 1,
+    given the primes of d, ascending.
 
     The kernels of a BiquadraticField were validated when it was built, and
-    checking them again cost a Pollard rho on m*n for coprime m and n.
+    checking them again cost a Pollard rho on m*n for coprime m and n; the
+    field already holds every kernel's primes.  The primes are a function of
+    d, so the cache holds one entry per kernel.
     """
+    found = _genus_invariants(d, primes)
+    return _walk_invariants(d) if found is None else found
+
+
+def _genus_invariants(d: int, primes: tuple[int, ...]) -> PeriodInvariants | None:
+    """The period invariants of Q(sqrt(d)) by genus theory, or None when the
+    4-rank r4 of its narrow class group Cl+ is positive.
+
+    The generators are -1 and the t ramified primes: the odd primes of d,
+    and 2 when d != 1 (mod 4).  By Hasse's theorem a signed product c of
+    them is a norm from Q(sqrt(d)) iff every Hilbert symbol (c, d)_v is 1
+    (J.-P. Serre, A Course in Arithmetic, ch. III).  Only a ramified prime
+    can give -1: d > 0, and for d = 1 (mod 4) every generator is odd, so
+    (c, d)_2 = 1.  The product formula drops one ramified prime, the
+    smallest, so no 2-adic symbol is ever taken.  At an odd ramified p,
+    (-1, d)_p = (-1|p), (q, d)_p = (q|p) for a generator q != p and
+    (p, d)_p = (-(d/p)|p).  The norms among the products are the F2 kernel
+    of the generators' symbol vectors.
+
+    They number 2^(2 + r4) (L. Redei and H. Reichardt, J. reine angew. Math.
+    170, 1934; P. Stevenhagen, "Redei-matrices and applications", LMS
+    Lecture Note Ser. 215, 1995).  Send c > 0 to the ambiguous ideal of norm
+    c and c < 0 to that ideal times (sqrt(d)): c is a norm iff the narrow
+    class of its ideal lies in the principal genus, which is Cl+^2, and -d
+    = N(sqrt(d)) is always a norm, so c and -d*c (up to squares) are sent
+    to one ideal.  The 2^t ambiguous ideals fall 2 to 1 onto Cl+[2], which
+    meets Cl+^2 in 2^r4 classes; so 2 * 2 * 2^r4 products are norms.  With
+    exactly four, r4 = 0, the ideal of a norm c is principal in the narrow
+    sense, and c is the norm of its generator:
+
+    - N(u) = -1 iff -1 is a norm: then (sqrt(d)) has a generator of
+      positive norm, and sqrt(d) is that generator times a unit of norm -1;
+    - otherwise u + 1 is a rational times a generator of an ambiguous ideal
+      that is not (1) (or u would be a square), and N(u + 1) > 0, so
+      a_class is [e] for the one positive norm e > 1;
+    - two_is_norm is d == 2 for N(u) = -1, as on the walk.  Otherwise the
+      norms are 1, e, -d and -d*e up to squares, so 2 or -2 is a norm iff
+      [e] is [2] or [2d]; for d = 1 (mod 4) 2 is no generator, and neither.
+
+    Each symbol is Euler's criterion, one `pow` to the exponent (p - 1)/2,
+    and a set of generators is a bit mask: bit 0 stands for -1, so the mask
+    1 is -1 alone and the masks of positive products have bit 0 clear.
+    """
+    ramified = ([2] if d % 4 != 1 else []) + [p for p in primes if p != 2]
+    gens = (-1, *ramified)
+    places = ramified[1:]
+    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (row, generators)
+    kernel: list[int] = []
+    for i, g in enumerate(gens):
+        row = 0
+        for bit, p in enumerate(places):
+            if pow(-(d // p) if g == p else g, p >> 1, p) != 1:
+                row |= 1 << bit
+        which = 1 << i
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row, which
+                break
+            pivot, chosen = pivots[low]
+            row ^= pivot
+            which ^= chosen
+        else:
+            kernel.append(which)
+    if len(kernel) != 2:
+        return None
+    k1, k2 = kernel
+    norms = (k1, k2, k1 ^ k2)
+    if 1 in norms:
+        return PeriodInvariants(d, -1, IDENTITY, d == 2)
+    # -d is a norm, so exactly one of the three is positive
+    positive = next(m for m in norms if not m & 1)
+    e = math.prod(g for i, g in enumerate(gens) if positive >> i & 1)
+    return PeriodInvariants(d, 1, SquareClass._known(1, e),
+                            e in (2, 2 * d if d % 2 else d // 2))
+
+
+def _walk_invariants(d: int) -> PeriodInvariants:
+    """`period_invariants` read off the middle of the period of sqrt(d), by
+    `_search_midpoint`; the route for every kernel of positive 4-rank."""
     h_odd, q_h, odd = _search_midpoint(d)
     if odd:
         return PeriodInvariants(d, -1, IDENTITY, d == 2)

@@ -4,6 +4,7 @@ and the two independent Polya classification routes."""
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from unittest.mock import Mock
 
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from polya import quadratic
 from polya.arith import iroot, is_square, squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, NormEquationSolution, _kernel_invariants,
-                             _midpoint, _search_midpoint, a_value,
+from polya.quadratic import (NOT_POLYA, POLYA, NormEquationSolution, _genus_invariants,
+                             _kernel_invariants, _midpoint, _radicand_primes,
+                             _search_midpoint, _walk_invariants, a_value,
                              cf_expand, dirichlet_norm_criterion,
                              epsilon_decomposition, fundamental_unit, norm_equation,
                              period_invariants, quadratic_polya_oracle,
@@ -141,13 +143,14 @@ def test_midpoint_matches_cf_expand_beyond_one_digit(d):
 
 def test_period_invariants_walk_a_long_half_period_in_bounded_memory():
     # 10**12 + 39 is a prime whose half period has 266,286 steps; held as
-    # lists, as cf_expand holds it, that half period takes about 13 MB
+    # lists, as cf_expand holds it, that half period takes about 13 MB.  Its
+    # 4-rank is 0, so period_invariants reads it by genus theory; the walk
+    # is called directly
     d = 10 ** 12 + 39
-    uncached = _kernel_invariants.__wrapped__
-    expected = uncached(d)
+    expected = _walk_invariants(d)
     tracemalloc.start()
     try:
-        inv = uncached(d)
+        inv = _walk_invariants(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -194,12 +197,13 @@ def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch
     # doubles twice, from 1024 to 4096 steps, and giant steps of about 1,000
     # to 4,000 forms reach the middle in about 120 giant steps of one
     # composition each.  The walks are the first one, the two doublings and
-    # one of at most 32 steps from J corrected by the hit's offset.
+    # one of at most 32 steps from J corrected by the hit's offset.  Genus
+    # theory answers this kernel, so the walk route is called directly
     compose = Mock(wraps=quadratic._compose)
     walk = Mock(wraps=quadratic._midpoint)
     monkeypatch.setattr(quadratic, "_compose", compose)
     monkeypatch.setattr(quadratic, "_midpoint", walk)
-    inv = _kernel_invariants.__wrapped__(10 ** 12 + 39)
+    inv = _walk_invariants(10 ** 12 + 39)
     assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
     assert compose.call_count <= 500
     assert walk.call_count == 4
@@ -746,9 +750,64 @@ def test_period_invariants_match_unit_route_large(d):
     check_period_invariants(d)
 
 
-def test_kernel_caches_are_bounded():
+def test_kernel_caches_are_bounded(monkeypatch):
     for cached in (fundamental_unit, epsilon_decomposition, _kernel_invariants):
         assert cached.cache_parameters()["maxsize"] is not None
+    # one entry per kernel, whichever route answers it: 7 has 4-rank 0 and
+    # 34 takes the walk, and a second call walks nothing
+    walk = Mock(wraps=quadratic._walk_invariants)
+    monkeypatch.setattr(quadratic, "_walk_invariants", walk)
+    _kernel_invariants.cache_clear()
+    for _ in range(2):
+        for d in (7, 34):
+            period_invariants(d)
+    assert _kernel_invariants.cache_info().currsize == 2
+    assert walk.call_count == 1
+
+
+def check_genus(d: int, primes: tuple[int, ...]) -> bool:
+    """The genus route against the walk where it answers; whether it did."""
+    found = _genus_invariants(d, primes)
+    if found is not None:
+        assert found == _walk_invariants(d), d
+    return found is not None
+
+
+def test_genus_invariants_examples():
+    # 3: the norms are 1, -3, -2 and 6, so N(u) = 1, [N(u + 1)] = [6] and -2
+    # is a norm; the diagonal symbol (3, 3)_3 is (-1|3), not (1|3)
+    assert _genus_invariants(3, (3,)) == quadratic.PeriodInvariants(3, 1, class_of(6), True)
+    # 34: -1 is a local norm everywhere, but N(u) = +1; its 4-rank is 1, so
+    # all eight signed products of 2 and 17 are norms and the walk decides
+    assert _genus_invariants(34, (2, 17)) is None
+    assert period_invariants(34) == _walk_invariants(34)
+    assert period_invariants(34).norm == 1
+
+
+def test_genus_invariants_match_the_walk():
+    # the kernels of 4-rank 0 take the genus route, the rest the walk
+    routes = {True: 0, False: 0}
+    for d in range(2, 20000):
+        if squarefree_part(d) == d:
+            routes[check_genus(d, _radicand_primes(d))] += 1
+    assert routes == {True: 10256, False: 1903}
+
+
+def test_genus_invariants_match_the_walk_on_large_kernels():
+    # seeded kernels in 1e9..1e11, the two kernels near 2e17 whose first
+    # landing misses the middle, and the 1e24 third kernel of `analyze
+    # 999999999989 1000000000039`, whose walk takes a few seconds; every
+    # one of those three has 4-rank 0
+    draw = random.Random(1009)
+    routes = {True: 0, False: 0}
+    for _ in range(200):
+        d = draw.randrange(10 ** 9, 10 ** 11)
+        if squarefree_part(d) == d:
+            routes[check_genus(d, _radicand_primes(d))] += 1
+    assert routes == {True: 108, False: 38}
+    for d in (226166524659073007, 261025488844651519):
+        assert check_genus(d, _radicand_primes(d)), d
+    assert check_genus(999999999989 * 1000000000039, (999999999989, 1000000000039))
 
 
 def test_a_value_matches_direct_factoring():
