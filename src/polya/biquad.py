@@ -42,15 +42,14 @@ from .quadratic import (
     zantema_classify,
 )
 from .record import Record
-from .sqclass import SquareClass, span
+from .sqclass import SquareClass, _times, span
 
 OUTSIDE_PROPOSITION = "OutsideProposition"
 
 
 def _third_kernel(m: int, n: int) -> int:
-    """squarefree_part(mn) for squarefree m and n: the shared primes cancel."""
-    g = math.gcd(m, n)
-    third = (m // g) * (n // g)
+    """squarefree_part(mn) for squarefree m and n."""
+    third = _times(m, n)
     if third == 1:
         raise ValueError("m and n must generate distinct quadratic fields")
     return third
@@ -202,32 +201,6 @@ class LericheVerdict(Record):
     __slots__ = ("m", "n", "verdict", "rule")
 
 
-def _polya_kernels(deltas: tuple[int, int, int]) -> list[int]:
-    return [d for d in deltas if zantema_classify(d).polya]
-
-
-def _even_pattern(deltas: tuple[int, int, int]) -> tuple[int, int] | None:
-    """Detect the Q(sqrt(p), sqrt(2q)) shape: returns (p, q) or None.
-
-    Needs a totally real field whose kernel set is {p, 2q, sf(2pq)} with p an
-    odd prime = 3 mod 4 and q an odd prime (q = p collapses to Q(sqrt 2, sqrt p)).
-    """
-    odd = [d for d in deltas if d % 2]
-    even = [d for d in deltas if d % 2 == 0]
-    if len(odd) != 1 or len(even) != 2:
-        return None
-    p = odd[0]
-    if p < 0 or not is_prime(p) or p % 4 != 3:
-        return None
-    for e in even:
-        q = e // 2
-        if q > 1 and q % 2 == 1 and is_prime(q):
-            other = _third_kernel(e, p)
-            if sorted((e, other)) == sorted(even):
-                return p, q
-    return None
-
-
 def leriche_classify(m: int, n: int) -> LericheVerdict:
     """Classify the compositum of two quadratic Polya fields, without H^1 spans.
 
@@ -235,33 +208,28 @@ def leriche_classify(m: int, n: int) -> LericheVerdict:
     families Q(sqrt(-2), sqrt(p)) with p = 3 mod 4 prime and Q(sqrt(-1),
     sqrt(2q)) with q an odd prime, and except when 2 is totally ramified and
     some subfield lacks an element of norm 2 or -2 (principality of the prime
-    over 2 fails somewhere, so it fails in the compositum).  In the totally
-    ramified Q(sqrt(p), sqrt(2q)) shape a congruence necessity screens first:
-    a Polya such field must have p = 7 mod 8 with q = +-1 mod 8, or p = 3
-    mod 8 with q = 1 or 3 mod 8.  Fields where fewer than two of the three
+    over 2 fails somewhere, so it fails in the compositum).  The classical
+    congruences on Q(sqrt(p), sqrt(2q)) (p = 7 mod 8 with q = +-1 mod 8, or
+    p = 3 mod 8 with q = 1 or 3 mod 8) follow from the +-2 rule: where they
+    fail, norm_equation's local obstruction at p or q leaves 2pq with no
+    element of norm +-2.  Fields where fewer than two of the three
     kernels are Polya are outside the rules' scope.
     """
     field = biquadratic_field(m, n)
     deltas = field.deltas
-    if len(_polya_kernels(deltas)) < 2:
+    if sum(zantema_classify(d).polya for d in deltas) < 2:
         return LericheVerdict(m, n, OUTSIDE_PROPOSITION,
                               "fewer than two Polya quadratic subfields")
-    if -2 in deltas and any(d > 0 and d % 4 == 3 and is_prime(d) for d in deltas):
-        p = next(d for d in deltas if d > 0 and d % 4 == 3 and is_prime(d))
-        return LericheVerdict(m, n, NOT_POLYA, f"exception 1: Q(sqrt(-2), sqrt({p}))")
+    if -2 in deltas:
+        p = next((d for d in deltas if d > 0 and d % 4 == 3 and is_prime(d)), None)
+        if p is not None:
+            return LericheVerdict(m, n, NOT_POLYA, f"exception 1: Q(sqrt(-2), sqrt({p}))")
     if -1 in deltas:
         for d in deltas:
             if d > 0 and d % 2 == 0 and d // 2 > 1 and is_prime(d // 2):
                 return LericheVerdict(m, n, NOT_POLYA,
                                       f"exception 2: Q(sqrt(-1), sqrt(2*{d // 2}))")
     if field.totally_real and all(d % 4 != 1 for d in deltas):
-        pattern = _even_pattern(deltas)
-        if pattern is not None:
-            p, q = pattern
-            ok = (p % 8 == 7 and q % 8 in (1, 7)) or (p % 8 == 3 and q % 8 in (1, 3))
-            if not ok:
-                return LericheVerdict(m, n, NOT_POLYA,
-                                      f"necessary congruences fail for p={p}, q={q}")
         for d in deltas:
             if not _has_norm_pm2(d):
                 return LericheVerdict(m, n, NOT_POLYA,

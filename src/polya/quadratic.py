@@ -217,20 +217,25 @@ def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
 
 # The midpoint search.  Each size below was measured on the 216 kernels of
 # large-fields seeds 401, 2718, 5003, 7919, 31337 and 777 and the 5,141 of
-# theorem-scan (Python 3.11, 2 vCPUs), where a composition costs about as
-# much as 35 walk steps and a probed form about 2.5.  _MARK_EVERY must be
-# even and divide _PLAIN_STEPS.
+# theorem-scan (Python 3.11, 2 vCPUs), all walked, where a composition costs
+# about as much as 35 walk steps and a probed form about 2.5.  Since genus
+# theory answers the kernels of 4-rank 0, 62 of those large-fields kernels
+# and 273 of theorem-scan's walk.  _MARK_EVERY must be even and divide
+# _PLAIN_STEPS.
 #
-# Steps walked from k = 0 before the first giant step.  185 of those
-# large-fields kernels and 89 of theorem-scan's have h > 1024.  Starting at
-# 2048 walks 386,222 steps on the large-fields kernels, not 206,044;
-# starting at 512 walks 164,536 but composes 5,783 times, not 3,729.
+# Steps walked from k = 0 before the first giant step.  42 of the 62
+# large-fields kernels that walk have h > 1024 (9 of seed 401's 12, the
+# largest h = 29,759); all 273 of theorem-scan's stop within 1024 steps.
+# Over all 216 large-fields kernels, starting at 2048 walked 386,222 steps,
+# not 206,044; starting at 512 walked 164,536 but composed 5,783 times,
+# not 3,729.
 _PLAIN_STEPS = 1024
 # The walk keys every r-th form, and a probe walks r forms from each square.
-# With r = 16 the first walk of theorem-scan's kernels, where nearly all of
-# them stop, took 1.05x as long as with r = 32, and 1.09x as long as a walk
-# that keys nothing; with r = 32 the large-fields kernels probe twice as
-# many forms, and searched about 1.2x as long.
+# With r = 16 the first walk of all 5,141 theorem-scan kernels took 1.05x
+# as long as with r = 32, and 1.09x as long as a walk that keys nothing; on
+# the 273 that walk now, all within that first walk, keying costs 1.02-1.04x.
+# With r = 32 the large-fields kernels probe twice as many forms, and
+# searched about 1.2x as long.
 _MARK_EVERY = 16
 # A phase is walked/_PHASE_DIVISOR giant steps, then the walk goes on to
 # twice its length.  A giant step (one composition and a probe of r forms)
@@ -850,7 +855,7 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     if not is_prime(ell):
         raise ValueError(f"norm_equation decides only c = +-1 and c = +-l, l prime, "
                          f"for real d; |c| = {ell} is composite")
-    ramified = d % ell == 0 or (ell == 2 and d % 4 == 3)
+    ramified = ell in ramified_primes(d)
     if not ramified and (d % 8 == 1 if ell == 2 else jacobi(d, ell) == 1):
         raise ValueError(f"norm_equation decides only ramified and inert primes "
                          f"for real d; {ell} splits in Q(sqrt({d}))")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polya.arith import factor, squarefree_part
+from polya.arith import factor, is_prime, squarefree_part
 from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_field, h1_order,
                           h_generators, leriche_classify, polya_report,
                           ramification)
@@ -139,10 +139,33 @@ def test_leriche_is_outside_when_subfields_are_not_polya():
     assert v.verdict == OUTSIDE_PROPOSITION
 
 
-def test_leriche_congruence_necessity_fires():
-    # Q(sqrt(3), sqrt(14)): pattern p = 3, q = 7 violates the congruences
+def test_leriche_congruence_necessity_holds():
+    # A Polya Q(sqrt(p), sqrt(2q)), p = 3 mod 4 and q odd primes, has p = 7
+    # mod 8 with q = +-1 mod 8, or p = 3 mod 8 with q = 1 or 3 mod 8.  Where
+    # these fail, the local obstruction at p or q leaves 2pq with no element
+    # of norm +-2.  Q(sqrt(3), sqrt(14)) (p = 3, q = 7) is one such field.
     v = leriche_classify(3, 14)
-    assert v.verdict == NOT_POLYA and "congruences" in v.rule
+    assert (v.verdict, v.rule) == (NOT_POLYA, "no element of norm +-2 in Q(sqrt(42))")
+    squarefree = [d for d in range(2, 300) if squarefree_part(d) == d]
+    failing = 0
+    for i, m in enumerate(squarefree):
+        for n in squarefree[i + 1:]:
+            deltas = biquadratic_field(m, n).deltas
+            odd = [d for d in deltas if d % 2]
+            if len(odd) != 1 or odd[0] % 4 != 3 or not is_prime(odd[0]):
+                continue
+            p, q = odd[0], min(d for d in deltas if d % 2 == 0) // 2
+            if not is_prime(q) or max(deltas) != 2 * p * q:
+                continue
+            if (p % 8 == 7 and q % 8 in (1, 7)) or (p % 8 == 3 and q % 8 in (1, 3)):
+                continue
+            v = leriche_classify(m, n)
+            if v.verdict == OUTSIDE_PROPOSITION:
+                continue
+            assert (v.verdict, v.rule) == (
+                NOT_POLYA, f"no element of norm +-2 in Q(sqrt({2 * p * q}))"), (m, n)
+            failing += 1
+    assert failing == 312
 
 
 def test_leriche_principality_refinement_fires():
@@ -154,7 +177,8 @@ def test_leriche_principality_refinement_fires():
     # pattern; principality of 2 still decides it
     v = leriche_classify(34, 38)
     assert v.verdict == NOT_POLYA and "323" in v.rule
-    # Q(sqrt(3), sqrt(34)) passes both the congruence and principality gates
+    # Q(sqrt(3), sqrt(34)) meets the congruences, and each subfield has an
+    # element of norm +-2
     assert leriche_classify(3, 34).verdict == POLYA
 
 

@@ -105,18 +105,15 @@ def test_analyze_large_kernels_json(runner):
         '"unit_norms": [-1, 1, 1], "polya": true}\n')
 
 
-def test_analyze_builds_no_fundamental_unit(runner, monkeypatch):
-    def refuse(d, *start):
-        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
-
+def test_analyze_builds_no_fundamental_unit(runner):
     quadratic.fundamental_unit.cache_clear()
     quadratic._kernel_invariants.cache_clear()
-    monkeypatch.setattr(quadratic, "_pell_min", refuse)
     report = polya_report(biquadratic_field(2, 85))
     assert (report.po_order, report.unit_norms) == (2, (-1, -1, -1))
     result = runner.invoke(main, ["analyze", "2", "85", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["po_order"] == 2
+    assert quadratic.fundamental_unit.cache_info().misses == 0
 
 
 def test_analyze_rejects_equal_kernels(runner):

@@ -146,25 +146,18 @@ def empty_kernel_caches():
     quadratic._kernel_invariants.cache_clear()
 
 
-def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches,
-                                                          monkeypatch):
-    def refuse(d, *start):
-        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
-
-    monkeypatch.setattr(quadratic, "_pell_min", refuse)
+def test_verify_theorem_reads_norms_without_building_units(empty_kernel_caches):
     rep = verify_theorem("T3", (5, 17))   # kernels 2, 85 and 170 all have norm -1
     assert rep.claim_matches is True and rep.anomalies == ()
     assert rep.epsilon_witness is None
+    assert fundamental_unit.cache_info().misses == 0
 
 
-def test_verify_theorem_builds_no_unit(empty_kernel_caches, monkeypatch):
+def test_verify_theorem_builds_no_unit(empty_kernel_caches):
     # the witness split of Q(sqrt(2091)) comes from half its period
-    def refuse(d, *start):
-        raise AssertionError(f"fundamental unit of Q(sqrt({d})) was built")
-
-    monkeypatch.setattr(quadratic, "_pell_min", refuse)
     w = verify_theorem("T1", (3, 17, 41)).epsilon_witness
     assert (w.d, w.g, w.m, w.n, w.epsilon) == (2091, 1, 11, 503, 2091)
+    assert fundamental_unit.cache_info().misses == 0
 
 
 def test_verify_theorem_t2_proof_step_anomaly():
