@@ -25,10 +25,9 @@ walks step through the period by the same recurrence: `_midpoint` keeps
 nothing but the current denominators and returns the parity of its length,
 the last denominator and how it ended, in constant memory; `_half_period`
 keeps the partial quotients, which `cf_expand` mirrors into the full
-period.  (It also walks the period of (1 + sqrt(d))/2 for
-`fundamental_unit` and `epsilon_decomposition`.)  Past the first step both
-work on integers below 2*sqrt(d), each a one-digit Python int (below 2^30)
-for every d below 2^58.
+period.  (It also walks the period of (1 + sqrt(d))/2 for `_ring_walk`.)
+Past the first step both work on integers below 2*sqrt(d), each a one-digit
+Python int (below 2^30) for every d below 2^58.
 
 `_midpoint` walks a half period of up to `_PLAIN_STEPS` steps from its
 start.  Past that, `_search_midpoint` finds a start near the middle by
@@ -48,10 +47,12 @@ from where the last one ended, so the walk alone reaches the middle of a
 search that no probe hits.
 
 The fundamental unit itself serves classify-quadratic and the norm equation
-deciders.  `fundamental_unit` walks `_half_period` from the generator of the
-ring of integers, (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise,
-mirrors it into the period and runs the big-integer convergent recurrence
-over it; the unit, half-integral or not, is read off the last convergent.
+deciders.  `_ring_walk` is the one owner of the generator of the ring of
+integers, (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise: it
+checks d, picks that start and walks `_half_period` from it, and `_fold`
+runs the big-integer convergent recurrence over a list of partial quotients.
+`fundamental_unit` folds the whole period, mirrored from the half walk; the
+unit, half-integral or not, is read off the last convergent.
 When that unit is half-integral, Z[sqrt(d)] holds only its cube, so the
 period of sqrt(d) would be about three times as long and its unit would need
 a cube root.
@@ -59,17 +60,17 @@ a cube root.
 For a fundamental unit u = (z + t*sqrt(d))/denom of norm +1, the integers
 z - denom and z + denom split, up to their gcd g, as eta * square and
 epsilon * square with epsilon * eta = d.  The theorem witnesses print that
-split, and `epsilon_decomposition` reads it off the convergent at h - 1 of
-the same half walk, at half the unit's bits, and builds no unit.  The
-deciders of N(alpha) = +-l at ramified primes l ask whether
-2*denom*l*(z +- denom), which is 2*denom*g*l*epsilon (or eta) times a
-square, is a square, so no large integer is ever factored.
+split, and `epsilon_decomposition` folds the same half walk without its
+last quotient and reads it off the convergent at h - 1, at half the unit's
+bits, and builds no unit.  The deciders of N(alpha) = +-l at ramified
+primes l ask whether 2*denom*l*(z +- denom), which is 2*denom*g*l*epsilon
+(or eta) times a square, is a square, so no large integer is ever factored.
 
 A quadratic field is Polya iff every ramified prime is principal (Zantema,
 1982), so for real d `norm_equation` decides only what the Polya tests ask:
 c = +-1 and c = +-l for a prime l that ramifies or is inert.  It raises
-ValueError for composite |c| and split primes.  For d < 0 a finite scan
-decides every c.
+ValueError for composite |c| and split primes, before any unit is built.
+For d < 0 a finite scan decides every c.
 """
 
 from __future__ import annotations
@@ -468,23 +469,28 @@ class FundamentalUnit(Record):
             raise ValueError("half-integral unit outside the ring of integers")
 
 
-def _pell_min(d: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
-    """Least (x, y, nu) with x, y >= 1, x = p0*y (mod q0) and
-    x^2 - d*y^2 = nu*q0^2, nu in {+1, -1}, from the period of
-    (p0 + sqrt(d))/q0 as `_half_period` walks it: the least unit
-    (x + y*sqrt(d))/q0 > 1 of Z[(p0 + sqrt(d))/q0].
+def _ring_walk(d: int, what: str) -> tuple[int, int, list[int], bool]:
+    """(p0, q0, head, odd) for the generator w = (p0 + sqrt(d))/q0 of the ring
+    of integers of the real field Q(sqrt(d)): (1 + sqrt(d))/2 when d = 1
+    (mod 4) and sqrt(d) otherwise, with `_half_period`'s walk of its period.
+    Checks d first; what names the caller's result in its error."""
+    _radicand_primes(d)
+    if d < 2:
+        raise ValueError(f"{what} require a real field, d > 1")
+    p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
+    return p0, q0, *_half_period(d, p0, q0)
 
-    With A/B the convergent of a_0 and the period without its last partial
-    quotient, the unit is A - B*w' for the conjugate w' = (p0 - sqrt(d))/q0
-    of the start, and its norm is (-1)^l.
-    """
-    head, odd = _half_period(d, p0, q0)
+
+def _fold(d: int, p0: int, q0: int, quotients: list[int]) -> tuple[int, int]:
+    """(X, Y) with (X + Y*sqrt(d))/q0 = A - B*w' for the convergent A/B of
+    a_0 = floor(w) and quotients, w' = (p0 - sqrt(d))/q0 the conjugate of w =
+    (p0 + sqrt(d))/q0."""
     p_prev, p = 1, (p0 + math.isqrt(d)) // q0
     q_prev, q = 0, 1
-    for a in head + (head[::-1] if odd else head[-2::-1]):
+    for a in quotients:
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    return q0 * p - p0 * q, q, -1 if odd else 1
+    return q0 * p - p0 * q, q
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -492,20 +498,18 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     """Fundamental unit of Q(sqrt(d)), d squarefree > 1.
 
     The least unit > 1 of the ring of integers, from the continued fraction
-    of its generator: (1 + sqrt(d))/2 when d = 1 (mod 4), sqrt(d) otherwise
-    (`_pell_min`).  For d = 1 (mod 4) the unit comes as (x + y*sqrt(d))/2
-    with x = y (mod 2); when both are even it is integral and is halved.
-    (For d = 1 mod 8 they always are: odd x and y give x^2 - d*y^2 = 0
-    mod 8, never +-4.)
+    of its generator w (`_ring_walk`): with A/B the convergent of a_0 and the
+    whole period without its last partial quotient, mirrored from the half
+    walk, the unit is A - B*w' (`_fold`), and its norm is (-1)^l.  For d = 1
+    (mod 4) the unit comes as (x + y*sqrt(d))/2 with x = y (mod 2); when both
+    are even it is integral and is halved.  (For d = 1 mod 8 they always are:
+    odd x and y give x^2 - d*y^2 = 0 mod 8, never +-4.)
     """
-    _radicand_primes(d)
-    if d < 2:
-        raise ValueError("fundamental units require a real field, d > 1")
-    p0, denom = (1, 2) if d % 4 == 1 else (0, 1)
-    x, y, nu = _pell_min(d, p0, denom)
+    p0, denom, head, odd = _ring_walk(d, "fundamental units")
+    x, y = _fold(d, p0, denom, head + (head[::-1] if odd else head[-2::-1]))
     if denom == 2 and x % 2 == 0 and y % 2 == 0:
         x, y, denom = x // 2, y // 2, 1
-    return FundamentalUnit(d, x, y, denom, nu)
+    return FundamentalUnit(d, x, y, denom, -1 if odd else 1)
 
 
 class UnitSplit(Record):
@@ -539,10 +543,11 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     """Split the norm +1 fundamental unit of Q(sqrt(d)) as documented on
     UnitSplit, d squarefree > 1, from half its period; no unit is built.
 
-    The walk is `fundamental_unit`'s, from w = (p0 + sqrt(d))/q0 = (1 +
-    sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise.  For an even period
-    l = 2h the unit is alpha^2/|N(alpha)| with alpha = (X + Y*sqrt(d))/q0 =
-    A - B*w' from the convergent A/B of a_0..a_{h-1}, so with the small K =
+    The walk is `fundamental_unit`'s (`_ring_walk`), from w = (p0 +
+    sqrt(d))/q0 = (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise.
+    For an even period l = 2h the unit is alpha^2/|N(alpha)| with alpha = (X +
+    Y*sqrt(d))/q0 = A - B*w', folded by `_fold` from the convergent A/B of
+    a_0..a_{h-1}, the head without its last quotient, so with the small K =
     |X^2 - d*Y^2| = q0^2*|N(alpha)|:
 
         u = (X^2 + d*Y^2 + 2*X*Y*sqrt(d))/K,
@@ -560,19 +565,10 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     no split exists).  Cached per kernel: a theorem scan asks for the split
     of one witness kernel in several triples.
     """
-    _radicand_primes(d)
-    if d < 2:
-        raise ValueError("epsilon splits require a real field, d > 1")
-    p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
-    head, odd = _half_period(d, p0, q0)
+    p0, q0, head, odd = _ring_walk(d, "epsilon splits")
     if odd:
         raise ValueError(f"fundamental unit of Q(sqrt({d})) has norm -1; no epsilon split")
-    p_prev, p = 1, (p0 + math.isqrt(d)) // q0
-    q_prev, q = 0, 1
-    for a in head[:-1]:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    x, y = q0 * p - p0 * q, q
+    x, y = _fold(d, p0, q0, head[:-1])
     norm = x * x - d * y * y  # q0^2 * N(alpha)
     k = abs(norm)
     denom = 1 if 2 * d * (y % k) ** 2 % k == 0 else 2
@@ -786,16 +782,13 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
 
     Complete: always returns a verified solution or a definitive None.
     """
+    if c == -d:
+        return NormEquationSolution(d, c, 0, 1, 1)
     ell = abs(c)
     tau = 1 if c > 0 else -1
-    if ell == d:
-        if tau == -1:
-            return NormEquationSolution(d, c, 0, 1, 1)
-        u = fundamental_unit(d)
-        if u.norm == -1:
-            return NormEquationSolution(d, c, d * u.t, u.z, u.denom)
-        return None
     u = fundamental_unit(d)
+    if ell == d:
+        return NormEquationSolution(d, c, d * u.t, u.z, u.denom) if u.norm == -1 else None
     if u.norm == -1:
         return None
     delta = u.denom
@@ -837,9 +830,10 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     For d < 0 a finite scan decides every c.  For d > 1 only the norms the
     Polya tests ask for are decided, each exactly: c = +-1 from the
     fundamental unit, and c = +-l for a prime l that ramifies
-    (`_ramified_decider`) or is inert (never a norm).  A local obstruction
-    at an odd ramified prime may settle either first.  Composite |c| and
-    split primes raise ValueError.
+    (`_ramified_decider`) or is inert (never a norm).  Composite |c| and
+    split primes raise ValueError.  The unit is asked for last: c = 1, a
+    composite |c|, a split or inert l and a local obstruction at an odd
+    ramified prime are all settled before any unit is built.
     """
     primes = _radicand_primes(d)
     if c == 0:
@@ -848,8 +842,8 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
         return _scan_imaginary(d, c)
     if c == 1:
         return NormEquationSolution(d, c, 1, 0, 1)
-    u = fundamental_unit(d)
     if c == -1:
+        u = fundamental_unit(d)
         return NormEquationSolution(d, c, u.z, u.t, u.denom) if u.norm == -1 else None
     ell = abs(c)
     if not is_prime(ell):

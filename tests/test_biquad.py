@@ -11,7 +11,7 @@ from polya.arith import factor, is_prime, squarefree_part
 from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_field, h1_order,
                           h_generators, leriche_classify, polya_report,
                           ramification)
-from polya.quadratic import NOT_POLYA, POLYA, zantema_classify
+from polya.quadratic import NOT_POLYA, POLYA, fundamental_unit, zantema_classify
 from polya.sqclass import class_of
 
 kernels = (st.integers(min_value=2, max_value=400)
@@ -166,6 +166,16 @@ def test_leriche_congruence_necessity_holds():
                 NOT_POLYA, f"no element of norm +-2 in Q(sqrt({2 * p * q}))"), (m, n)
             failing += 1
     assert failing == 312
+
+
+def test_leriche_builds_no_unit_for_a_locally_refused_kernel():
+    # of the kernels 3 (or 7), 14 (or 6) and 42, the first two have an element
+    # of norm +-2 that only a unit can decide; the +-2 of Q(sqrt(42)) is
+    # refused by the local obstruction at 3 and at 7, so its unit is not built
+    for m, n in ((3, 14), (7, 6)):
+        fundamental_unit.cache_clear()
+        assert leriche_classify(m, n).verdict == NOT_POLYA
+        assert fundamental_unit.cache_info().misses == 2, (m, n)
 
 
 def test_leriche_principality_refinement_fires():

@@ -526,12 +526,22 @@ def half_period_convergents(d: int, p0: int = 0, q0: int = 1
     return len(period), p_prev, q_prev, p, q, q_values[h - 1] if h else q0
 
 
+def least_unit_of_the_start(d: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
+    """Least (x, y, nu) with x, y >= 1, x = p0*y (mod q0) and x^2 - d*y^2 =
+    nu*q0^2: the least unit (x + y*sqrt(d))/q0 > 1 of Z[(p0 + sqrt(d))/q0],
+    folded by `_fold` over the period `_half_period` walks from that start,
+    mirrored and without its last partial quotient; nu = (-1)^l."""
+    head, odd = quadratic._half_period(d, p0, q0)
+    x, y = quadratic._fold(d, p0, q0, head + (head[::-1] if odd else head[-2::-1]))
+    return x, y, -1 if odd else 1
+
+
 def unit_by_cube_root(d: int) -> tuple[int, int, int, int]:
     """(z, t, denom, norm) of the fundamental unit by the older route: the
     least solution over Z[sqrt(d)] from the period of sqrt(d), and for d = 5
     (mod 8) the half-integral unit whose cube it may be, by an exact cube
     root: (a + b*sqrt(d))/2 cubed is x + y*sqrt(d) iff a^3 - 3*nu*a = 2x."""
-    x, y, nu = quadratic._pell_min(d)
+    x, y, nu = least_unit_of_the_start(d)
     if d % 8 == 5:
         target = 2 * x
         guess = iroot(target, 3)
@@ -605,7 +615,7 @@ def test_least_pell_solution_from_the_half_period():
             u, v, nu = (s, q_prev, 1) if length % 2 == 0 else (t, q, -1)
             x, y = q0 * (s * u + d * q_prev * v), q0 * (s * v + u * q_prev)
             assert x % n == 0 and y % n == 0, (d, q0)
-            assert quadratic._pell_min(d, p0, q0) == (x // abs(n), y // abs(n), nu), (d, q0)
+            assert least_unit_of_the_start(d, p0, q0) == (x // abs(n), y // abs(n), nu), (d, q0)
             walks += 1
     assert walks == 2945 + 723
 
@@ -939,6 +949,49 @@ def test_norm_equation_refuses_a_split_prime():
     # 1021 = 1 (mod 3), so 3 splits in Q(sqrt(1021))
     with pytest.raises(ValueError, match="splits"):
         norm_equation(1021, 3)
+
+
+def test_norm_equation_settles_all_it_can_before_building_a_unit():
+    # c = 1, a composite |c|, a split or inert prime and a ramified prime
+    # refused by a local obstruction at an odd prime of d are all settled
+    # before the fundamental unit is asked for, so none of them builds it
+    def settle(d: int, c: int):
+        fundamental_unit.cache_clear()
+        try:
+            return norm_equation(d, c)
+        finally:
+            assert fundamental_unit.cache_info().misses == 0, (d, c)
+
+    counts = {"one": 0, "composite": 0, "split": 0, "inert": 0, "local": 0}
+    primes = [ell for ell in range(2, 30) if all(ell % k for k in range(2, ell))]
+    for d in range(2, 2000):
+        if squarefree_part(d) != d:
+            continue
+        assert settle(d, 1) == NormEquationSolution(d, 1, 1, 0, 1)
+        counts["one"] += 1
+        for c in (6, -6, 10, -10):
+            with pytest.raises(ValueError, match="composite"):
+                settle(d, c)
+            counts["composite"] += 1
+        odd = [p for p in range(3, d + 1, 2) if d % p == 0 and all(p % k for k in range(3, p, 2))]
+        for ell in primes:
+            for c in (ell, -ell):
+                if splits(d, ell):
+                    with pytest.raises(ValueError, match="splits"):
+                        settle(d, c)
+                    counts["split"] += 1
+                elif ell not in ramified_primes(d):
+                    assert settle(d, c) is None, (d, c)
+                    counts["inert"] += 1
+                elif any(p != ell and pow(c, p >> 1, p) == p - 1 for p in odd):
+                    assert settle(d, c) is None, (d, c)
+                    counts["local"] += 1
+    assert counts == {"one": 1214, "composite": 4856, "split": 10230, "inert": 10302,
+                      "local": 2521}
+    # 2 splits in Q(sqrt(10^30 + 57)), whose period is about 10^15 steps long
+    for c, refusal in ((6, "composite"), (2, "splits")):
+        with pytest.raises(ValueError, match=refusal):
+            settle(10**30 + 57, c)
 
 
 def test_zantema_examples():
