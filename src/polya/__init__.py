@@ -15,9 +15,8 @@ they are created, so a one-command CLI process starts without that cost.
 from .arith import (DEFAULT_FACTOR_BUDGET, FactorBudgetError, Factorization, factor,
                     is_prime, is_square, jacobi, sieve_primes, squarefree_part)
 from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
-                     PolyaReport, RamificationProfile, biquadratic_field,
-                     h1_order, h_generators, leriche_classify, polya_report,
-                     ramification)
+                     PolyaReport, biquadratic_field, h1_order, h_generators,
+                     leriche_classify, polya_report, ramification)
 from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         DirichletReport, FundamentalUnit, NormEquationSolution,
                         PeriodInvariants, UnitSplit, ZantemaVerdict, a_value,
@@ -26,16 +25,16 @@ from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
                         quadratic_polya_oracle, ramified_primes, zantema_classify)
 from .sqclass import IDENTITY, SquareClass, class_of, span
 from .verify import (FAMILIES, T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport, Family,
-                     HypothesisReport, TheoremReport, admissible_triples,
-                     check_hypotheses, contrast_rajaei, pollack_search, scan,
-                     smallest_admissible, verify_table, verify_theorem)
+                     TheoremReport, admissible_triples, check_hypotheses,
+                     contrast_rajaei, pollack_search, scan, smallest_admissible,
+                     verify_table, verify_theorem)
 
 __all__ = [
     "DEFAULT_FACTOR_BUDGET", "FactorBudgetError", "Factorization", "factor",
     "is_prime", "is_square", "jacobi", "sieve_primes", "squarefree_part",
     "OUTSIDE_PROPOSITION", "BiquadraticField", "LericheVerdict", "PolyaReport",
-    "RamificationProfile", "biquadratic_field", "h1_order", "h_generators",
-    "leriche_classify", "polya_report", "ramification",
+    "biquadratic_field", "h1_order", "h_generators", "leriche_classify",
+    "polya_report", "ramification",
     "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
     "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "UnitSplit",
     "ZantemaVerdict", "a_value", "cf_expand",
@@ -44,7 +43,6 @@ __all__ = [
     "zantema_classify",
     "IDENTITY", "SquareClass", "class_of", "span",
     "FAMILIES", "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport", "Family",
-    "HypothesisReport", "TheoremReport", "admissible_triples", "check_hypotheses",
-    "contrast_rajaei", "pollack_search", "scan", "smallest_admissible", "verify_table",
-    "verify_theorem",
+    "TheoremReport", "admissible_triples", "check_hypotheses", "contrast_rajaei",
+    "pollack_search", "scan", "smallest_admissible", "verify_table", "verify_theorem",
 ]

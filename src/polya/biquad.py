@@ -90,22 +90,9 @@ def biquadratic_field(m: int, n: int) -> BiquadraticField:
     return BiquadraticField(m, n, tuple(sorted(primes)))
 
 
-class RamificationProfile(Record):
-    """Ramification indices (prime, e) of the ramified rational primes, ascending."""
-
-    __slots__ = ("entries",)
-
-    @property
-    def product(self) -> int:
-        return math.prod(e for _, e in self.entries)
-
-    @property
-    def e2(self) -> int:
-        return dict(self.entries).get(2, 1)
-
-
-def ramification(field: BiquadraticField) -> RamificationProfile:
-    """Ramified primes of the degree-4 field with their indices.
+def ramification(field: BiquadraticField) -> tuple[tuple[int, int], ...]:
+    """The ramified primes of the degree-4 field with their indices, as
+    (prime, e) pairs, ascending.
 
     Every odd prime dividing a kernel ramifies with e = 2.  The prime 2
     ramifies iff some kernel is 2 or 3 mod 4, totally (e = 4) iff no kernel
@@ -116,7 +103,7 @@ def ramification(field: BiquadraticField) -> RamificationProfile:
     if any(d % 4 != 1 for d in deltas):
         entries.append((2, 4 if all(d % 4 != 1 for d in deltas) else 2))
     entries.extend((p, 2) for p in field.primes if p != 2)
-    return RamificationProfile(tuple(entries))
+    return tuple(entries)
 
 
 def _field_invariants(field: BiquadraticField) -> tuple[PeriodInvariants, ...]:
@@ -145,14 +132,19 @@ def _has_norm_pm2(d: int) -> bool:
 class PolyaReport(Record):
     """Every quantity of the Polya group computation, with exactness enforced."""
 
-    __slots__ = ("field", "profile", "h_generators", "h_order", "index_factor",
+    __slots__ = ("field", "ramification", "h_generators", "h_order", "index_factor",
                  "h1_order", "po_order", "po_structure", "unit_norms")
 
     def _check(self) -> None:
         if self.h1_order != self.h_order * self.index_factor:
             raise ValueError("index bookkeeping violated")
-        if self.po_order * self.h1_order != self.profile.product:
+        if self.po_order * self.h1_order != self.product_e:
             raise ValueError("exact sequence arithmetic violated")
+
+    @property
+    def product_e(self) -> int:
+        """The product of the ramification indices, |sum Z/e_l|."""
+        return math.prod(e for _, e in self.ramification)
 
     @property
     def polya(self) -> bool:
@@ -169,24 +161,25 @@ def polya_report(field: BiquadraticField) -> PolyaReport:
     """
     if not field.totally_real:
         raise ValueError("Polya reports cover totally real fields only")
-    profile = ramification(field)
+    entries = ramification(field)
+    e2 = dict(entries).get(2, 1)
     kernels = _field_invariants(field)
     gens = _generators(kernels)
     h = span(gens)
     # the index factor is 2 exactly when 2 is totally ramified and each of
     # the three subfields contains an element of norm 2 or -2
     index = 1
-    if profile.e2 == 4 and all(k.two_is_norm for k in kernels):
+    if e2 == 4 and all(k.two_is_norm for k in kernels):
         index = 2
     h1 = h * index
-    po = profile.product // h1
-    if profile.e2 <= 2:
+    po = math.prod(e for _, e in entries) // h1
+    if e2 <= 2:
         rank = po.bit_length() - 1
         structure = "trivial" if po == 1 else ("Z/2" if po == 2 else f"(Z/2)^{rank}")
     else:
         structure = "order-only"
     norms = tuple(k.norm for k in kernels)
-    return PolyaReport(field, profile, gens, h, index, h1, po, structure, norms)
+    return PolyaReport(field, entries, gens, h, index, h1, po, structure, norms)
 
 
 def h1_order(field: BiquadraticField) -> tuple[int, int, int]:

@@ -64,8 +64,8 @@ def _witness_payload(w: UnitSplit | None) -> dict[str, Any] | None:
 def _field_payload(report: PolyaReport) -> dict[str, Any]:
     f = report.field
     return {"m": f.m, "n": f.n, "deltas": list(f.deltas),
-            "ramification": [list(e) for e in report.profile.entries],
-            "product_e": report.profile.product,
+            "ramification": [list(e) for e in report.ramification],
+            "product_e": report.product_e,
             "h_generators": [str(c) for c in report.h_generators],
             "h_order": report.h_order, "index_factor": report.index_factor,
             "h1_order": report.h1_order, "po_order": report.po_order,
@@ -75,10 +75,10 @@ def _field_payload(report: PolyaReport) -> dict[str, Any]:
 
 def _field_text(report: PolyaReport) -> list[str]:
     f = report.field
-    ram = ", ".join(f"e_{l} = {e}" for l, e in report.profile.entries)
+    ram = ", ".join(f"e_{l} = {e}" for l, e in report.ramification)
     return [
         f"field: Q(sqrt({f.m}), sqrt({f.n})) with kernels {f.deltas}",
-        f"ramification: {ram}; product {report.profile.product}",
+        f"ramification: {ram}; product {report.product_e}",
         f"h generators: {', '.join(str(c) for c in report.h_generators)}",
         f"h order: {report.h_order}, index factor: {report.index_factor}, "
         f"h1 order: {report.h1_order}",
@@ -91,8 +91,8 @@ def _field_text(report: PolyaReport) -> list[str]:
 def _theorem_payload(report: TheoremReport) -> dict[str, Any]:
     field = report.field_report
     return {"theorem": report.theorem, "triple": list(report.triple),
-            "hypotheses_ok": report.hypotheses.ok,
-            "hypothesis_checks": [[label, ok] for label, ok in report.hypotheses.checks],
+            "hypotheses_ok": report.hypotheses_ok,
+            "hypothesis_checks": [list(check) for check in report.hypothesis_checks],
             "field_report": None if field is None else _field_payload(field),
             "epsilon_witness": _witness_payload(report.epsilon_witness),
             "epsilon_in_allowed_set": report.epsilon_in_allowed_set,
@@ -122,16 +122,14 @@ def _theorem_row(report: TheoremReport) -> dict[str, Any]:
 def _theorem_text(report: TheoremReport) -> list[str]:
     triple = ", ".join(str(v) for v in report.triple)
     lines = [f"{report.theorem} ({triple}): hypotheses "
-             f"{'ok' if report.hypotheses.ok else 'FAIL'}"]
-    if not report.hypotheses.ok:
-        lines.extend(f"  failed: {label}" for label, ok in report.hypotheses.checks
-                     if not ok)
+             f"{'ok' if report.hypotheses_ok else 'FAIL'}"]
+    lines.extend(f"  failed: {label}" for label, ok in report.hypothesis_checks if not ok)
     field = report.field_report
     if field is None:
         lines.append("  field not computed")
         return lines
     lines.append(f"  po order {field.po_order}, h1 order {field.h1_order}, "
-                 f"product_e {field.profile.product}, claim matches: "
+                 f"product_e {field.product_e}, claim matches: "
                  f"{'yes' if report.claim_matches else 'no'}")
     w = report.epsilon_witness
     if w is not None:

@@ -165,6 +165,14 @@ def _half_period(d: int, p0: int = 0, q0: int = 1) -> tuple[list[int], bool]:
         head.append(a)
 
 
+def _mirror(head: list[int], odd: bool) -> list[int]:
+    """a_1..a_{l-1}, the period without its closing quotient, from
+    `_half_period`'s (head, odd): a_k = a_{l-k} reflects head about the
+    middle, which is between two quotients for odd l and is head's last
+    quotient for even l."""
+    return head + (head[::-1] if odd else head[-2::-1])
+
+
 def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
               steps: int | None = None,
               marks: list[int] | None = None) -> tuple[bool, int, bool] | None:
@@ -443,15 +451,13 @@ def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
 def cf_expand(d: int) -> ContinuedFraction:
     """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
 
-    The period is the half walked by `_half_period` and its mirror, closed by
-    a_l = 2*a0.
+    The period is the half walked by `_half_period` and its mirror
+    (`_mirror`), closed by a_l = 2*a0.
     """
     if d < 2 or is_square(d):
         raise ValueError("cf_expand needs a nonsquare integer d > 1")
-    head, odd = _half_period(d)
-    period = head + (head[::-1] if odd else head[-2::-1])
     a0 = math.isqrt(d)
-    return ContinuedFraction(d, (a0,), tuple(period + [2 * a0]))
+    return ContinuedFraction(d, (a0,), tuple(_mirror(*_half_period(d)) + [2 * a0]))
 
 
 class FundamentalUnit(Record):
@@ -500,13 +506,14 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     The least unit > 1 of the ring of integers, from the continued fraction
     of its generator w (`_ring_walk`): with A/B the convergent of a_0 and the
     whole period without its last partial quotient, mirrored from the half
-    walk, the unit is A - B*w' (`_fold`), and its norm is (-1)^l.  For d = 1
-    (mod 4) the unit comes as (x + y*sqrt(d))/2 with x = y (mod 2); when both
-    are even it is integral and is halved.  (For d = 1 mod 8 they always are:
-    odd x and y give x^2 - d*y^2 = 0 mod 8, never +-4.)
+    walk (`_mirror`), the unit is A - B*w' (`_fold`), and its norm is
+    (-1)^l.  For d = 1 (mod 4) the unit comes as (x + y*sqrt(d))/2 with x = y
+    (mod 2); when both are even it is integral and is halved.  (For d = 1
+    mod 8 they always are: odd x and y give x^2 - d*y^2 = 0 mod 8, never
+    +-4.)
     """
     p0, denom, head, odd = _ring_walk(d, "fundamental units")
-    x, y = _fold(d, p0, denom, head + (head[::-1] if odd else head[-2::-1]))
+    x, y = _fold(d, p0, denom, _mirror(head, odd))
     if denom == 2 and x % 2 == 0 and y % 2 == 0:
         x, y, denom = x // 2, y // 2, 1
     return FundamentalUnit(d, x, y, denom, -1 if odd else 1)

@@ -90,23 +90,6 @@ def _conditions(theorem: str) -> tuple[str, tuple[tuple[str, int, int], ...],
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}") from None
 
 
-class HypothesisReport(Record):
-    """Per-condition hypothesis check for one theorem instance.
-
-    Truthy exactly when every condition holds; `checks` keeps the individual
-    (label, verdict) pairs so a failure names the condition that broke.
-    """
-
-    __slots__ = ("theorem", "triple", "checks")
-
-    @property
-    def ok(self) -> bool:
-        return all(value for _, value in self.checks)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _distinct_primes(*values: int) -> bool:
     return len(set(values)) == len(values) and all(is_prime(v) for v in values)
 
@@ -116,9 +99,11 @@ def _symbol_is(a: int, n: int, want: int) -> bool:
     return n > 2 and n % 2 == 1 and jacobi(a, n) == want
 
 
-def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
-    """Check a triple against the theorem's declaration, one labelled verdict
-    per condition: distinct primes, each residue class, each symbol."""
+def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> tuple[tuple[str, bool], ...]:
+    """Check a triple against the theorem's declaration: one (label, verdict)
+    pair per condition, in order: distinct primes, each residue class, each
+    symbol.  The triple satisfies the hypotheses when every verdict is true;
+    the labels name the conditions that broke."""
     distinct, residues, symbols = _conditions(theorem)
     if len(triple) != len(residues):
         raise ValueError(f"{theorem.lower()} takes {len(residues)} primes, got {len(triple)}")
@@ -127,19 +112,20 @@ def check_hypotheses(theorem: str, triple: tuple[int, ...]) -> HypothesisReport:
         checks.append((label, v % m == r))
     for label, i, j, want in symbols:
         checks.append((label, _symbol_is(triple[i], triple[j], want)))
-    return HypothesisReport(theorem, triple, tuple(checks))
+    return tuple(checks)
 
 
 class TheoremReport(Record):
     """Verification record for one theorem instance.
 
-    `field_report` is None exactly when the hypotheses failed.
-    `claim_matches` mirrors po_order == 2 whenever the field was computed.
-    `anomalies` lists every proof-asserted intermediate that computed
-    differently; the report never raises for those.
+    `hypothesis_checks` holds the (label, verdict) pairs of
+    `check_hypotheses`, and `field_report` is None exactly when one of them
+    failed.  `claim_matches` mirrors po_order == 2 whenever the field was
+    computed.  `anomalies` lists every proof-asserted intermediate that
+    computed differently; the report never raises for those.
     """
 
-    __slots__ = ("theorem", "triple", "hypotheses", "field_report", "epsilon_witness",
+    __slots__ = ("theorem", "triple", "hypothesis_checks", "field_report", "epsilon_witness",
                  "epsilon_in_allowed_set", "claim_matches", "anomalies")
 
     def _check(self) -> None:
@@ -148,6 +134,13 @@ class TheoremReport(Record):
                 raise ValueError("claim_matches must mirror po_order == 2")
         elif self.claim_matches is not None:
             raise ValueError("claim_matches requires a field report")
+        if (self.field_report is None) == self.hypotheses_ok:
+            raise ValueError("field_report must be None exactly when the hypotheses failed")
+
+    @property
+    def hypotheses_ok(self) -> bool:
+        """Whether every hypothesis check holds."""
+        return all(ok for _, ok in self.hypothesis_checks)
 
 
 def _theorem_field(theorem: str, triple: tuple[int, ...]) -> BiquadraticField:
@@ -168,9 +161,9 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
     else the middle one; in T1 and T2 it is pqr, as p = 3 mod 4 divides it.
     """
     triple = tuple(triple)
-    hyp = check_hypotheses(theorem, triple)
-    if not hyp.ok:
-        return TheoremReport(theorem, triple, hyp, None, None, None, None, ())
+    checks = check_hypotheses(theorem, triple)
+    if not all(ok for _, ok in checks):
+        return TheoremReport(theorem, triple, checks, None, None, None, None, ())
     field = _theorem_field(theorem, triple)
     report = polya_report(field)
     norms = dict(zip(field.deltas, report.unit_norms))
@@ -193,7 +186,7 @@ def verify_theorem(theorem: str, triple: tuple[int, ...]) -> TheoremReport:
                     f"epsilon {witness.epsilon} of kernel {kernel} outside "
                     f"allowed set {sorted(allowed)}")
             break
-    return TheoremReport(theorem, triple, hyp, report, witness, in_set,
+    return TheoremReport(theorem, triple, checks, report, witness, in_set,
                          report.po_order == 2, tuple(anomalies))
 
 

@@ -52,10 +52,10 @@ def test_criterion_01_published_table(criterion):
         assert len(reports) == 20
         assert tuple(r.triple for r in reports) == tuple(row[1:] for row in TABLE_ROWS)
         for rep in reports:
-            assert rep.hypotheses.ok, rep.triple
+            assert rep.hypotheses_ok is True, rep.triple
             f = rep.field_report
             assert f.po_order == 2 and rep.claim_matches is True, rep.triple
-            assert f.po_order * f.h1_order == f.profile.product, rep.triple
+            assert f.po_order * f.h1_order == f.product_e, rep.triple
 
     criterion(1, "published table, twenty rows", 10.0, body)
 
@@ -63,7 +63,7 @@ def test_criterion_01_published_table(criterion):
 def test_criterion_02_worked_example(criterion):
     def body():
         rep = polya_report(biquadratic_field(2, 85))
-        assert rep.profile.product == 8
+        assert rep.product_e == 8
         assert rep.h_order == 4
         assert rep.index_factor == 1
         assert rep.h1_order == 4
@@ -83,7 +83,7 @@ def test_criterion_03_first_family_sweep(criterion):
         for p in small:
             for q in big:
                 for r in big:
-                    if not check_hypotheses(T1, (p, q, r)):
+                    if not all(ok for _, ok in check_hypotheses(T1, (p, q, r))):
                         continue
                     rep = verify_theorem("T1", (p, q, r))
                     assert rep.field_report.po_order == 2, (p, q, r)
@@ -115,7 +115,7 @@ def test_criterion_05_second_family_smallest(criterion):
         for t in triples:
             rep = verify_theorem("T2", t)
             f = rep.field_report
-            assert f.po_order * f.h1_order == f.profile.product, t
+            assert f.po_order * f.h1_order == f.product_e, t
             assert rep.claim_matches is not None, t
             # the a2 proof step asserts norm -1, computation gives +1
             assert fundamental_unit(t[1] * t[2]).norm == 1, t

@@ -68,15 +68,14 @@ def test_biquadratic_field_sorts_and_flags_real():
 
 
 def test_ramification_examples():
-    prof = ramification(biquadratic_field(2, 85))
-    assert prof.entries == ((2, 2), (5, 2), (17, 2))
-    assert prof.product == 8
-    prof = ramification(biquadratic_field(2, 3))
-    assert prof.entries == ((2, 4), (3, 2))
-    assert prof.product == 8 and prof.e2 == 4
-    prof = ramification(biquadratic_field(5, 13))
-    assert prof.entries == ((5, 2), (13, 2))
-    assert prof.product == 4 and prof.e2 == 1
+    # 2 ramifies with e = 2, totally (e = 4), and not at all
+    for m, n, entries, product in ((2, 85, ((2, 2), (5, 2), (17, 2)), 8),
+                                   (2, 3, ((2, 4), (3, 2)), 8),
+                                   (5, 13, ((5, 2), (13, 2)), 4)):
+        field = biquadratic_field(m, n)
+        assert ramification(field) == entries
+        report = polya_report(field)
+        assert report.ramification == entries and report.product_e == product
 
 
 def test_h_generators_examples():
@@ -116,7 +115,7 @@ def test_pipeline_is_permutation_symmetric_and_exact(m, n):
     a = polya_report(biquadratic_field(m, n))
     b = polya_report(biquadratic_field(n, m))
     assert (a.po_order, a.h1_order, a.po_structure) == (b.po_order, b.h1_order, b.po_structure)
-    assert a.po_order * a.h1_order == a.profile.product
+    assert a.po_order * a.h1_order == a.product_e
     assert a.h_order * a.index_factor == a.h1_order
     # the third kernel yields the same field and the same invariants
     third = a.field.deltas[2]

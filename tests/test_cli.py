@@ -213,8 +213,8 @@ def test_table_all_rows_agree(runner):
 def _order_4(report: PolyaReport) -> PolyaReport:
     """`report` with Polya order 4: consistent, but not the order that T1-T3
     (2) or the contrast family (1) claims."""
-    h1 = report.profile.product // 4
-    return PolyaReport(report.field, report.profile, report.h_generators, h1, 1, h1, 4,
+    h1 = report.product_e // 4
+    return PolyaReport(report.field, report.ramification, report.h_generators, h1, 1, h1, 4,
                        "(Z/2)^2", report.unit_norms)
 
 

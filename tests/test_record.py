@@ -19,15 +19,14 @@ import pytest
 import polya
 from polya.arith import Factorization, factor
 from polya.biquad import (BiquadraticField, LericheVerdict, biquadratic_field,
-                          leriche_classify, polya_report, ramification)
+                          leriche_classify, polya_report)
 from polya.quadratic import (FundamentalUnit, NormEquationSolution, UnitSplit, cf_expand,
                              dirichlet_norm_criterion, epsilon_decomposition,
                              fundamental_unit, norm_equation, period_invariants,
                              zantema_classify)
 from polya.record import Record
 from polya.sqclass import SquareClass, class_of
-from polya.verify import (FAMILIES, T3, ContrastReport, check_hypotheses, contrast_rajaei,
-                          verify_theorem)
+from polya.verify import FAMILIES, ContrastReport, contrast_rajaei, verify_theorem
 
 # One record of each result type, built by the function that returns it, or
 # for a Family, declared in FAMILIES.
@@ -42,10 +41,8 @@ SAMPLES = {
     "ZantemaVerdict": lambda: zantema_classify(85),
     "DirichletReport": lambda: dirichlet_norm_criterion(5, 13),
     "BiquadraticField": lambda: biquadratic_field(2, 85),
-    "RamificationProfile": lambda: ramification(biquadratic_field(2, 85)),
     "PolyaReport": lambda: polya_report(biquadratic_field(2, 85)),
     "LericheVerdict": lambda: leriche_classify(2, 5),
-    "HypothesisReport": lambda: check_hypotheses(T3, (5, 17)),
     "TheoremReport": lambda: verify_theorem("T3", (5, 17)),
     "ContrastReport": lambda: contrast_rajaei(3, 7, 5),
     "Family": lambda: FAMILIES["T1"],
@@ -166,6 +163,17 @@ CONSTRUCTION_CHECKS = [
                            epsilon_in_allowed_set=None),
                  "claim_matches requires a field report",
                  id="TheoremReport-no-field"),
+    # the hypotheses hold, so the field must be computed
+    pytest.param(lambda: _with(_theorem(), field_report=None, epsilon_witness=None,
+                           epsilon_in_allowed_set=None, claim_matches=None),
+                 "field_report must be None exactly when the hypotheses failed",
+                 id="TheoremReport-hypotheses-hold-without-field"),
+    # a failed hypothesis leaves no field to report
+    pytest.param(lambda: _with(_theorem(),
+                               hypothesis_checks=(("p, q are distinct primes", True),
+                                                  ("p = 1 mod 4", False))),
+                 "field_report must be None exactly when the hypotheses failed",
+                 id="TheoremReport-field-after-failed-hypotheses"),
 ]
 
 

@@ -21,30 +21,51 @@ from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, Family, _theorem_fie
                           verify_theorem)
 
 
+def _holds(theorem, triple):
+    """Whether the triple satisfies every hypothesis of the theorem."""
+    return all(ok for _, ok in check_hypotheses(theorem, triple))
+
+
+def _failed(theorem, triple):
+    """The labels of the hypotheses the triple breaks, in order."""
+    return tuple(label for label, ok in check_hypotheses(theorem, triple) if not ok)
+
+
 def test_hypotheses_t1_examples():
-    assert check_hypotheses(T1, (3, 17, 41))
-    assert not check_hypotheses(T1, (3, 17, 29))   # (17/29) = +1
-    assert not check_hypotheses(T1, (3, 17, 17))   # repeated prime
+    assert _failed(T1, (3, 17, 41)) == ()
+    # 29 = 5 mod 8, while (17/29) = -1 holds
+    assert _failed(T1, (3, 17, 29)) == ("r = 1 mod 8",)
+    # 89 = 1 mod 8, but (17/89) = (89/17) = (4/17) = +1
+    assert _failed(T1, (3, 17, 89)) == ("(q/r) = -1",)
+    # a repeated prime, whose symbol (17/17) is 0
+    assert _failed(T1, (3, 17, 17)) == ("p, q, r are distinct primes", "(q/r) = -1")
 
 
 def test_hypotheses_t2_examples():
-    assert check_hypotheses(T2, (19, 3, 17))
-    assert not check_hypotheses(T2, (3, 7, 13))    # r = 13 is 5 mod 8
-    assert not check_hypotheses(T2, (19, 3, 2))
+    assert _failed(T2, (19, 3, 17)) == ()
+    assert _failed(T2, (3, 7, 13)) == ("r = 1 mod 8",)    # r = 13 is 5 mod 8
+    # r = 2: no symbol mod 2 holds
+    assert _failed(T2, (19, 3, 2)) == ("r = 1 mod 8", "(p/r) = 1", "(q/r) = -1")
 
 
 def test_hypotheses_t3_examples():
-    assert check_hypotheses(T3, (5, 17))
-    assert check_hypotheses(T3, (5, 13))           # (5/13) = -1
-    assert not check_hypotheses(T3, (5, 5))
-    assert not check_hypotheses(T3, (2, 5))
+    assert _failed(T3, (5, 17)) == ()
+    assert _failed(T3, (5, 13)) == ()                     # (5/13) = -1
+    assert _failed(T3, (5, 5)) == ("p, q are distinct primes", "(p/q) = -1")
+    assert _failed(T3, (2, 5)) == ("p = 1 mod 4",)
 
 
 def test_hypothesis_reports_carry_labeled_checks():
-    rep = check_hypotheses(T1, (3, 17, 29))
-    failed = [label for label, ok in rep.checks if not ok]
-    assert failed and all(isinstance(label, str) for label, _ in rep.checks)
-    assert rep.ok is False and bool(rep) is False
+    labels = ["p, q, r are distinct primes", "p = 3 mod 4", "q = 1 mod 8", "r = 1 mod 8",
+              "(q/r) = -1"]
+    for triple, failed in (((3, 17, 29), ("r = 1 mod 8",)), ((3, 17, 89), ("(q/r) = -1",))):
+        checks = check_hypotheses(T1, triple)
+        assert [label for label, _ in checks] == labels
+        assert all(ok is True or ok is False for _, ok in checks)
+        assert _failed(T1, triple) == failed
+        rep = verify_theorem(T1, triple)
+        assert rep.hypothesis_checks == checks
+        assert rep.hypotheses_ok is False
 
 
 def test_hypotheses_t1_oracle_against_direct_congruences():
@@ -55,7 +76,7 @@ def test_hypotheses_t1_oracle_against_direct_congruences():
                 expected = (len({p, q, r}) == 3 and p % 4 == 3
                             and q % 8 == 1 and r % 8 == 1
                             and q != 2 and r != 2 and jacobi(q, r) == -1)
-                assert check_hypotheses(T1, (p, q, r)).ok == expected, (p, q, r)
+                assert _holds(T1, (p, q, r)) == expected, (p, q, r)
 
 
 def _euler(a, n):
@@ -80,7 +101,7 @@ def test_hypotheses_match_the_literal_statement(theorem):
     arity = statement.__code__.co_argcount
     held = 0
     for t in itertools.product(sieve_primes(60), repeat=arity):
-        assert check_hypotheses(theorem, t).ok == statement(*t), t
+        assert _holds(theorem, t) == statement(*t), t
         held += statement(*t)
     assert held > 0
 
@@ -121,9 +142,9 @@ def test_epsilon_witness_frozen_validation():
 
 def test_verify_theorem_t3_worked_example():
     rep = verify_theorem("T3", (5, 17))
-    assert rep.hypotheses.ok
+    assert rep.hypotheses_ok is True
     f = rep.field_report
-    assert (f.po_order, f.h1_order, f.profile.product) == (2, 4, 8)
+    assert (f.po_order, f.h1_order, f.product_e) == (2, 4, 8)
     assert f.unit_norms == (-1, -1, -1)
     assert rep.epsilon_witness is None
     assert rep.claim_matches is True
@@ -194,7 +215,7 @@ def test_verify_theorem_reports_an_epsilon_outside_the_allowed_set(monkeypatch):
 
 def test_verify_theorem_skips_field_work_when_hypotheses_fail():
     rep = verify_theorem("T1", (3, 17, 29))
-    assert not rep.hypotheses.ok
+    assert rep.hypotheses_ok is False
     assert rep.field_report is None and rep.claim_matches is None
 
 
@@ -244,14 +265,14 @@ def test_admissible_triples_respects_bound_and_hypotheses():
         assert triples == tuple(sorted(triples))
         for t in triples:
             assert max(t) <= 60
-            assert check_hypotheses(theorem, t).ok
+            assert _holds(theorem, t) is True
 
 
 def _brute_force_admissible(theorem, bound):
     # every prime triple up to the bound, kept when its full hypothesis report holds
     arity = 2 if theorem == "T3" else 3
     return tuple(t for t in itertools.product(sieve_primes(bound), repeat=arity)
-                 if check_hypotheses(theorem, t).ok)
+                 if _holds(theorem, t))
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)
@@ -352,7 +373,7 @@ triples_t1 = st.sampled_from(admissible_triples("T1", 80))
 def test_t1_reports_are_exact_and_claims_hold(triple):
     rep = verify_theorem("T1", triple)
     f = rep.field_report
-    assert f.profile.product == 16 and f.profile.e2 == 2
+    assert f.ramification[0] == (2, 2) and f.product_e == 16
     assert f.po_order * f.h1_order == 16
     assert rep.claim_matches is True
     assert rep.epsilon_in_allowed_set is True
