@@ -16,11 +16,13 @@ with their primes, picked out of the field's, and nothing is factored.  A
 Polya report reads each kernel's invariants once.
 A field is m, n and the primes of mn; its kernels are m, n and the third
 kernel (m/g)*(n/g) with g = gcd(m, n).  `biquadratic_field` finds the
-primes by factoring m and n once each, never mn, and a caller that already
-knows them (a theorem instance knows its triple) builds the field from them
-directly, with no factoring.  The ramified primes are those primes, and the
-span of the six classes is {1} closed under multiplication by each, with no
-factoring either.
+primes by factoring the coprime pieces g, m/g and n/g once each, never m, n
+or mn whole, so a shared factor is factored once and each piece is smaller
+than the radicand it divides; a caller that already knows the primes (a
+theorem instance or a contrast instance knows its triple) builds the field
+from them directly, with no factoring.  The ramified primes are those
+primes, and the span of the six classes is {1} closed under multiplication
+by each, with no factoring either.
 
 leriche_classify is the independent route: it never touches H^1 and decides
 composita of two quadratic Polya fields by the classical composite rules,
@@ -85,8 +87,25 @@ class BiquadraticField(Record):
 
 
 def biquadratic_field(m: int, n: int) -> BiquadraticField:
-    """Q(sqrt(m), sqrt(n)); m and n are the only numbers factored."""
-    primes = {*_radicand_primes(m), *_radicand_primes(n)}
+    """Q(sqrt(m), sqrt(n)), with the primes of mn found from the coprime pieces
+    g = gcd(m, n), m/g and n/g, the only numbers factored.
+
+    m is squarefree iff g and m/g are and they share no prime, and n likewise;
+    m is checked before n, and each keeps the errors of `_radicand_primes`
+    under its own name.  With g = 1 the pieces are m and n themselves.
+    """
+    g = math.gcd(m, n)
+    primes: set[int] = set()
+    for d in (m, n):
+        if d in (0, 1):
+            _radicand_primes(d)  # raises the radicand error
+        try:
+            primes.update(p for piece in (g, d // g) if abs(piece) > 1
+                          for p in _radicand_primes(piece))
+        except ValueError:
+            raise ValueError(f"{d} is not squarefree") from None
+        if math.gcd(g, d // g) > 1:
+            raise ValueError(f"{d} is not squarefree")
     return BiquadraticField(m, n, tuple(sorted(primes)))
 
 

@@ -98,7 +98,9 @@ def _radicand_primes(d: int) -> tuple[int, ...]:
 
     The one check of a radicand, and the only place this module factors.
     It is memoised by (d, factoring budget) in `_primes_under_budget`, so a
-    command that checks d at each step factors |d| once.  `factor` is
+    command that checks d at each step factors |d| once.  `biquadratic_field`
+    checks m and n through their coprime pieces gcd(m, n), m/gcd and n/gcd,
+    so it passes the pieces here, not m and n.  `factor` is
     deterministic in (n, budget) and a raised error is never cached, so the
     memo changes no result; with the budget in the key, a later call under a
     smaller budget factors again and can still run out.

@@ -14,10 +14,10 @@ unit, membership of epsilon in the allowed set) and records divergences as
 anomalies instead of failing, so a wrong intermediate step is visible even
 when the headline Polya order still comes out as claimed.  A field is built
 only once its hypotheses hold, and then from the primes of its triple, so
-nothing about it is factored.  Unit norms are read from the field's Polya
-report, which takes them from the continued-fraction period parity, and an
-epsilon witness is read off half the period of its kernel, so no fundamental
-unit is built.
+nothing about it is factored; a contrast field is built the same way.  Unit
+norms are read from the field's Polya report, which takes them from the
+continued-fraction period parity, and an epsilon witness is read off half
+the period of its kernel, so no fundamental unit is built.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from itertools import product
 
 from .arith import is_prime, jacobi, sieve_primes
-from .biquad import BiquadraticField, biquadratic_field, polya_report
+from .biquad import BiquadraticField, polya_report
 from .quadratic import epsilon_decomposition
 from .record import Record
 
@@ -259,7 +259,9 @@ def contrast_rajaei(p: int, q: int, r: int) -> ContrastReport:
         raise ValueError("p, q, r must be distinct primes")
     if p % 4 != 3 or q % 4 != 3 or r % 8 != 5:
         raise ValueError("requires p = q = 3 mod 4 and r = 5 mod 8")
-    report = polya_report(biquadratic_field(p, q * r))
+    # the triple's primes are known: build the field from them, like
+    # `_theorem_field`, and let its check prove them
+    report = polya_report(BiquadraticField(p, q * r, tuple(sorted((p, q, r)))))
     matches = report.po_order == 1
     anomalies = () if matches else (
         f"expected Polya order 1, computed {report.po_order}",)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polya.arith import factor, is_prime, squarefree_part
-from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, biquadratic_field, h1_order,
-                          h_generators, leriche_classify, polya_report,
-                          ramification)
-from polya.quadratic import NOT_POLYA, POLYA, fundamental_unit, zantema_classify
+from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, _third_kernel,
+                          biquadratic_field, h1_order, h_generators, leriche_classify,
+                          polya_report, ramification)
+from polya.quadratic import (NOT_POLYA, POLYA, _radicand_primes, fundamental_unit,
+                             zantema_classify)
 from polya.sqclass import class_of
 
 kernels = (st.integers(min_value=2, max_value=400)
@@ -46,6 +47,44 @@ def test_third_kernel_and_primes_need_only_m_and_n(m, n):
     f = biquadratic_field(m, n)
     assert f.deltas == tuple(sorted((m, n, squarefree_part(m * n))))
     assert f.primes == factor(abs(m * n)).primes()
+
+
+def _reference_primes(m: int, n: int) -> tuple[int, ...]:
+    """The field's primes found by factoring m, then n, whole: the errors
+    and their order that `biquadratic_field` keeps."""
+    primes = {*_radicand_primes(m), *_radicand_primes(n)}
+    _third_kernel(m, n)
+    return tuple(sorted(primes))
+
+
+def _outcome(primes, m: int, n: int):
+    try:
+        return primes(m, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _field_primes(m: int, n: int) -> tuple[int, ...]:
+    return biquadratic_field(m, n).primes
+
+
+# pairs whose shared factor hides a square: g and m/g are squarefree but
+# share a prime (12 = 6 * 2, 18 = 3 * 6), or m/g is not squarefree
+# (8 = 2 * 4); and a zero beside such a pair's non-squarefree radicand
+HIDDEN_SQUARES = [(8, 2), (12, 6), (6, 12), (18, 3), (0, 12), (12, 0), (-12, 6),
+                  (6, -12), (50, 10), (75, 15), (10, 50), (45, 15), (98, 14)]
+
+
+def test_coprime_pieces_keep_the_reference_errors_and_their_order():
+    pairs = [(m, n) for m in range(-300, 301) for n in range(-300, 301)]
+    for m, n in HIDDEN_SQUARES + pairs:
+        expected = _outcome(_reference_primes, m, n)
+        assert _outcome(_field_primes, m, n) == expected, (m, n)
+    assert _outcome(_field_primes, 12, 6) == "12 is not squarefree"
+    assert _outcome(_field_primes, 6, 12) == "12 is not squarefree"
+    assert _outcome(_field_primes, 8, 2) == "8 is not squarefree"
+    assert _outcome(_field_primes, 0, 12) == (
+        "radicands must be squarefree integers other than 0 and 1")
 
 
 def test_field_validation_checks_the_primes():

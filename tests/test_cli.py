@@ -421,16 +421,19 @@ def test_command_output_is_pinned_per_format(runner, command, fmt):
 
 
 def test_analyze_factors_only_its_arguments(runner, factor_calls):
-    # m and n once each, and nothing else: never m*n (about 2.6e20 for the
-    # first pair), no kernel again (the field validated them, and
-    # 998244359987710471, the third kernel of the second pair, would need a
-    # Pollard rho) and no half-period denominator Q_h, whose square class
-    # follows from Q_h dividing 2*delta
-    for m, n in ((46658798722, 5504613353), (1000000007, 998244353)):
+    # the coprime pieces g = gcd(m, n), m/g and n/g once each, and nothing
+    # else: never m*n (about 2.6e20 for the first pair), no kernel again (the
+    # field validated them, and 998244359987710471, the third kernel of the
+    # second pair, would need a Pollard rho) and no half-period denominator
+    # Q_h, whose square class follows from Q_h dividing 2*delta.  The first
+    # pair shares g = 99973, so m and n are never factored whole; the second
+    # is coprime, so its pieces are m and n themselves
+    for m, n, pieces in ((46658798722, 5504613353, [99973, 466714, 55061]),
+                         (1000000007, 998244353, [1000000007, 998244353])):
         quadratic._kernel_invariants.cache_clear()
         factor_calls.clear()
         assert runner.invoke(main, ["analyze", str(m), str(n)]).exit_code == 0
-        assert factor_calls == [m, n]
+        assert factor_calls == pieces
 
 
 @pytest.mark.parametrize("d", [-7, -5, 10, 79, 65, 21, 30030])
@@ -503,6 +506,14 @@ def test_pollack_large_r_stops_at_the_answer(runner):
     assert not any(is_prime_by_trial(v) and non_residue(v) for v in range(5, q, 4))
 
 
+def test_contrast_factors_nothing(runner, factor_calls):
+    # the field Q(sqrt(3), sqrt(91)) is built from the triple's primes, and
+    # its kernels' invariants read the primes the field holds
+    quadratic._kernel_invariants.cache_clear()
+    assert runner.invoke(main, ["contrast", "3", "7", "13"]).exit_code == 0
+    assert factor_calls == []
+
+
 def test_contrast_examples(runner):
     result = runner.invoke(main, ["contrast", "3", "7", "13", "--format", "json"])
     assert result.exit_code == 0
@@ -520,20 +531,32 @@ def test_factor_budget_exhaustion_exits_undecided(runner):
 
 
 def test_budget_factor_is_scoped_to_one_command(runner):
-    # analyze factors only its arguments, and 100160063 = 10007 * 10009 is
-    # past trial division, so factoring it needs Pollard rho
+    # 3 and 100160063 = 10007 * 10009 are coprime, so analyze factors
+    # 100160063 whole, which is past trial division and needs Pollard rho
+    args = ["analyze", "3", "100160063"]
+    assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, args + ["--budget-factor", "1"])
+    assert result.exit_code == 4
+    assert "exhausted on 100160063" in result.output
+    assert runner.invoke(main, args).exit_code == 0
+    # 10007 and 100160063 share g = 10007, so analyze factors the pieces
+    # 10007 and 10009, which trial division splits: no rho, and a budget of
+    # 1 reports the same field as the default budget
     args = ["analyze", "10007", "100160063"]
-    assert runner.invoke(main, args).exit_code == 0
-    assert runner.invoke(main, args + ["--budget-factor", "1"]).exit_code == 4
-    assert runner.invoke(main, args).exit_code == 0
+    default = runner.invoke(main, args)
+    tight = runner.invoke(main, args + ["--budget-factor", "1"])
+    assert default.exit_code == tight.exit_code == 0
+    assert tight.stdout_bytes == default.stdout_bytes
 
 
 def test_budget_factor_is_restored_after_a_usage_error(runner):
     # 12 is not squarefree, so the command stops with exit 2 after its budget
-    # of 1 was set; the next command must run with the default budget again
+    # of 1 was set; the next command must run with the default budget again.
+    # 3 and 100160063 are coprime, so the next command factors 100160063
+    # whole, which needs Pollard rho and exits 4 under a budget of 1
     result = runner.invoke(main, ["analyze", "12", "5", "--budget-factor", "1"])
     assert result.exit_code == 2
-    assert runner.invoke(main, ["analyze", "10007", "100160063"]).exit_code == 0
+    assert runner.invoke(main, ["analyze", "3", "100160063"]).exit_code == 0
 
 
 @pytest.mark.parametrize("args", [["analyze", "2", "85"], ["scan", "T3", "60"]])
