@@ -17,17 +17,16 @@ from .arith import (DEFAULT_FACTOR_BUDGET, FactorBudgetError, Factorization, fac
 from .biquad import (OUTSIDE_PROPOSITION, BiquadraticField, LericheVerdict,
                      PolyaReport, biquadratic_field, h1_order, h_generators,
                      leriche_classify, polya_report, ramification)
-from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction,
-                        DirichletReport, FundamentalUnit, NormEquationSolution,
-                        PeriodInvariants, UnitSplit, ZantemaVerdict, a_value,
-                        cf_expand, dirichlet_norm_criterion, epsilon_decomposition,
-                        fundamental_unit, norm_equation, period_invariants,
-                        quadratic_polya_oracle, ramified_primes, zantema_classify)
+from .quadratic import (NOT_POLYA, POLYA, ContinuedFraction, FundamentalUnit,
+                        NormEquationSolution, PeriodInvariants, UnitSplit, ZantemaVerdict,
+                        a_value, cf_expand, epsilon_decomposition, fundamental_unit,
+                        norm_equation, period_invariants, quadratic_polya_oracle,
+                        ramified_primes, zantema_classify)
 from .sqclass import IDENTITY, SquareClass, class_of, span
 from .verify import (FAMILIES, T1, T2, T3, TABLE_ROWS, THEOREMS, ContrastReport, Family,
                      TheoremReport, admissible_triples, check_hypotheses,
-                     contrast_rajaei, pollack_search, scan, smallest_admissible,
-                     verify_table, verify_theorem)
+                     contrast_rajaei, pollack_search, scan, verify_table,
+                     verify_theorem)
 
 __all__ = [
     "DEFAULT_FACTOR_BUDGET", "FactorBudgetError", "Factorization", "factor",
@@ -35,14 +34,13 @@ __all__ = [
     "OUTSIDE_PROPOSITION", "BiquadraticField", "LericheVerdict", "PolyaReport",
     "biquadratic_field", "h1_order", "h_generators", "leriche_classify",
     "polya_report", "ramification",
-    "NOT_POLYA", "POLYA", "ContinuedFraction", "DirichletReport",
+    "NOT_POLYA", "POLYA", "ContinuedFraction",
     "FundamentalUnit", "NormEquationSolution", "PeriodInvariants", "UnitSplit",
-    "ZantemaVerdict", "a_value", "cf_expand",
-    "dirichlet_norm_criterion", "epsilon_decomposition", "fundamental_unit",
+    "ZantemaVerdict", "a_value", "cf_expand", "epsilon_decomposition", "fundamental_unit",
     "norm_equation", "period_invariants", "quadratic_polya_oracle", "ramified_primes",
     "zantema_classify",
     "IDENTITY", "SquareClass", "class_of", "span",
     "FAMILIES", "T1", "T2", "T3", "TABLE_ROWS", "THEOREMS", "ContrastReport", "Family",
     "TheoremReport", "admissible_triples", "check_hypotheses", "contrast_rajaei",
-    "pollack_search", "scan", "smallest_admissible", "verify_table", "verify_theorem",
+    "pollack_search", "scan", "verify_table", "verify_theorem",
 ]

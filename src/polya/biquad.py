@@ -26,7 +26,8 @@ by each, with no factoring either.
 
 leriche_classify is the independent route: it never touches H^1 and decides
 composita of two quadratic Polya fields by the classical composite rules,
-settling norms +-2 with norm_equation and the fundamental unit.
+settling norms +-2 with norm_equation and the fundamental unit.  It reads
+each kernel's primes from the field (`_kernels`), as a Polya report does.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .quadratic import (
     POLYA,
     PeriodInvariants,
     _kernel_invariants,
+    _norm_equation,
     _radicand_primes,
-    norm_equation,
-    zantema_classify,
+    _zantema,
 )
 from .record import Record
 from .sqclass import SquareClass, _times, span
@@ -125,11 +126,14 @@ def ramification(field: BiquadraticField) -> tuple[tuple[int, int], ...]:
     return tuple(entries)
 
 
+def _kernels(field: BiquadraticField) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The three kernels, ascending, each with its primes, read off the field's."""
+    return tuple((d, tuple(p for p in field.primes if d % p == 0)) for d in field.deltas)
+
+
 def _field_invariants(field: BiquadraticField) -> tuple[PeriodInvariants, ...]:
-    """The period invariants of the three kernels, ascending, each read once
-    from its primes, which the field already holds."""
-    return tuple(_kernel_invariants(d, tuple(p for p in field.primes if d % p == 0))
-                 for d in field.deltas)
+    """The period invariants of the three kernels, ascending, each read once."""
+    return tuple(_kernel_invariants(d, primes) for d, primes in _kernels(field))
 
 
 def _generators(kernels: tuple[PeriodInvariants, ...]) -> tuple[SquareClass, ...]:
@@ -144,8 +148,8 @@ def h_generators(field: BiquadraticField) -> tuple[SquareClass, ...]:
     return _generators(_field_invariants(field))
 
 
-def _has_norm_pm2(d: int) -> bool:
-    return any(norm_equation(d, c) is not None for c in (2, -2))
+def _has_norm_pm2(d: int, primes: tuple[int, ...]) -> bool:
+    return any(_norm_equation(d, c, primes) is not None for c in (2, -2))
 
 
 class PolyaReport(Record):
@@ -229,7 +233,8 @@ def leriche_classify(m: int, n: int) -> LericheVerdict:
     """
     field = biquadratic_field(m, n)
     deltas = field.deltas
-    if sum(zantema_classify(d).polya for d in deltas) < 2:
+    kernels = _kernels(field)
+    if sum(_zantema(d, primes).polya for d, primes in kernels) < 2:
         return LericheVerdict(m, n, OUTSIDE_PROPOSITION,
                               "fewer than two Polya quadratic subfields")
     if -2 in deltas:
@@ -242,8 +247,8 @@ def leriche_classify(m: int, n: int) -> LericheVerdict:
                 return LericheVerdict(m, n, NOT_POLYA,
                                       f"exception 2: Q(sqrt(-1), sqrt(2*{d // 2}))")
     if field.totally_real and all(d % 4 != 1 for d in deltas):
-        for d in deltas:
-            if not _has_norm_pm2(d):
+        for d, primes in kernels:
+            if not _has_norm_pm2(d, primes):
                 return LericheVerdict(m, n, NOT_POLYA,
                                       f"no element of norm +-2 in Q(sqrt({d}))")
         return LericheVerdict(m, n, POLYA, "composite rule: ramified 2 stays principal")

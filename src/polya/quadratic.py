@@ -7,49 +7,26 @@ elements are (x + y*sqrt(d))/denom with denom in {1, 2}, and denom = 2 forces
 x = y (mod 2) and d = 1 (mod 4).  `_radicand_primes` checks d by factoring
 |d| and returns its primes; it is the only place this module factors, and
 the functions that need the primes of d (`ramified_primes`, `norm_equation`,
-`zantema_classify`, and the CLI's own check) read them from it.  It keeps
-them in a memo keyed by d and the factoring budget, so a command factors
-|d| once however many steps ask; the budget is in the key because a smaller
+`zantema_classify`, and the CLI's own check) read them from it; their
+private bodies (`_ramified`, `_norm_equation`, `_zantema`) and the unit
+cache `_unit` skip the check for a kernel whose field holds its primes.
+The memo is keyed by d and the factoring budget, so a command factors |d|
+once however many steps ask; the budget is in the key because a smaller
 budget must be able to run out on a d that a larger one factored.
 
 The bi-quadratic pipeline needs three facts per kernel from
 `period_invariants`: the unit norm, the square class [N(u + 1)] (`a_value`)
-and whether 2 or -2 is a norm.  No unit is built.  When the 4-rank of the
-narrow class group is 0, `_genus_invariants` reads all three off the local
-norm symbols of -1 and the ramified primes, Legendre symbols at the odd
-primes of d: then, and only then, every ambiguous ideal in the principal
-genus is principal in the narrow sense (Redei and Reichardt; Stevenhagen;
-see there).  Every other kernel, and every test of that route, reads them
-off the middle of the period of the continued fraction of sqrt(d).  Two
-walks step through the period by the same recurrence: `_midpoint` keeps
-nothing but the current denominators and returns the parity of its length,
-the last denominator and how it ended, in constant memory; `_half_period`
-keeps the partial quotients, which `cf_expand` mirrors into the full
-period.  (It also walks the period of (1 + sqrt(d))/2 for `_ring_walk`.)
-Past the first step both work on integers below 2*sqrt(d), each a one-digit
-Python int (below 2^30) for every d below 2^58.
-
-`_midpoint` walks a half period of up to `_PLAIN_STEPS` steps from its
-start.  Past that, `_search_midpoint` finds a start near the middle by
-Shanks' baby-step giant-step search in the infrastructure of the reduced
-binary quadratic forms of discriminant 4d (D. Shanks, "The infrastructure of
-a real quadratic field and its applications", 1972): every 16th form of the
-walk keys a table, giant steps of one composition move the square of a form
-along the cycle, the walk doubles whenever a phase of them has cost more
-than it, and a hit's exact offset puts a rebuilt form a few steps from the
-middle.  A half period of h steps then costs O(sqrt(h)) steps and
-compositions, and `_midpoint` walks on to the recurrence's own stop.  The
-answer is that stop, so it is exact and equal to the linear walk's.  The
-search is one loop of phases, each a walk, its keys and its giant steps.
-A hit always lands: the walk from it runs in rounds that double until it
-stops, so the first hit ends the search.  Each walk of a phase goes on
-from where the last one ended, so the walk alone reaches the middle of a
-search that no probe hits.
+and whether 2 or -2 is a norm.  No unit is built.  `_kernel_invariants`
+asks genus theory (`genus`), given the ramified primes (`_ramified`), and
+when the 4-rank is positive the walk to the middle of the period of sqrt(d)
+(`forms`); each route is the other's test oracle.  `_half_period` walks the
+forms' recurrence but keeps the partial quotients, which `cf_expand`
+mirrors into the full period, and it walks (1 + sqrt(d))/2 for `_ring_walk`.
 
 The fundamental unit itself serves classify-quadratic and the norm equation
 deciders.  `_ring_walk` is the one owner of the generator of the ring of
 integers, (1 + sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise: it
-checks d, picks that start and walks `_half_period` from it, and `_fold`
+picks that start and walks `_half_period` from it, and `_fold`
 runs the big-integer convergent recurrence over a list of partial quotients.
 `fundamental_unit` folds the whole period, mirrored from the half walk; the
 unit, half-integral or not, is read off the last convergent.
@@ -77,9 +54,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count, repeat
 
-from . import arith
+from . import arith, forms, genus
 from .arith import factor, is_prime, is_square, jacobi
 from .record import Record
 from .sqclass import IDENTITY, SquareClass
@@ -120,8 +96,13 @@ def _primes_under_budget(d: int, budget: int) -> tuple[int, ...]:
 
 def ramified_primes(d: int) -> tuple[int, ...]:
     """Primes dividing the field discriminant of Q(sqrt(d)), ascending."""
-    odd = [p for p in _radicand_primes(d) if p != 2]
-    return tuple(([2] if d % 4 != 1 else []) + odd)
+    return _ramified(d, _radicand_primes(d))
+
+
+def _ramified(d: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """`ramified_primes` given the primes of d: its odd primes, and 2 when
+    d != 1 (mod 4)."""
+    return tuple(([2] if d % 4 != 1 else []) + [p for p in primes if p != 2])
 
 
 class ContinuedFraction(Record):
@@ -175,281 +156,6 @@ def _mirror(head: list[int], odd: bool) -> list[int]:
     return head + (head[::-1] if odd else head[-2::-1])
 
 
-def _midpoint(d: int, m: int = 0, q_prev: int | None = None, q: int = 1,
-              steps: int | None = None,
-              marks: list[int] | None = None) -> tuple[bool, int, bool] | None:
-    """Where `_half_period` stops, without its list: (h_odd, q_h, odd).
-
-    h is the length of the half period, q_h = Q_h the last denominator
-    (Q_0 = 1 when h = 0) and odd says which symmetry ended the walk, as in
-    `_half_period`.  Each loop pass takes two steps, from an even k and from
-    the odd k + 1, so the variables holding Q_{k-1} and Q_k swap roles with no
-    rotation and the half that returns gives the parity of h.
-
-    By default the walk starts at k = 0 and runs to the stop.  Given the state
-    (m, q_prev, q) = (m_k, Q_{k-1}, Q_k) of some k >= 1 it starts there, and
-    h_odd is then the parity of the number of steps it took.  It walks on
-    through m_k = m_{k+1} where k is a multiple of l, the one stop with
-    Q_k = 1, so from any k it stops at the next index = h (mod l).
-    The walk goes in stretches of r = `_MARK_EVERY` steps.  Given steps, a
-    multiple of r, it returns None once it has taken that many without
-    stopping.  Given also marks, a list, it appends the key Q_k << bits | m_k
-    of the form after every stretch to marks, bits = bit length of isqrt(d);
-    the last one is that of the step where it ran out.  m_k < 2^bits, and
-    Q_{k-1} = (d - m_k^2)/Q_k, so a key names the whole state.
-    """
-    a0 = math.isqrt(d)
-    if q_prev is None:
-        q_prev = d
-    a = (a0 + m) // q
-    bits, passes = a0.bit_length(), range(_MARK_EVERY // 2)
-    for _ in repeat(None) if steps is None else repeat(None, steps // _MARK_EVERY):
-        for _ in passes:
-            # k even: q = Q_k, q_prev = Q_{k-1}, m = m_k; q_prev becomes Q_{k+1}
-            m_next = a * q - m
-            if m_next == m and q != 1:
-                return False, q, False
-            q_prev += a * (m - m_next)
-            if q_prev == q:
-                return False, q, True
-            a = (a0 + m_next) // q_prev
-            # k + 1 odd: q_prev = Q_{k+1}, q = Q_k, m_next = m_{k+1}; q becomes Q_{k+2}
-            m = a * q_prev - m_next
-            if m == m_next and q_prev != 1:
-                return True, q_prev, False
-            q += a * (m_next - m)
-            if q == q_prev:
-                return True, q_prev, True
-            a = (a0 + m) // q
-        if marks is not None:
-            marks.append(q << bits | m)
-    return None
-
-
-# The midpoint search.  Each size below was measured on the 216 kernels of
-# large-fields seeds 401, 2718, 5003, 7919, 31337 and 777 and the 5,141 of
-# theorem-scan (Python 3.11, 2 vCPUs), all walked, where a composition costs
-# about as much as 35 walk steps and a probed form about 2.5.  Since genus
-# theory answers the kernels of 4-rank 0, 62 of those large-fields kernels
-# and 273 of theorem-scan's walk.  _MARK_EVERY must be even and divide
-# _PLAIN_STEPS.
-#
-# Steps walked from k = 0 before the first giant step.  42 of the 62
-# large-fields kernels that walk have h > 1024 (9 of seed 401's 12, the
-# largest h = 29,759); all 273 of theorem-scan's stop within 1024 steps.
-# Over all 216 large-fields kernels, starting at 2048 walked 386,222 steps,
-# not 206,044; starting at 512 walked 164,536 but composed 5,783 times,
-# not 3,729.
-_PLAIN_STEPS = 1024
-# The walk keys every r-th form, and a probe walks r forms from each square.
-# With r = 16 the first walk of all 5,141 theorem-scan kernels took 1.05x
-# as long as with r = 32, and 1.09x as long as a walk that keys nothing; on
-# the 273 that walk now, all within that first walk, keying costs 1.02-1.04x.
-# With r = 32 the large-fields kernels probe twice as many forms, and
-# searched about 1.2x as long.
-_MARK_EVERY = 16
-# A phase is walked/_PHASE_DIVISOR giant steps, then the walk goes on to
-# twice its length.  A giant step (one composition and a probe of r forms)
-# costs about 75 walk steps, so a phase costs about 2.3 times the walk so
-# far, and the first phase reaches every large-fields midpoint (h < 31,000).
-# With walked/64 those kernels walk 290,012 steps, not 206,044.
-_PHASE_DIVISOR = 32
-
-
-def _compose(f1: tuple[int, int, int], f2: tuple[int, int, int], disc: int,
-             root: int) -> tuple[int, int, int]:
-    """The reduced form of the composite f1*f2 of two primitive forms (a, b, c)
-    of nonsquare discriminant disc > 0, with root = isqrt(disc).
-
-    Composition is H. Cohen, A Course in Computational Algebraic Number
-    Theory (GTM 138), Algorithm 5.4.7, with the extended gcds taken as
-    modular inverses; it holds for indefinite forms and signed a.  Reduction
-    is Cohen's rho (section 5.6.1): (a, b, c) -> (c, r, (r^2 - disc)/(4c))
-    with r = -b (mod 2c), taken in (-|c|, |c|] while |c| > sqrt(disc) and
-    in (sqrt(disc) - 2|c|, sqrt(disc)) after, until |sqrt(disc) - 2|a|| < b
-    < sqrt(disc).  sqrt(disc) is irrational, so each bound is exact on root.
-    """
-    a1, b1, _ = f1
-    a2, b2, c2 = f2
-    s = (b1 + b2) // 2
-    g1 = math.gcd(a1, a2)
-    y1 = pow(a2 // g1, -1, a1 // g1)
-    g2 = math.gcd(s, g1)
-    x2 = pow(s // g2, -1, g1 // g2)
-    y2 = (x2 * s - g2) // g1
-    v1, v2 = a1 // g2, a2 // g2
-    r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
-    b = b2 + 2 * v2 * r
-    a = v1 * v2
-    c = (b * b - disc) // (4 * a)
-    while not (root - 2 * abs(a) < b <= root and 2 * abs(a) - b <= root):
-        span = 2 * abs(c)
-        if abs(c) > root:
-            r = -b % span
-            if 2 * r > span:
-                r -= span
-        else:
-            r = root - (root + b) % span
-        a, b, c = c, r, (r * r - disc) // (4 * c)
-    return a, b, c
-
-
-def _search_midpoint(d: int) -> tuple[bool | None, int, bool]:
-    """(h_odd, q_h, odd) as `_midpoint(d)` gives them, by baby-step giant-step
-    on the reduced forms of discriminant 4d; h_odd is None for odd periods.
-
-    Step k of the walk is the reduced form f_k = ((-1)^k Q_k, 2m_k,
-    (-1)^(k+1) Q_{k-1}), and f_1, f_2, ... run through the principal cycle.
-    A composite of two of them reduces to some f_j of the cycle: (Q_j, m_j)
-    names j mod l and the sign of the first coefficient gives the parity of
-    j.  The mirror (c, b, a) of f_k is +-f_{l+1-k}, the inverse class, with
-    key (Q_{k-1}, m_k).
-
-    Each pass of the search's loop is a phase.  `_midpoint` walks on from
-    k = 0 for `_PLAIN_STEPS` steps, then from its last mark to twice its
-    length, and the keys of f_l and of every r-th form f_r, ..., f_w walked
-    (r = `_MARK_EVERY`, w the steps walked) make up a table in that order.
-    Then come w/32 giant steps.  Each multiplies S by G^2, G = f_{w-2r}, so
-    S = J*J for J = G^n.  A probe walks r forms from S; when one of them or
-    of their mirrors is keyed, S lies within w forms of the period's end,
-    and the key's place gives S's exact offset e.  J, rebuilt by
-    square-and-multiply, then lies about e/2 forms past the middle, and J
-    times the keyed form nearest |e|/2 forms, or its mirror when e > 0, a
-    few forms from it.  `_land` walks on from there, and from the mirror of
-    its successor, in rounds that double until one walk stops, so the first
-    hit ends the search.  The stride of S, 2(w - 2r), leaves a margin of
-    about 4r forms below the window of 2w + r forms, so a composite that
-    lands a few forms long cannot carry S over it.
-
-    A phase's giant steps cost a few times as much as the walk so far, and
-    the next walk doubles the table and the stride; J is then a product of
-    each phase's G to the number of its steps, and the last S of a phase is
-    probed against the longer table.  A half period of h steps costs
-    O(sqrt(h)) steps and compositions and O(sqrt(h)/r) keys.  The walk ends
-    every search that no probe hits: it keeps the exact recurrence's stops,
-    and each walk goes on from the last mark, so after about log2(h/w)
-    phases the walks alone have reached the middle.
-
-    Every answer is the stop of `_midpoint`'s exact recurrence; the search
-    only chooses where that walk starts.  With an odd period the form cycle
-    has length 2l, and a walk that starts one lap further round flips the
-    parity of h, so h_odd is None there.
-    """
-    a0 = math.isqrt(d)
-    bits = a0.bit_length()
-    disc = 4 * d
-    root = math.isqrt(disc)
-    # f_l = (1, 2a0, a0^2 - d) closes the window at the period's end
-    keys = [1 << bits | a0]
-    table = {keys[0]: 0}  # each key's place in keys
-    powers: list[tuple[tuple[int, int, int], int]] = []  # (G, n) of each phase
-    state, steps, walked = (0, None, 1), _PLAIN_STEPS, 0  # `_midpoint`'s k = 0
-    s = None
-    while True:
-        # a later walk goes on from a mark, at an even k, so the parity of h
-        # is the parity of the steps taken from there
-        marks: list[int] = []
-        found = _midpoint(d, *state, steps=steps, marks=marks)
-        if found is not None:
-            break
-        table.update(zip(marks, count(len(keys))))
-        keys += marks
-        walked += steps
-        # every mark is at an even k, so f_k = (Q_k, 2m_k, -Q_{k-1})
-        m, q_prev, q = _state(d, marks[max(len(marks) - 3, 0)], bits)
-        giant = (q, 2 * m, -q_prev)
-        square = _compose(giant, giant, disc, root)
-        n = 0
-        if s is None:
-            s, n = square, 1
-        # the last S of a phase is probed in the next, against its longer table
-        for _ in range(max(walked // _PHASE_DIVISOR, 1)):
-            e = _probe(s, table, a0, bits)
-            if e is not None:
-                found = _land(d, (*powers, (giant, n)), e, keys)
-                break
-            s = _compose(s, square, disc, root)
-            n += 1
-        if found is not None:
-            break
-        powers.append((giant, n))
-        state, steps = _state(d, marks[-1], bits), walked
-    h_odd, q_h, odd = found
-    return (None if odd else h_odd), q_h, odd
-
-
-def _probe(s: tuple[int, int, int], table: dict[int, int], a0: int,
-           bits: int) -> int | None:
-    """The offset s - l (mod l) of S = f_s from the period's end, read off the
-    first r forms f_{s+t} from S (r = `_MARK_EVERY`): k - t when f_{s+t} is
-    the keyed f_k, 1 - k - t when its mirror f_{l+1-s-t} is, None when
-    neither is.  table maps the keys of f_l, f_r, f_2r, ... to their places
-    0, 1, 2, ..., so the key at place p is that of f_pr."""
-    every = _MARK_EVERY
-    s_a, s_b, s_c = s
-    m, q_prev, q = s_b >> 1, abs(s_c), abs(s_a)
-    for t in range(every):
-        place = table.get(q << bits | m)
-        if place is not None:
-            return place * every - t
-        place = table.get(q_prev << bits | m)
-        if place is not None:
-            return 1 - place * every - t
-        a = (a0 + m) // q
-        m_next = a * q - m
-        m, q_prev, q = m_next, q, q_prev + a * (m - m_next)
-    return None
-
-
-def _state(d: int, key: int, bits: int) -> tuple[int, int, int]:
-    """The state (m_k, Q_{k-1}, Q_k) that `_midpoint` marked with this key."""
-    q, m = key >> bits, key & ((1 << bits) - 1)
-    return m, (d - m * m) // q, q
-
-
-def _land(d: int, powers: tuple[tuple[tuple[int, int, int], int], ...], e: int,
-          keys: list[int]) -> tuple[bool, int, bool]:
-    """`_midpoint`'s stop, walked to from near J = prod G^n over `powers`,
-    whose square lies e forms from the period's end, so that J lies about e/2
-    forms past the middle: from J times the keyed form nearest |e|/2 forms,
-    then from the mirror of its successor, in rounds of 2r, 4r, 8r, ... steps
-    until one walk stops (r = `_MARK_EVERY`).  keys holds the table's keys,
-    each at its place."""
-    every = _MARK_EVERY
-    a0 = math.isqrt(d)
-    disc = 4 * d
-    root = math.isqrt(disc)
-    j = None
-    for g, n in powers:  # square-and-multiply
-        while n:
-            if n & 1:
-                j = g if j is None else _compose(j, g, disc, root)
-            n >>= 1
-            if n:
-                g = _compose(g, g, disc, root)
-    # J times f_nr, the key nearest |e|/2 forms (f_l for n = 0), or times its
-    # mirror, the inverse, lies about e/2 -+ nr forms past the middle
-    n = (abs(e) + every) // (2 * every)
-    m, q_prev, q = _state(d, keys[n], a0.bit_length())
-    f_a, f_b, f_c = _compose(j, (q, 2 * m, -q_prev) if e < 0 else (-q_prev, 2 * m, q),
-                             disc, root)
-    m, q_prev, q = f_b >> 1, abs(f_c), abs(f_a)
-    a = (a0 + m) // q
-    m_next = a * q - m
-    # the composite f_j and f_{l-j}, which has the state of f_{j+1} mirrored;
-    # for an even period both have the parity of j.  One of them lies t steps
-    # before the middle, and `_midpoint` from any state stops at the next
-    # index = h (mod l), so the first round of at least t steps ends the loop.
-    # Each round doubles the last, so the rounds walk fewer than 7t steps in
-    # all, or at most 2r + t when the first one ends it
-    for steps in (2 * every << i for i in count()):
-        for start in ((m, q_prev, q), (m_next, q_prev + a * (m - m_next), q)):
-            found = _midpoint(d, *start, steps=steps)
-            if found is not None:
-                h_odd, q_h, odd = found
-                return h_odd != (f_a < 0), q_h, odd
-
-
 def cf_expand(d: int) -> ContinuedFraction:
     """Continued fraction expansion of sqrt(d) for any nonsquare d > 1.
 
@@ -477,14 +183,19 @@ class FundamentalUnit(Record):
             raise ValueError("half-integral unit outside the ring of integers")
 
 
-def _ring_walk(d: int, what: str) -> tuple[int, int, list[int], bool]:
-    """(p0, q0, head, odd) for the generator w = (p0 + sqrt(d))/q0 of the ring
-    of integers of the real field Q(sqrt(d)): (1 + sqrt(d))/2 when d = 1
-    (mod 4) and sqrt(d) otherwise, with `_half_period`'s walk of its period.
-    Checks d first; what names the caller's result in its error."""
-    _radicand_primes(d)
+def _real_primes(d: int, what: str) -> tuple[int, ...]:
+    """The primes of a squarefree d > 1; what names the caller's result."""
+    primes = _radicand_primes(d)
     if d < 2:
         raise ValueError(f"{what} require a real field, d > 1")
+    return primes
+
+
+def _ring_walk(d: int) -> tuple[int, int, list[int], bool]:
+    """(p0, q0, head, odd) for the generator w = (p0 + sqrt(d))/q0 of the ring
+    of integers of the real field Q(sqrt(d)), d squarefree > 1: (1 +
+    sqrt(d))/2 when d = 1 (mod 4) and sqrt(d) otherwise, with
+    `_half_period`'s walk of its period."""
     p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
     return p0, q0, *_half_period(d, p0, q0)
 
@@ -501,9 +212,15 @@ def _fold(d: int, p0: int, q0: int, quotients: list[int]) -> tuple[int, int]:
     return q0 * p - p0 * q, q
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def fundamental_unit(d: int) -> FundamentalUnit:
-    """Fundamental unit of Q(sqrt(d)), d squarefree > 1.
+    """Fundamental unit of Q(sqrt(d)), d squarefree > 1: `_unit`, once d is checked."""
+    _real_primes(d, "fundamental units")
+    return _unit(d)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _unit(d: int) -> FundamentalUnit:
+    """`fundamental_unit` of a d checked already, or of a checked field's kernel.
 
     The least unit > 1 of the ring of integers, from the continued fraction
     of its generator w (`_ring_walk`): with A/B the convergent of a_0 and the
@@ -514,11 +231,17 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     mod 8 they always are: odd x and y give x^2 - d*y^2 = 0 mod 8, never
     +-4.)
     """
-    p0, denom, head, odd = _ring_walk(d, "fundamental units")
+    p0, denom, head, odd = _ring_walk(d)
     x, y = _fold(d, p0, denom, _mirror(head, odd))
     if denom == 2 and x % 2 == 0 and y % 2 == 0:
         x, y, denom = x // 2, y // 2, 1
     return FundamentalUnit(d, x, y, denom, -1 if odd else 1)
+
+
+# one cache serves both entries, and it is read and cleared by its public name
+fundamental_unit.cache_info = _unit.cache_info
+fundamental_unit.cache_clear = _unit.cache_clear
+fundamental_unit.cache_parameters = _unit.cache_parameters
 
 
 class UnitSplit(Record):
@@ -574,7 +297,8 @@ def epsilon_decomposition(d: int) -> UnitSplit:
     no split exists).  Cached per kernel: a theorem scan asks for the split
     of one witness kernel in several triples.
     """
-    p0, q0, head, odd = _ring_walk(d, "epsilon splits")
+    _real_primes(d, "epsilon splits")
+    p0, q0, head, odd = _ring_walk(d)
     if odd:
         raise ValueError(f"fundamental unit of Q(sqrt({d})) has norm -1; no epsilon split")
     x, y = _fold(d, p0, q0, head[:-1])
@@ -608,21 +332,15 @@ def period_invariants(d: int) -> PeriodInvariants:
     """Unit norm, [N(u + 1)] and the +-2 norm fact of Q(sqrt(d)), d squarefree > 1.
 
     Two routes give the same three facts.  When the 4-rank of the narrow
-    class group is 0, `_genus_invariants` reads them off local norm symbols
-    at the ramified primes of d, with no walk (see there).  Every other
-    kernel takes the walk to the middle of the period, below.
+    class group is 0, genus theory reads them off local norm symbols at the
+    ramified primes of d, with no walk (`genus`).  Every other kernel takes
+    the walk to the middle of the period (`forms`), read as below.
 
     With period length l, convergents p_k/q_k and complete-quotient
     denominators Q_k, p_{k-1}^2 - d*q_{k-1}^2 = (-1)^k Q_k.  The walk to the
     middle of the period gives the parity of l, Q_h for h = floor(l/2) and,
-    when l is even, the parity of h.  A half period of up to `_PLAIN_STEPS`
-    steps is walked from its start.  A longer one is found by
-    `_search_midpoint`'s baby-step giant-step search on reduced forms, whose
-    walk and strides double with the period, in O(sqrt(h)) steps and
-    compositions; its first hit lands a few steps from the middle and walks
-    the rest, in rounds that double until the walk stops.
-    Either way the three facts are read off the exact recurrence where its
-    symmetry stops it, so they are the linear walk's.
+    when l is even, the parity of h, where the exact recurrence's symmetry
+    stops it.
 
     norm: N(u) = (-1)^l.
 
@@ -651,10 +369,7 @@ def period_invariants(d: int) -> PeriodInvariants:
     can only be the one at k = l/2: 2 is a Q_k iff l is even and Q_h = 2.
     (When d = 1 mod 4 no Q_k is 2, as that form would have content 2.)
     """
-    primes = _radicand_primes(d)
-    if d < 2:
-        raise ValueError("period invariants require a real field, d > 1")
-    return _kernel_invariants(d, primes)
+    return _kernel_invariants(d, _real_primes(d, "period invariants"))
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -667,87 +382,13 @@ def _kernel_invariants(d: int, primes: tuple[int, ...]) -> PeriodInvariants:
     field already holds every kernel's primes.  The primes are a function of
     d, so the cache holds one entry per kernel.
     """
-    found = _genus_invariants(d, primes)
-    return _walk_invariants(d) if found is None else found
-
-
-def _genus_invariants(d: int, primes: tuple[int, ...]) -> PeriodInvariants | None:
-    """The period invariants of Q(sqrt(d)) by genus theory, or None when the
-    4-rank r4 of its narrow class group Cl+ is positive.
-
-    The generators are -1 and the t ramified primes: the odd primes of d,
-    and 2 when d != 1 (mod 4).  By Hasse's theorem a signed product c of
-    them is a norm from Q(sqrt(d)) iff every Hilbert symbol (c, d)_v is 1
-    (J.-P. Serre, A Course in Arithmetic, ch. III).  Only a ramified prime
-    can give -1: d > 0, and for d = 1 (mod 4) every generator is odd, so
-    (c, d)_2 = 1.  The product formula drops one ramified prime, the
-    smallest, so no 2-adic symbol is ever taken.  At an odd ramified p,
-    (-1, d)_p = (-1|p), (q, d)_p = (q|p) for a generator q != p and
-    (p, d)_p = (-(d/p)|p).  The norms among the products are the F2 kernel
-    of the generators' symbol vectors.
-
-    They number 2^(2 + r4) (L. Redei and H. Reichardt, J. reine angew. Math.
-    170, 1934; P. Stevenhagen, "Redei-matrices and applications", LMS
-    Lecture Note Ser. 215, 1995).  Send c > 0 to the ambiguous ideal of norm
-    c and c < 0 to that ideal times (sqrt(d)): c is a norm iff the narrow
-    class of its ideal lies in the principal genus, which is Cl+^2, and -d
-    = N(sqrt(d)) is always a norm, so c and -d*c (up to squares) are sent
-    to one ideal.  The 2^t ambiguous ideals fall 2 to 1 onto Cl+[2], which
-    meets Cl+^2 in 2^r4 classes; so 2 * 2 * 2^r4 products are norms.  With
-    exactly four, r4 = 0, the ideal of a norm c is principal in the narrow
-    sense, and c is the norm of its generator:
-
-    - N(u) = -1 iff -1 is a norm: then (sqrt(d)) has a generator of
-      positive norm, and sqrt(d) is that generator times a unit of norm -1;
-    - otherwise u + 1 is a rational times a generator of an ambiguous ideal
-      that is not (1) (or u would be a square), and N(u + 1) > 0, so
-      a_class is [e] for the one positive norm e > 1;
-    - two_is_norm is d == 2 for N(u) = -1, as on the walk.  Otherwise the
-      norms are 1, e, -d and -d*e up to squares, so 2 or -2 is a norm iff
-      [e] is [2] or [2d]; for d = 1 (mod 4) 2 is no generator, and neither.
-
-    Each symbol is Euler's criterion, one `pow` to the exponent (p - 1)/2,
-    and a set of generators is a bit mask: bit 0 stands for -1, so the mask
-    1 is -1 alone and the masks of positive products have bit 0 clear.
-    """
-    ramified = ([2] if d % 4 != 1 else []) + [p for p in primes if p != 2]
-    gens = (-1, *ramified)
-    places = ramified[1:]
-    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (row, generators)
-    kernel: list[int] = []
-    for i, g in enumerate(gens):
-        row = 0
-        for bit, p in enumerate(places):
-            if pow(-(d // p) if g == p else g, p >> 1, p) != 1:
-                row |= 1 << bit
-        which = 1 << i
-        while row:
-            low = row & -row
-            if low not in pivots:
-                pivots[low] = row, which
-                break
-            pivot, chosen = pivots[low]
-            row ^= pivot
-            which ^= chosen
-        else:
-            kernel.append(which)
-    if len(kernel) != 2:
-        return None
-    k1, k2 = kernel
-    norms = (k1, k2, k1 ^ k2)
-    if 1 in norms:
-        return PeriodInvariants(d, -1, IDENTITY, d == 2)
-    # -d is a norm, so exactly one of the three is positive
-    positive = next(m for m in norms if not m & 1)
-    e = math.prod(g for i, g in enumerate(gens) if positive >> i & 1)
-    return PeriodInvariants(d, 1, SquareClass._known(1, e),
-                            e in (2, 2 * d if d % 2 else d // 2))
-
+    found = genus._genus_invariants(d, _ramified(d, primes))
+    return _walk_invariants(d) if found is None else PeriodInvariants(d, *found)
 
 def _walk_invariants(d: int) -> PeriodInvariants:
     """`period_invariants` read off the middle of the period of sqrt(d), by
-    `_search_midpoint`; the route for every kernel of positive 4-rank."""
-    h_odd, q_h, odd = _search_midpoint(d)
+    `forms._search_midpoint`; the route for every kernel of positive 4-rank."""
+    h_odd, q_h, odd = forms._search_midpoint(d)
     if odd:
         return PeriodInvariants(d, -1, IDENTITY, d == 2)
     if (2 * d) % q_h:
@@ -795,7 +436,7 @@ def _ramified_decider(d: int, c: int) -> NormEquationSolution | None:
         return NormEquationSolution(d, c, 0, 1, 1)
     ell = abs(c)
     tau = 1 if c > 0 else -1
-    u = fundamental_unit(d)
+    u = _unit(d)
     if ell == d:
         return NormEquationSolution(d, c, d * u.t, u.z, u.denom) if u.norm == -1 else None
     if u.norm == -1:
@@ -844,7 +485,11 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     composite |c|, a split or inert l and a local obstruction at an odd
     ramified prime are all settled before any unit is built.
     """
-    primes = _radicand_primes(d)
+    return _norm_equation(d, c, _radicand_primes(d))
+
+
+def _norm_equation(d: int, c: int, primes: tuple[int, ...]) -> NormEquationSolution | None:
+    """`norm_equation` without the check of d, given its primes, ascending."""
     if c == 0:
         raise ValueError("c must be nonzero")
     if d < 0:
@@ -852,13 +497,13 @@ def norm_equation(d: int, c: int) -> NormEquationSolution | None:
     if c == 1:
         return NormEquationSolution(d, c, 1, 0, 1)
     if c == -1:
-        u = fundamental_unit(d)
+        u = _unit(d)
         return NormEquationSolution(d, c, u.z, u.t, u.denom) if u.norm == -1 else None
     ell = abs(c)
     if not is_prime(ell):
         raise ValueError(f"norm_equation decides only c = +-1 and c = +-l, l prime, "
                          f"for real d; |c| = {ell} is composite")
-    ramified = ell in ramified_primes(d)
+    ramified = ell in _ramified(d, primes)
     if not ramified and (d % 8 == 1 if ell == 2 else jacobi(d, ell) == 1):
         raise ValueError(f"norm_equation decides only ramified and inert primes "
                          f"for real d; {ell} splits in Q(sqrt({d}))")
@@ -891,7 +536,11 @@ def zantema_classify(d: int) -> ZantemaVerdict:
     (5) d = pq, odd primes, p = q = 3 mod 4, or p = q = 1 mod 4 and unit
     norm +1.  Everything else is not Polya.
     """
-    primes = _radicand_primes(d)
+    return _zantema(d, _radicand_primes(d))
+
+
+def _zantema(d: int, primes: tuple[int, ...]) -> ZantemaVerdict:
+    """`zantema_classify` without the check of d, given its primes, ascending."""
     if d in (-1, -2, 2):
         return ZantemaVerdict(d, True, "case 1")
     if d < 0:
@@ -903,13 +552,13 @@ def zantema_classify(d: int) -> ZantemaVerdict:
     if len(primes) == 2:
         if primes[0] == 2:
             p = primes[1]
-            if p % 4 == 3 or fundamental_unit(d).norm == 1:
+            if p % 4 == 3 or _unit(d).norm == 1:
                 return ZantemaVerdict(d, True, "case 4")
             return ZantemaVerdict(d, False, None)
         p, q = primes
         if p % 4 == 3 and q % 4 == 3:
             return ZantemaVerdict(d, True, "case 5")
-        if p % 4 == 1 and q % 4 == 1 and fundamental_unit(d).norm == 1:
+        if p % 4 == 1 and q % 4 == 1 and _unit(d).norm == 1:
             return ZantemaVerdict(d, True, "case 5")
     return ZantemaVerdict(d, False, None)
 
@@ -927,24 +576,3 @@ def quadratic_polya_oracle(d: int) -> str:
             return NOT_POLYA
     return POLYA
 
-
-class DirichletReport(Record):
-    """Audit of the norm -1 criterion for Q(sqrt(rs)), r and s distinct primes."""
-
-    __slots__ = ("r", "s", "applies", "norm", "consistent")
-
-
-def dirichlet_norm_criterion(r: int, s: int) -> DirichletReport:
-    """Check the classical criterion: for primes r = s = 1 (mod 4) with
-    (r/s) = -1, the fundamental unit of Q(sqrt(rs)) has norm -1.
-
-    The congruence restriction is required: norm -1 forces -1 to be a square
-    modulo every odd prime divisor of rs.  The computed norm is reported even
-    when the criterion does not apply, so the raw claim can be audited.
-    """
-    if r == s or not (is_prime(r) and is_prime(s)):
-        raise ValueError("r and s must be distinct primes")
-    applies = r % 4 == 1 and s % 4 == 1 and jacobi(r, s) == -1
-    norm = fundamental_unit(r * s).norm
-    consistent = (not applies) or norm == -1
-    return DirichletReport(r, s, applies, norm, consistent)

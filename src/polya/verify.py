@@ -222,20 +222,6 @@ def scan(theorem: str, bound: int) -> tuple[TheoremReport, ...]:
                  for triple in admissible_triples(theorem, bound))
 
 
-def smallest_admissible(theorem: str, count: int) -> tuple[tuple[int, ...], ...]:
-    """The `count` smallest admissible triples, ordered by largest prime and
-    then lexicographically."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    bound = 64
-    while True:
-        triples = sorted(admissible_triples(theorem, bound),
-                         key=lambda t: (max(t), t))
-        if len(triples) >= count:
-            return tuple(triples[:count])
-        bound *= 2
-
-
 def verify_table() -> tuple[TheoremReport, ...]:
     """Reproduce the published 20-row table of T3 fields Q(sqrt(2), sqrt(pq))."""
     return tuple(verify_theorem(T3, (p, q)) for _, p, q in TABLE_ROWS)

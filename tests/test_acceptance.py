@@ -8,15 +8,13 @@ from math import isqrt
 
 import pytest
 
-from polya.arith import sieve_primes, squarefree_part
+from polya.arith import jacobi, sieve_primes, squarefree_part
 from polya.biquad import (OUTSIDE_PROPOSITION, biquadratic_field,
                           leriche_classify, polya_report)
-from polya.quadratic import (POLYA, cf_expand,
-                             dirichlet_norm_criterion, fundamental_unit,
+from polya.quadratic import (POLYA, cf_expand, fundamental_unit,
                              quadratic_polya_oracle, zantema_classify)
 from polya.verify import (T1, TABLE_ROWS, admissible_triples, check_hypotheses,
-                          contrast_rajaei, pollack_search, smallest_admissible,
-                          verify_table, verify_theorem)
+                          contrast_rajaei, pollack_search, verify_table, verify_theorem)
 
 
 @pytest.fixture()
@@ -110,7 +108,11 @@ def test_criterion_04_third_family_sweep(criterion):
 
 def test_criterion_05_second_family_smallest(criterion):
     def body():
-        triples = smallest_admissible("T2", 20)
+        # the twenty smallest by largest prime, then lexicographically: 40
+        # triples have every prime below 64, and any other sorts after them
+        admitted = admissible_triples("T2", 64)
+        assert len(admitted) == 40
+        triples = sorted(admitted, key=lambda t: (max(t), t))[:20]
         assert len(triples) == 20 and triples[0] == (19, 3, 17)
         for t in triples:
             rep = verify_theorem("T2", t)
@@ -150,10 +152,9 @@ def test_criterion_07_norm_minus_one_criterion(criterion):
         count = 0
         for i, r in enumerate(primes):
             for s in primes[i + 1:]:
-                rep = dirichlet_norm_criterion(r, s)
-                assert rep.consistent, (r, s)
-                if rep.applies:
-                    assert rep.norm == -1, (r, s)
+                # r = s = 1 (mod 4) with (r/s) = -1 forces N(u) = -1 in Q(sqrt(rs))
+                if jacobi(r, s) == -1:
+                    assert fundamental_unit(r * s).norm == -1, (r, s)
                     count += 1
         assert count == 112
 

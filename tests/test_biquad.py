@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polya import quadratic
 from polya.arith import factor, is_prime, squarefree_part
 from polya.biquad import (OUTSIDE_PROPOSITION, BiquadraticField, _third_kernel,
                           biquadratic_field, h1_order, h_generators, leriche_classify,
@@ -214,6 +215,21 @@ def test_leriche_builds_no_unit_for_a_locally_refused_kernel():
         fundamental_unit.cache_clear()
         assert leriche_classify(m, n).verdict == NOT_POLYA
         assert fundamental_unit.cache_info().misses == 2, (m, n)
+
+
+def test_leriche_factors_only_the_pieces(factor_calls):
+    # the field's primes come from its coprime pieces g, m/g and n/g, and
+    # each kernel's Zantema case, norm equations and unit read their primes
+    # from the field, so no kernel is factored again: not 6, 10 and 15 for
+    # (6, 15), whose kernel 10 = 2*5 needs its unit for Zantema's case 4, and
+    # not 42 for (3, 14), whose +-2 norms are settled from its primes
+    for m, n, pieces, units in ((6, 15, [3, 2, 5], 1), (3, 14, [3, 14], 2)):
+        quadratic._primes_under_budget.cache_clear()
+        fundamental_unit.cache_clear()
+        factor_calls.clear()
+        leriche_classify(m, n)
+        assert factor_calls == pieces, (m, n)
+        assert fundamental_unit.cache_info().misses == units, (m, n)
 
 
 def test_leriche_principality_refinement_fires():

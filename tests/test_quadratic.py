@@ -12,14 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polya import quadratic
+from polya import forms, quadratic
 from polya.arith import iroot, is_square, squarefree_part
 from polya.biquad import _has_norm_pm2
-from polya.quadratic import (NOT_POLYA, POLYA, NormEquationSolution, _genus_invariants,
-                             _kernel_invariants, _midpoint, _radicand_primes,
-                             _search_midpoint, _walk_invariants, a_value,
-                             cf_expand, dirichlet_norm_criterion,
-                             epsilon_decomposition, fundamental_unit, norm_equation,
+from polya.forms import _midpoint, _search_midpoint
+from polya.genus import _genus_invariants
+from polya.quadratic import (NOT_POLYA, POLYA, NormEquationSolution, _kernel_invariants,
+                             _radicand_primes, _ramified, _walk_invariants, a_value,
+                             cf_expand, epsilon_decomposition, fundamental_unit, norm_equation,
                              period_invariants, quadratic_polya_oracle,
                              ramified_primes, zantema_classify)
 from polya.sqclass import IDENTITY, SquareClass, class_of
@@ -168,8 +168,8 @@ def check_search(d: int) -> None:
 def set_sizes(monkeypatch, plain: int, every: int) -> None:
     """Run the search with a first walk of `plain` steps keying every
     `every`-th form."""
-    monkeypatch.setattr(quadratic, "_PLAIN_STEPS", plain)
-    monkeypatch.setattr(quadratic, "_MARK_EVERY", every)
+    monkeypatch.setattr(forms, "_PLAIN_STEPS", plain)
+    monkeypatch.setattr(forms, "_MARK_EVERY", every)
 
 
 def test_search_midpoint_ends_by_its_walk_when_no_landing_stops(monkeypatch):
@@ -180,9 +180,9 @@ def test_search_midpoint_ends_by_its_walk_when_no_landing_stops(monkeypatch):
     # 10**12 + 39; at the smallest sizes they reach the middle of every
     # period below 3000
     probe = Mock(return_value=None)
-    walk = Mock(wraps=quadratic._midpoint)
-    monkeypatch.setattr(quadratic, "_probe", probe)
-    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    walk = Mock(wraps=forms._midpoint)
+    monkeypatch.setattr(forms, "_probe", probe)
+    monkeypatch.setattr(forms, "_midpoint", walk)
     check_search(10 ** 12 + 39)
     assert probe.call_count > 0
     assert walk.call_count == 1 + 9
@@ -199,10 +199,10 @@ def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch
     # composition each.  The walks are the first one, the two doublings and
     # one of at most 32 steps from J corrected by the hit's offset.  Genus
     # theory answers this kernel, so the walk route is called directly
-    compose = Mock(wraps=quadratic._compose)
-    walk = Mock(wraps=quadratic._midpoint)
-    monkeypatch.setattr(quadratic, "_compose", compose)
-    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    compose = Mock(wraps=forms._compose)
+    walk = Mock(wraps=forms._midpoint)
+    monkeypatch.setattr(forms, "_compose", compose)
+    monkeypatch.setattr(forms, "_midpoint", walk)
     inv = _walk_invariants(10 ** 12 + 39)
     assert (inv.norm, inv.a_class, inv.two_is_norm) == (1, class_of(2), True)
     assert compose.call_count <= 500
@@ -212,8 +212,8 @@ def test_search_midpoint_reaches_a_long_midpoint_in_few_compositions(monkeypatch
 def test_search_midpoint_matches_the_linear_walk_on_a_longer_period(monkeypatch):
     # 10**15 + 91 has a half period of about 4.5 million steps
     d = 10 ** 15 + 91
-    compose = Mock(wraps=quadratic._compose)
-    monkeypatch.setattr(quadratic, "_compose", compose)
+    compose = Mock(wraps=forms._compose)
+    monkeypatch.setattr(forms, "_compose", compose)
     found = _search_midpoint(d)
     assert compose.call_count <= 3_000
     h_odd, q_h, odd = _midpoint(d)
@@ -225,8 +225,8 @@ def test_search_midpoint_reaches_a_1e18_midpoint_in_few_compositions(monkeypatch
     # of about 1.2e8 steps, too long for the linear walk in a test.  Q_h = 2
     # with h even gives the a-class [2] and unit norm +1 that the pinned
     # output of that command holds
-    compose = Mock(wraps=quadratic._compose)
-    monkeypatch.setattr(quadratic, "_compose", compose)
+    compose = Mock(wraps=forms._compose)
+    monkeypatch.setattr(forms, "_compose", compose)
     assert _search_midpoint(999999943999999559) == (False, 2, False)
     assert compose.call_count <= 20_000
 
@@ -236,8 +236,8 @@ def test_search_midpoint_lands_once_on_kernels_near_2e17(monkeypatch):
     # forms, as form counts drift from distances over long spans.  A search
     # that refused such a landing and took more giant steps ran for minutes
     # on each; its first hit must end it, so a second landing raises
-    compose = Mock(wraps=quadratic._compose)
-    real_land = quadratic._land
+    compose = Mock(wraps=forms._compose)
+    real_land = forms._land
     landings = [0]
 
     def land(*args):
@@ -245,8 +245,8 @@ def test_search_midpoint_lands_once_on_kernels_near_2e17(monkeypatch):
         assert landings[0] == 1, "a second landing"
         return real_land(*args)
 
-    monkeypatch.setattr(quadratic, "_compose", compose)
-    monkeypatch.setattr(quadratic, "_land", land)
+    monkeypatch.setattr(forms, "_compose", compose)
+    monkeypatch.setattr(forms, "_land", land)
     for d, found, most in ((226166524659073007, (False, 536541034, False), 2_790),
                            (261025488844651519, (False, 2, False), 4_614)):
         compose.reset_mock()
@@ -264,7 +264,7 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
     # the rounds double, or J lies near the period's end, after which S runs
     # on round the cycle; every answer must still be the linear walk's, and
     # the first hit must end the search with one landing
-    real_walk, real_probe, real_land = quadratic._midpoint, quadratic._probe, quadratic._land
+    real_walk, real_probe, real_land = forms._midpoint, forms._probe, forms._land
     events: list[tuple[str, bool, int | None]] = []
 
     def walk(d, m=0, q_prev=None, q=1, steps=None, marks=None):
@@ -284,9 +284,9 @@ def test_search_midpoint_matches_the_linear_walk_with_small_sizes(monkeypatch):
         events.append(("landing", True, None))
         return real_land(*args)
 
-    monkeypatch.setattr(quadratic, "_midpoint", walk)
-    monkeypatch.setattr(quadratic, "_probe", probe)
-    monkeypatch.setattr(quadratic, "_land", land)
+    monkeypatch.setattr(forms, "_midpoint", walk)
+    monkeypatch.setattr(forms, "_probe", probe)
+    monkeypatch.setattr(forms, "_land", land)
     seen = dict.fromkeys(["hit past", "hit before", "doubled walk stops",
                           "first round stops", "doubled round stops"], 0)
     for plain, every in ((2, 2), (4, 2), (16, 4)):
@@ -337,7 +337,7 @@ def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
     # G = f_{w-2r}, so a composition that lands a little long cannot carry S
     # over that window.  Each step must stay below delta_w + delta_{w-2r},
     # half way to the 2*delta_w that G = f_w would leave with no margin
-    real_walk, real_probe = quadratic._midpoint, quadratic._probe
+    real_walk, real_probe = forms._midpoint, forms._probe
     walked = [0]
     squares: list[tuple[tuple[int, int], int]] = []
 
@@ -350,8 +350,8 @@ def test_giant_steps_stay_shorter_than_the_probe_window(monkeypatch):
         squares.append(((abs(s[0]), s[1] // 2), walked[0]))
         return real_probe(s, *args)
 
-    monkeypatch.setattr(quadratic, "_midpoint", walk)
-    monkeypatch.setattr(quadratic, "_probe", probe)
+    monkeypatch.setattr(forms, "_midpoint", walk)
+    monkeypatch.setattr(forms, "_probe", probe)
     steps = 0
     for (plain, r), ds in (((16, 4), range(2, 12000)),
                            ((64, 8), range(10 ** 6, 10 ** 6 + 300))):
@@ -384,14 +384,14 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
                43101969502, 45262111151, 45764583962, 46658798722, 53025824986,
                66689013007, 85681964927, 86028834893, 87341564401, 97254242097,
                99312950334)
-    real_walk = quadratic._midpoint
+    real_walk = forms._midpoint
 
     def steps_to_stop(d, start):
         # the least even budget with which the walk from start stops; the
         # walk takes whole stretches of _MARK_EVERY steps, so that is 2 here
         fails, stops = 0, 2
         with monkeypatch.context() as patch:
-            patch.setattr(quadratic, "_MARK_EVERY", 2)
+            patch.setattr(forms, "_MARK_EVERY", 2)
             while real_walk(d, *start, steps=stops) is None:
                 fails, stops = stops, 2 * stops
             while stops - fails > 2:
@@ -410,7 +410,7 @@ def test_walks_after_a_hit_stay_short(monkeypatch):
             taken[0] += steps if found is None else steps_to_stop(d, (m, q_prev, q))
         return found
 
-    monkeypatch.setattr(quadratic, "_midpoint", walk)
+    monkeypatch.setattr(forms, "_midpoint", walk)
     for d in kernels:
         check_search(d)
     assert 0 < taken[0] <= 1_000
@@ -432,12 +432,12 @@ def test_probe_names_the_side_of_the_period_end(monkeypatch):
     table = {key: place for place, key in enumerate([1 << bits | a0, *marks])}
     states: list[int] = []                    # the keys of f_2, f_4, ...
     with monkeypatch.context() as patch:
-        patch.setattr(quadratic, "_MARK_EVERY", 2)
+        patch.setattr(forms, "_MARK_EVERY", 2)
         assert _midpoint(d, steps=1056, marks=states) is None
     assert states[7:512:8] == marks
 
     def form(k: int) -> tuple[int, int, int]:  # f_k for even k
-        m, q_prev, q = quadratic._state(d, states[k // 2 - 1], bits)
+        m, q_prev, q = forms._state(d, states[k // 2 - 1], bits)
         return q, 2 * m, -q_prev
 
     def mirror(k: int) -> tuple[int, int, int]:
@@ -445,11 +445,11 @@ def test_probe_names_the_side_of_the_period_end(monkeypatch):
         return c, b, a
 
     t = 336
-    assert quadratic._probe(form(t - 6), table, a0, bits) == t - 6
-    assert quadratic._probe(mirror(t + 6), table, a0, bits) == -5 - t
-    assert quadratic._probe(mirror(6), table, a0, bits) == -5
-    assert quadratic._probe(form(1026), table, a0, bits) is None
-    assert quadratic._probe(mirror(1042), table, a0, bits) is None
+    assert forms._probe(form(t - 6), table, a0, bits) == t - 6
+    assert forms._probe(mirror(t + 6), table, a0, bits) == -5 - t
+    assert forms._probe(mirror(6), table, a0, bits) == -5
+    assert forms._probe(form(1026), table, a0, bits) is None
+    assert forms._probe(mirror(1042), table, a0, bits) is None
 
 
 @given(st.integers(min_value=2 ** 30, max_value=10 ** 13))
@@ -744,7 +744,7 @@ def check_period_invariants(d: int) -> None:
     assert (inv.norm, inv.a_class) == unit_route(d), d
     assert a_value(d) == inv.a_class, d
     if d % 4 != 1:
-        assert inv.two_is_norm == _has_norm_pm2(d), d
+        assert inv.two_is_norm == _has_norm_pm2(d, _radicand_primes(d)), d
 
 
 def test_period_invariants_match_unit_route():
@@ -777,16 +777,16 @@ def test_kernel_caches_are_bounded(monkeypatch):
 
 def check_genus(d: int, primes: tuple[int, ...]) -> bool:
     """The genus route against the walk where it answers; whether it did."""
-    found = _genus_invariants(d, primes)
+    found = _genus_invariants(d, _ramified(d, primes))
     if found is not None:
-        assert found == _walk_invariants(d), d
+        assert quadratic.PeriodInvariants(d, *found) == _walk_invariants(d), d
     return found is not None
 
 
 def test_genus_invariants_examples():
     # 3: the norms are 1, -3, -2 and 6, so N(u) = 1, [N(u + 1)] = [6] and -2
     # is a norm; the diagonal symbol (3, 3)_3 is (-1|3), not (1|3)
-    assert _genus_invariants(3, (3,)) == quadratic.PeriodInvariants(3, 1, class_of(6), True)
+    assert _genus_invariants(3, (2, 3)) == (1, class_of(6), True)
     # 34: -1 is a local norm everywhere, but N(u) = +1; its 4-rank is 1, so
     # all eight signed products of 2 and 17 are norms and the walk decides
     assert _genus_invariants(34, (2, 17)) is None
@@ -1020,16 +1020,3 @@ def test_zantema_agrees_with_oracle(d):
     if d in (0, 1) or squarefree_part(d) != d:
         return
     assert zantema_classify(d).verdict == quadratic_polya_oracle(d), d
-
-
-def test_dirichlet_examples():
-    rep = dirichlet_norm_criterion(5, 17)
-    assert (rep.applies, rep.norm, rep.consistent) == (True, -1, True)
-    rep = dirichlet_norm_criterion(3, 5)
-    assert rep.applies is False and rep.norm == 1
-    rep = dirichlet_norm_criterion(13, 17)
-    assert rep.applies is False and rep.consistent is True
-    with pytest.raises(ValueError):
-        dirichlet_norm_criterion(4, 5)
-    with pytest.raises(ValueError):
-        dirichlet_norm_criterion(5, 5)

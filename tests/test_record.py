@@ -21,9 +21,8 @@ from polya.arith import Factorization, factor
 from polya.biquad import (BiquadraticField, LericheVerdict, biquadratic_field,
                           leriche_classify, polya_report)
 from polya.quadratic import (FundamentalUnit, NormEquationSolution, UnitSplit, cf_expand,
-                             dirichlet_norm_criterion, epsilon_decomposition,
-                             fundamental_unit, norm_equation, period_invariants,
-                             zantema_classify)
+                             epsilon_decomposition, fundamental_unit, norm_equation,
+                             period_invariants, zantema_classify)
 from polya.record import Record
 from polya.sqclass import SquareClass, class_of
 from polya.verify import FAMILIES, ContrastReport, contrast_rajaei, verify_theorem
@@ -39,7 +38,6 @@ SAMPLES = {
     "PeriodInvariants": lambda: period_invariants(34),
     "NormEquationSolution": lambda: norm_equation(7, 2),
     "ZantemaVerdict": lambda: zantema_classify(85),
-    "DirichletReport": lambda: dirichlet_norm_criterion(5, 13),
     "BiquadraticField": lambda: biquadratic_field(2, 85),
     "PolyaReport": lambda: polya_report(biquadratic_field(2, 85)),
     "LericheVerdict": lambda: leriche_classify(2, 5),

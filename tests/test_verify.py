@@ -17,8 +17,7 @@ from polya.cli import _witness_payload
 from polya.quadratic import UnitSplit, epsilon_decomposition, fundamental_unit
 from polya.verify import (T1, T2, T3, TABLE_ROWS, THEOREMS, Family, _theorem_field,
                           admissible_triples, check_hypotheses, contrast_rajaei,
-                          pollack_search, scan, smallest_admissible, verify_table,
-                          verify_theorem)
+                          pollack_search, scan, verify_table, verify_theorem)
 
 
 def _holds(theorem, triple):
@@ -293,18 +292,6 @@ def test_scan_reports_each_admissible_triple():
     reports = scan("T3", 20)
     assert tuple(r.triple for r in reports) == admissible_triples("T3", 20)
     assert all(r.claim_matches for r in reports)
-
-
-def test_smallest_admissible_ordering():
-    t2 = smallest_admissible("T2", 5)
-    assert t2[0] == (19, 3, 17)
-    keys = [(max(t), t) for t in t2]
-    assert keys == sorted(keys)
-    assert len(smallest_admissible("T3", 7)) == 7
-    # 18 T1 triples have a largest prime up to 64, so the 19th needs 128
-    assert len(admissible_triples("T1", 64)) == 18
-    assert smallest_admissible("T1", 19) == tuple(
-        sorted(admissible_triples("T1", 128), key=lambda t: (max(t), t))[:19])
 
 
 def test_table_rows_are_fixed_and_verified():
